@@ -454,3 +454,7 @@ def run(argv, out=None) -> int:
 
 def main() -> None:
     sys.exit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

@@ -1,69 +1,24 @@
-"""Polynomial arithmetic kernels with a compiled fast path.
+"""Polynomial arithmetic kernels over F_p.
 
-`polymul_mod` is the single entry point the rest of the package uses.  At
-import time the compiled extension is picked up when present; `force_backend`
-pins one backend for tests and benchmarks.  The compiled schoolbook routine
-wins below `COMPILED_SCHOOLBOOK_CUTOFF` (product of operand lengths); past
-that the Kronecker-substitution multiply in `pure` takes over on every
-backend, since big-int multiplication grows subquadratically.
+`polymul_mod` is the single entry point the rest of the package uses.  It is
+`pure.polymul`, which multiplies small operands by schoolbook and large ones
+by Kronecker substitution, since big-int multiplication grows subquadratically.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-
 from . import pure
 
-try:
-    from . import _speedups
-
-    HAVE_COMPILED = True
-except ImportError:  # no compiler or source-tree use without a build
-    _speedups = None
-    HAVE_COMPILED = False
-
-# tuned with benchmarks/bench_kernels.py: the compiled loop wins up to
-# roughly 1448x1448 at word-sized moduli, longer for asymmetric shapes
-COMPILED_SCHOOLBOOK_CUTOFF = 1 << 21
-
-_forced: str | None = None
+# perfbench's environment record and layer tracer still read these two names
+HAVE_COMPILED = False
 
 
 def backend_name() -> str:
-    """Name of the backend that polymul_mod will prefer right now."""
-    if _forced is not None:
-        return _forced
-    return "compiled" if HAVE_COMPILED else "pure"
+    """Name of the multiply backend; only the pure one exists."""
+    return "pure"
 
 
-@contextmanager
-def force_backend(name: str):
-    """Pin the kernel backend ("compiled" or "pure") within a with-block."""
-    global _forced
-    if name not in ("compiled", "pure"):
-        raise ValueError(f"unknown backend {name!r}")
-    if name == "compiled" and not HAVE_COMPILED:
-        raise RuntimeError("compiled kernels are not available")
-    previous = _forced
-    _forced = name
-    try:
-        yield
-    finally:
-        _forced = previous
-
-
-def _compiled_fits(la: int, lb: int, p: int) -> bool:
-    if la * lb > COMPILED_SCHOOLBOOK_CUTOFF:
-        return False
-    # accumulator stays under 2^62
-    return (p - 1) * (p - 1) * min(la, lb) < (1 << 62)
-
-
-def polymul_mod(a, b, p, trunc=None):
-    """Multiply coefficient lists mod p, keeping degrees < trunc if given."""
-    if backend_name() == "compiled" and _compiled_fits(len(a), len(b), p):
-        return _speedups.polymul_schoolbook(a, b, p, trunc)
-    return pure.polymul(a, b, p, trunc)
+polymul_mod = pure.polymul
 
 
 def truncated_power(base, n, p, trunc=None):

@@ -56,6 +56,7 @@ def polymul_kronecker(a, b, p, trunc=None):
 
 
 def polymul(a, b, p, trunc=None):
+    """Multiply coefficient lists mod p, keeping degrees < trunc if given."""
     if len(a) * len(b) <= SCHOOLBOOK_CUTOFF:
         return polymul_schoolbook(a, b, p, trunc)
     return polymul_kronecker(a, b, p, trunc)

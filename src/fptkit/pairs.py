@@ -7,9 +7,9 @@ and log Fano upstairs matches klt at the cone point; that transfer is what
 turns the planar certificates into statements about pairs on the line.
 
 `certify_sfr` runs the certificate cascade for (A^2, sum q_i L_i) at a
-given prime: boundary reduction, the degenerate closed form, the
-characteristic-p lower bound, and optional Frobenius escalation.  Every
-certificate carries the data needed to recheck it by hand.
+given prime: boundary reduction, the characteristic-p lower bound, and
+optional Frobenius escalation.  Every certificate carries the data needed
+to recheck it by hand.
 """
 
 from __future__ import annotations
@@ -106,8 +106,9 @@ def certify_sfr(
     arrangement G with multiplicities b_i = q_i * c:
 
     (a) boundary_reduction: dropping the heaviest line leaves total <= 1.
-    (b) degenerate_lemma:   G degenerate and 1/c < 1/max(b_i), the exact
-                            threshold of a degenerate arrangement.
+    (b) no degenerate case: past (a), 2 * max(b_i) >= d_G would make the
+                            heaviest weight at least the remaining total,
+                            which (a) left above 1, against klt; asserted.
     (c) hara_monsky_rule:   1/c below the lower bound (2p - l + 2)/(d_G p).
     (d) oracle_escalation:  nu(G, e)/p^e > 1/c for some e <= e_max
                             (needs slopes; off by default).
@@ -157,21 +158,10 @@ def certify_sfr(
     details["integral_mults"] = list(mults)
     details["lambda"] = format_ratio(lam)
 
-    # backstop: klt plus all drop-one totals > 1 forces max weight < total/2,
-    # so a degenerate integral model cannot actually reach this point
     if profile.degenerate:
-        fpt = Fraction(1, profile.max_mult)
-        details["fpt"] = format_ratio(fpt)
-        if lam < fpt:
-            return Certificate(
-                verdict=STRONGLY_F_REGULAR,
-                reason="degenerate_lemma",
-                p=p,
-                details=details,
-            )
-        details["note"] = "lambda is not below the degenerate threshold"
-        return Certificate(
-            verdict=INCONCLUSIVE, reason=INCONCLUSIVE, p=p, details=details
+        raise AssertionError(
+            f"degenerate model {mults} past boundary reduction: its heaviest "
+            "weight would be at least the remaining total > 1, against klt"
         )
 
     hm = hara_monsky_lower(profile, p)

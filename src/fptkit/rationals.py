@@ -48,17 +48,38 @@ def format_ratio(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# Sorenson-Webster (2015): strong probable-prime tests to the 13 bases above
+# are exact for every n below this bound
+PRIME_TEST_LIMIT = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
-    # trial division; every prime in this package is tiny
+    """Deterministic Miller-Rabin; DomainError at or above PRIME_TEST_LIMIT."""
+    if n >= PRIME_TEST_LIMIT:
+        raise DomainError(
+            f"primality of {n} is not decided: exact only below "
+            f"{PRIME_TEST_LIMIT} (about 3.3e24)"
+        )
     if n < 2:
         return False
-    if n < 4:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    if n < 41 * 41:  # no prime factor <= 41, so no factor at all
         return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True

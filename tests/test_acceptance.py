@@ -255,8 +255,7 @@ def test_criterion_09_certification_sweep():
                         parts, p, cert.reason, cert.details,
                     )
                     assert cert.reason in (
-                        "boundary_reduction", "degenerate_lemma",
-                        "hara_monsky_rule",
+                        "boundary_reduction", "hara_monsky_rule",
                     )
                     checked += 1
         elapsed = time.perf_counter() - start

@@ -4,6 +4,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -159,6 +160,22 @@ class TestExitCodes:
         assert code == 1
         assert "coincide" in doc["error"]["message"]
 
+    def test_eighteen_digit_prime_is_decided_quickly(self):
+        start = time.perf_counter()
+        code, doc = invoke_json(
+            ["certify", "--weights", "1/2,2/3,4/5", "--p", "1000000000000000003"]
+        )
+        assert time.perf_counter() - start < 3
+        assert code == 0
+        assert doc["outputs"]["verdict"] == "strongly_F_regular"
+
+    def test_prime_past_the_test_limit_is_one(self):
+        code, doc = invoke_json(
+            ["certify", "--weights", "1/2,2/3,4/5", "--p", str(2**89 - 1)]
+        )
+        assert code == 1
+        assert "3317044064679887385961981" in doc["error"]["message"]
+
 
 class TestBudgetEnv:
     def test_ops_cap_wins(self, monkeypatch):
@@ -249,6 +266,15 @@ class TestConsoleScript:
         proc = subprocess.run(
             [sys.executable, "-c", "from fptkit.cli import main; main()", "t0",
              "--set", ""],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0
+        doc = json.loads(proc.stdout)
+        assert doc["outputs"]["t0"] == "1/6"
+
+    def test_module_runs_as_script(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "fptkit.cli", "t0", "--set", ""],
             capture_output=True, text=True,
         )
         assert proc.returncode == 0

@@ -6,20 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from fptkit.kernels import (
-    HAVE_COMPILED,
-    backend_name,
-    force_backend,
-    polymul_mod,
-    truncated_power,
-)
+from fptkit.kernels import polymul_mod, truncated_power
 from fptkit.kernels import pure
 
 PRIMES = [2, 3, 5, 7, 31, 101, 32749]
-
-needs_compiled = pytest.mark.skipif(
-    not HAVE_COMPILED, reason="compiled kernel unavailable"
-)
 
 
 def _coeff_lists(p, max_len=40):
@@ -73,55 +63,19 @@ class TestPureRoutes:
         assert pure.polymul(a, b, p) == oracles.naive_polymul(a, b, p)
 
 
-class TestCompiledRoute:
-    @needs_compiled
-    @pytest.mark.parametrize("p", PRIMES)
-    def test_matches_pure(self, p):
-        from fptkit.kernels import _speedups
-
-        rng = random.Random(7 + p)
-        for _ in range(25):
-            a = [rng.randrange(p) for _ in range(rng.randint(1, 80))]
-            b = [rng.randrange(p) for _ in range(rng.randint(1, 80))]
-            assert _speedups.polymul_schoolbook(a, b, p) == pure.polymul(a, b, p)
-
-    @needs_compiled
-    def test_truncation(self):
-        from fptkit.kernels import _speedups
-
-        a, b = [1, 2, 3, 4], [4, 3, 2, 1]
-        full = pure.polymul(a, b, 5)
-        for trunc in (1, 3, 7, 12):
-            assert _speedups.polymul_schoolbook(a, b, 5, trunc) == full[:trunc]
-
-
 class TestDispatch:
-    def test_force_backend_roundtrip(self):
-        before = backend_name()
-        with force_backend("pure"):
-            assert backend_name() == "pure"
-            assert polymul_mod([1, 1], [1, 1], 3) == [1, 2, 1]
-        assert backend_name() == before
-
-    def test_force_unknown_backend(self):
-        with pytest.raises(ValueError):
-            with force_backend("vectorized"):
-                pass
-
-    @needs_compiled
-    def test_forced_routes_agree(self):
-        rng = random.Random(3)
-        for p in (2, 31, 32749):
-            a = [rng.randrange(p) for _ in range(90)]
-            b = [rng.randrange(p) for _ in range(64)]
-            with force_backend("pure"):
-                want = polymul_mod(a, b, p)
-            with force_backend("compiled"):
-                assert polymul_mod(a, b, p) == want
+    @pytest.mark.parametrize("la,lb", [(64, 64), (64, 65), (41, 200)])
+    def test_both_sides_of_cutoff(self, la, lb):
+        # straddles pure.SCHOOLBOOK_CUTOFF = 4096 = 64*64: schoolbook, then
+        # Kronecker for the two larger shapes
+        rng = random.Random(la * lb)
+        p = 101
+        a = [rng.randrange(p) for _ in range(la)]
+        b = [rng.randrange(p) for _ in range(lb)]
+        assert polymul_mod(a, b, p) == oracles.naive_polymul(a, b, p)
 
     def test_huge_prime_falls_back_safely(self):
-        # (p-1)^2 * len overflows the compiled accumulator guard; the
-        # dispatcher must still return the exact product
+        # coefficient products near 2^122 must stay exact
         p = (1 << 61) - 1
         a = [p - 1] * 8
         b = [p - 1] * 8

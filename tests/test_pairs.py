@@ -4,10 +4,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from fptkit import (
     DomainError,
     INCONCLUSIVE,
+    MultiplicityProfile,
     NOT_KLT,
     OracleBudget,
     P1Pair,
@@ -178,6 +180,23 @@ class TestCascadePrecedence:
             c = w.common_denominator()
             mults = [int(x * c) for x in coeffs]
             assert 2 * max(mults) < sum(mults)
+
+    @given(st.data(), st.sampled_from([2, 3, 7, 101]))
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.filter_too_much])
+    def test_klt_survivors_of_boundary_reduction_are_never_degenerate(
+        self, data, p
+    ):
+        coeffs = []
+        for _ in range(data.draw(st.integers(3, 5))):
+            den = data.draw(st.integers(2, 60))
+            coeffs.append(F(data.draw(st.integers(den // 4 + 1, den - 1)), den))
+        w = WeightedArrangement(coeffs)
+        assume(klt_weighted(w) and w.total - max(coeffs) > 1)
+        c = w.common_denominator()
+        assert not MultiplicityProfile(tuple(int(x * c) for x in coeffs)).degenerate
+        # the cascade's degenerate assertion therefore never fires
+        assert certify_sfr(w, p).reason != "boundary_reduction"
 
     def test_hm_rule_reports_the_scaled_model(self):
         cert = certify_sfr(WeightedArrangement((F(1, 2), F(2, 3), F(4, 5))), 31)
