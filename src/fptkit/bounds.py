@@ -157,7 +157,7 @@ def hyperstandard_simple_bound(n: int) -> GapBound:
     coeffs = CoeffSet((Fraction(1, n),))
     rows = []
     for d in range(3, 2 * n):
-        lam = dset_below(coeffs, Fraction(2, d)).positives[-1]
+        lam = largest_below(coeffs, Fraction(2, d))
         rows.append((d, lam, Fraction(2, d) - lam))
     gap = min(r[2] for r in rows)
     if gap != Fraction(1, (2 * n - 1) * n):

@@ -16,7 +16,6 @@ import json
 import math
 import os
 import sys
-from fractions import Fraction
 
 from . import bounds, coeffsets, frobenius, pairs, regressions, thresholds
 from .errors import DomainError
@@ -26,25 +25,24 @@ from .slopes import format_slope, parse_slope
 BUDGET_ENV = "FPTKIT_ORACLE_BUDGET"
 
 
-def _ratio_arg(text: str) -> Fraction:
-    try:
-        return parse_ratio(text)
-    except DomainError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
+def _usage_type(name: str, parse):
+    """Argument type `name` running `parse`; a DomainError is a usage error."""
+
+    def convert(text: str):
+        try:
+            return parse(text)
+        except DomainError as exc:
+            raise argparse.ArgumentTypeError(str(exc))
+
+    convert.__name__ = name  # argparse prints it when `parse` fails otherwise
+    return convert
 
 
-def _ratio_list_arg(text: str) -> tuple[Fraction, ...]:
-    try:
-        return parse_ratio_list(text)
-    except DomainError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
-
-
-def _slopes_arg(text: str) -> tuple:
-    try:
-        return tuple(parse_slope(tok) for tok in text.split(","))
-    except DomainError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
+_ratio_arg = _usage_type("_ratio_arg", parse_ratio)
+_ratio_list_arg = _usage_type("_ratio_list_arg", parse_ratio_list)
+_slopes_arg = _usage_type(
+    "_slopes_arg", lambda text: tuple(parse_slope(tok) for tok in text.split(","))
+)
 
 
 def _ints_arg(text: str) -> tuple[int, ...]:
@@ -165,20 +163,6 @@ def _arrangement_inputs(args) -> dict:
     }
 
 
-def _cmd_nu(args):
-    br = frobenius.fpt_bracket(_arrangement(args), args.e, _budget())
-    outputs = {
-        "e": br.e,
-        "q": br.q,
-        "nu": br.nu,
-        "bracket": {
-            "lower": format_ratio(br.lower),
-            "upper": format_ratio(br.upper),
-        },
-    }
-    return _arrangement_inputs(args) | {"e": args.e}, outputs
-
-
 def _cmd_bracket(args):
     br = frobenius.fpt_bracket(_arrangement(args), args.e, _budget())
     outputs = {
@@ -189,6 +173,12 @@ def _cmd_bracket(args):
         "upper": format_ratio(br.upper),
     }
     return _arrangement_inputs(args) | {"e": args.e}, outputs
+
+
+def _cmd_nu(args):
+    inputs, outputs = _cmd_bracket(args)
+    outputs["bracket"] = {key: outputs.pop(key) for key in ("lower", "upper")}
+    return inputs, outputs
 
 
 def _cmd_fpure_at(args):
@@ -280,9 +270,16 @@ def _print_json(payload: dict, out) -> None:
     out.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+def _envelope(command: str, inputs: dict, outputs: dict) -> dict:
+    return {
+        "command": command,
+        "inputs": inputs,
+        "outputs": outputs,
+        "provenance": {key: "computed" for key in outputs},
+    }
+
+
 def _table_scalar(value) -> str:
-    if isinstance(value, bool):
-        return str(value)
     if value is None:
         return "-"
     return str(value)
@@ -329,13 +326,8 @@ def _cmd_paper_check(args, out) -> int:
     rows = regressions.run_paper_checks()
     summary = regressions.summarize(rows)
     if args.json:
-        envelope = {
-            "command": "paper-check",
-            "inputs": {},
-            "outputs": {"rows": rows, "summary": summary},
-            "provenance": {"rows": "computed", "summary": "computed"},
-        }
-        _print_json(envelope, out)
+        outputs = {"rows": rows, "summary": summary}
+        _print_json(_envelope(args.command, {}, outputs), out)
     else:
         _print_check_table(rows, summary, out)
     return 0 if summary["mismatch"] == 0 else 1
@@ -441,14 +433,8 @@ def run(argv, out=None) -> int:
 
     if args.table:
         _print_table(outputs, out)
-        return 0
-    envelope = {
-        "command": args.command,
-        "inputs": inputs,
-        "outputs": outputs,
-        "provenance": {key: "computed" for key in outputs},
-    }
-    _print_json(envelope, out)
+    else:
+        _print_json(_envelope(args.command, inputs, outputs), out)
     return 0
 
 

@@ -143,7 +143,7 @@ def dset_contains(coeffs: CoeffSet, value: Fraction) -> bool:
         return False
     plus = plus_closure(coeffs)
     if value == 1:
-        return ONE in plus or any(f == 1 for f in plus)
+        return ONE in plus
     # (m-1+f)/m = value  <=>  f = 1 - m*(1-value) >= 0  <=>  m <= 1/(1-value)
     m = 1
     while m * (1 - value) <= 1:
@@ -200,24 +200,5 @@ def ddi_check(coeffs: CoeffSet, cutoff: Fraction) -> bool:
     anything >= cutoff land at or above it.
     """
     base = dset_below(coeffs, cutoff)
-    cutoff = base.cutoff
-    closed = _closure_below(base.positives, cutoff)
-    derived = set()
-    for f in closed:
-        m = _strict_floor((1 - f) / (1 - cutoff))
-        for k in range(1, m + 1):
-            derived.add(Fraction(k - 1 + f, 1) / k)
-    return derived == set(base.elements)
-
-
-def _closure_below(elements: tuple[Fraction, ...], cap: Fraction) -> set[Fraction]:
-    seen = {Fraction(0)}
-    stack = [Fraction(0)]
-    while stack:
-        s = stack.pop()
-        for a in elements:
-            t = s + a
-            if t < cap and t not in seen:
-                seen.add(t)
-                stack.append(t)
-    return seen
+    again = dset_below(CoeffSet(base.positives), base.cutoff)
+    return again.elements == base.elements

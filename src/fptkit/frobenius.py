@@ -268,8 +268,7 @@ def verify_hm_bound(
     so the upper end of any bracket must too.
     """
     bound = hara_monsky_lower(arr.profile(), arr.p)
-    rec = nu(arr, e, budget)
-    return Fraction(rec.nu + 1, rec.q) >= bound
+    return fpt_bracket(arr, e, budget).upper >= bound
 
 
 def apply_projective_change(arr: LineArrangement, matrix) -> LineArrangement:

@@ -18,8 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, OracleBudgetError
-from .frobenius import DEFAULT_BUDGET, LineArrangement, OracleBudget
-from .frobenius import nu as frobenius_nu
+from .frobenius import DEFAULT_BUDGET, LineArrangement, OracleBudget, fpt_bracket
 from .rationals import format_ratio, is_prime
 from .thresholds import (
     MultiplicityProfile,
@@ -178,7 +177,7 @@ def certify_sfr(
         line_arr = LineArrangement(p, arr.slopes, mults)
         for e in range(1, e_max + 1):
             try:
-                rec = frobenius_nu(line_arr, e, budget)
+                br = fpt_bracket(line_arr, e, budget)
             except OracleBudgetError as exc:
                 details["note"] = f"oracle budget exhausted at e={e}: {exc}"
                 return Certificate(
@@ -187,12 +186,11 @@ def certify_sfr(
                     p=p,
                     details=details,
                 )
-            ratio = Fraction(rec.nu, rec.q)
-            if ratio > lam:
+            if br.lower > lam:
                 details["e"] = e
-                details["q"] = rec.q
-                details["nu"] = rec.nu
-                details["nu_over_q"] = format_ratio(ratio)
+                details["q"] = br.q
+                details["nu"] = br.nu
+                details["nu_over_q"] = format_ratio(br.lower)
                 return Certificate(
                     verdict=STRONGLY_F_REGULAR,
                     reason="oracle_escalation",

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coeffsets import CoeffSet, dset_below, min_positive
+from .coeffsets import CoeffSet, largest_below, min_positive
 from .errors import DomainError
 from .rationals import format_ratio, is_prime
 from .slopes import INF
@@ -195,10 +195,11 @@ def t0_from_dset(coeffs: CoeffSet) -> T0Report:
     and d cannot exceed 2/min_positive(coeffs) or the gap would need a
     positive lambda below the smallest one there is.
     """
-    d_max = math.floor(Fraction(2) / min_positive(coeffs))
+    eps = min_positive(coeffs)
+    d_max = math.floor(Fraction(2) / eps)
 
     def candidate(d):
-        positives = dset_below(coeffs, Fraction(2, d)).positives
-        return positives[-1] if positives else None
+        # every positive element is >= eps, so the floor excludes only 0
+        return largest_below(coeffs, Fraction(2, d), floor=eps)
 
     return _t0_search(candidate, d_max, f"D({coeffs})")

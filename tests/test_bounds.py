@@ -152,6 +152,17 @@ class TestGapBound:
         with pytest.raises(DomainError):
             hyperstandard_simple_bound(2)
 
+    @given(st.integers(min_value=3, max_value=20))
+    @settings(max_examples=15, deadline=None)
+    def test_per_d_lambdas_are_oracle_maxima(self, n):
+        # below 2/3 only m <= 2 occurs in (m-1+f)/m, so denominators divide 2n
+        members = oracles.dset_bounded((F(1, n),), 2 * n, below=F(2, 3))
+        gb = hyperstandard_simple_bound(n)
+        assert [d for d, _, _ in gb.per_d] == list(range(3, 2 * n))
+        for d, lam, gap in gb.per_d:
+            assert lam == max(x for x in members if x < F(2, d))
+            assert gap == F(2, d) - lam
+
 
 class TestSafePerturbation:
     @pytest.mark.parametrize(

@@ -2,12 +2,15 @@
 
 import io
 import json
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import fptkit
 from fptkit.cli import run
 
 
@@ -20,6 +23,16 @@ def invoke(argv):
 def invoke_json(argv):
     code, text = invoke(argv)
     return code, json.loads(text)
+
+
+def run_python(*args):
+    """Run a Python subprocess that imports the fptkit under test."""
+    src = str(Path(fptkit.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True, text=True, env=os.environ | {"PYTHONPATH": path},
+    )
 
 
 class TestEnvelope:
@@ -79,6 +92,33 @@ class TestSubcommands:
         assert out["witness_d"] == 5
         assert out["witness_lambda"] == "1/3"
 
+    def test_t0_lambda_list(self):
+        code, doc = invoke_json(["t0", "--lambda-list", "1/2,1/3"])
+        assert code == 0
+        assert doc["inputs"] == {"lambda_list": ["1/2", "1/3"]}
+        assert doc["outputs"] == {
+            "t0": "1/15",
+            "witness_d": 5,
+            "witness_lambda": "1/3",
+            "vacuous": False,
+            "lambda_source": "list:1/3,1/2",
+        }
+
+    def test_t0_lambda_list_vacuous_note(self):
+        # the bare integer 1 parses as 1/1; 2/d <= 2/3 < 1 leaves no gap
+        code, doc = invoke_json(["t0", "--lambda-list", "1"])
+        assert code == 0
+        assert doc["inputs"] == {"lambda_list": ["1/1"]}
+        assert doc["outputs"] == {
+            "t0": None,
+            "witness_d": None,
+            "witness_lambda": None,
+            "vacuous": True,
+            "lambda_source": "list:1/1",
+            "note": "vacuous: any p admissible",
+        }
+        assert doc["provenance"] == {k: "computed" for k in doc["outputs"]}
+
     def test_hsb(self):
         _, doc = invoke_json(["hsb", "--n", "3"])
         assert doc["outputs"]["gap"] == "1/15"
@@ -90,6 +130,25 @@ class TestSubcommands:
         )
         assert doc["outputs"]["lower"] == "1/4"
         assert doc["outputs"]["upper"] == "3/8"
+
+    @pytest.mark.parametrize(
+        "arrangement",
+        [
+            ["--p", "2", "--slopes", "0,inf", "--mults", "3,1", "--e", "3"],
+            ["--p", "3", "--slopes", "0,1,2,inf", "--mults", "1,1,1,1", "--e", "2"],
+            ["--p", "5", "--slopes", "0,1,inf", "--mults", "3,4,4", "--e", "1"],
+        ],
+        ids=["x3y-p2", "all-lines-p3", "three-lines-p5"],
+    )
+    def test_nu_nests_the_bracket_outputs(self, arrangement):
+        code_b, br = invoke_json(["bracket"] + arrangement)
+        code_n, nu = invoke_json(["nu"] + arrangement)
+        assert code_b == code_n == 0
+        assert nu["inputs"] == br["inputs"]
+        want = {k: br["outputs"][k] for k in ("e", "q", "nu")}
+        want["bracket"] = {k: br["outputs"][k] for k in ("lower", "upper")}
+        assert nu["outputs"] == want
+        assert nu["provenance"] == {k: "computed" for k in want}
 
     def test_fpure_at(self):
         _, doc = invoke_json(
@@ -152,6 +211,45 @@ class TestExitCodes:
     def test_missing_required_is_two(self):
         code, _ = invoke(["nu", "--p", "3"])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (
+                ["nu", "--p", "3", "--slopes", "0,1", "--mults", "1,x", "--e", "1"],
+                "fptkit nu: error: argument --mults: not an integer list: '1,x'",
+            ),
+            (
+                ["nu", "--p", "3", "--slopes", "0,y", "--mults", "1,1", "--e", "1"],
+                "fptkit nu: error: argument --slopes: not a slope: 'y' "
+                "(expected an integer or 'inf')",
+            ),
+            (
+                ["dset", "--set", "1/3", "--below", "0.5"],
+                "fptkit dset: error: argument --below: not a rational: '0.5' "
+                "(expected 'a/b' or an integer; decimals are not accepted)",
+            ),
+            (
+                ["dset", "--set", "1/3,0.5", "--below", "1/2"],
+                "fptkit dset: error: argument --set: not a rational: '0.5' "
+                "(expected 'a/b' or an integer; decimals are not accepted)",
+            ),
+            (
+                # a failure other than DomainError is named by the type's name
+                ["dset", "--set", "1/3", "--below", "1" * 5000],
+                "fptkit dset: error: argument --below: invalid _ratio_arg value: "
+                + repr("1" * 5000),
+            ),
+        ],
+        ids=["mults", "slopes", "below", "set", "overlong-integer"],
+    )
+    def test_argument_type_errors_are_two(self, capsys, argv, message):
+        code, text = invoke(argv)
+        assert code == 2
+        assert text == ""
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: fptkit {argv[0]} ")
+        assert err.splitlines()[-1] == message
 
     def test_coinciding_slopes_is_one(self):
         code, doc = invoke_json(
@@ -221,12 +319,40 @@ class TestTables:
             json.loads(text)
 
     def test_nu_table(self):
-        code, text = invoke(
-            ["nu", "--p", "3", "--slopes", "0,1,2,inf", "--mults", "1,1,1,1",
-             "--e", "2", "--table"]
-        )
+        # nu's table is bracket's with lower and upper nested under bracket
+        args = ["--p", "3", "--slopes", "0,1,2,inf", "--mults", "1,1,1,1", "--e", "2"]
+        code, text = invoke(["nu"] + args + ["--table"])
         assert code == 0
-        assert "nu" in text and "2/9" in text
+        assert text == "e: 2\nq: 9\nnu: 2\nbracket: lower=2/9  upper=1/3\n"
+        code, text = invoke(["bracket"] + args + ["--table"])
+        assert code == 0
+        assert text == "e: 2\nq: 9\nnu: 2\nlower: 2/9\nupper: 1/3\n"
+
+    def test_list_of_dicts_table(self):
+        code, text = invoke(["p0", "--set", "", "--table"])
+        assert code == 0
+        assert text == (
+            "epsilon: 1/2\n"
+            "Q: 59/30\n"
+            "witness: 1/2, 2/3, 4/5\n"
+            "p0_exact: 60/1\n"
+            "p0: 60\n"
+            "trace:\n"
+            "  total=59/30  parts=['1/2', '2/3', '4/5']\n"
+        )
+
+    def test_scalars_in_a_table(self):
+        # booleans print as True/False, None as "-"
+        code, text = invoke(["t0", "--lambda-list", "1", "--table"])
+        assert code == 0
+        assert text == (
+            "t0: -\n"
+            "witness_d: -\n"
+            "witness_lambda: -\n"
+            "vacuous: True\n"
+            "lambda_source: list:1/1\n"
+            "note: vacuous: any p admissible\n"
+        )
 
 
 class TestPaperCheck:
@@ -263,20 +389,13 @@ class TestPaperCheck:
 
 class TestConsoleScript:
     def test_entry_point_runs(self):
-        proc = subprocess.run(
-            [sys.executable, "-c", "from fptkit.cli import main; main()", "t0",
-             "--set", ""],
-            capture_output=True, text=True,
-        )
+        proc = run_python("-c", "from fptkit.cli import main; main()", "t0", "--set", "")
         assert proc.returncode == 0
         doc = json.loads(proc.stdout)
         assert doc["outputs"]["t0"] == "1/6"
 
     def test_module_runs_as_script(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "fptkit.cli", "t0", "--set", ""],
-            capture_output=True, text=True,
-        )
+        proc = run_python("-m", "fptkit.cli", "t0", "--set", "")
         assert proc.returncode == 0
         doc = json.loads(proc.stdout)
         assert doc["outputs"]["t0"] == "1/6"

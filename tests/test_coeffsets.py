@@ -1,5 +1,6 @@
 """Derived coefficient sets: examples, oracle equivalence, invariants."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -25,6 +26,20 @@ HALF_THIRD = CoeffSet((F(1, 2), F(1, 3)))
 
 def fr(text):
     return F(text)
+
+
+def brute_slice(elements, cutoff):
+    """D(elements) ∩ [0, cutoff) by a membership scan of the fractions k/n.
+
+    (m-1+f)/m < cutoff forces m < 1/(1-cutoff), and f is a sum of elements,
+    so (m-1+f)/m has a denominator dividing m * lcm(denominators): the grid
+    1/n with n = lcm(1..m_max) * lcm(denominators) holds the whole slice.
+    """
+    m_max = math.ceil(1 / (1 - cutoff)) - 1
+    n = math.lcm(*range(1, m_max + 1)) * math.lcm(1, *(x.denominator for x in elements))
+    plus = oracles.closure_sums(elements)
+    grid = (F(k, n) for k in range(math.ceil(cutoff * n)))
+    return {v for v in grid if oracles.dset_member(plus, v)}
 
 
 class TestCoeffSet:
@@ -219,3 +234,23 @@ class TestDdiCheck:
     @pytest.mark.parametrize("cutoff", [F(1, 2), F(2, 3), F(4, 5)])
     def test_grid(self, src, cutoff):
         assert ddi_check(CoeffSet(src), cutoff)
+
+    @given(
+        st.lists(
+            st.fractions(min_value=F(1, 5), max_value=F(4, 5), max_denominator=5),
+            max_size=2,
+        ),
+        st.sampled_from([F(1, 2), F(2, 3), F(3, 4), F(4, 5)]),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_rederived_slice_matches_brute_force(self, xs, cutoff):
+        # the slice ddi_check builds: D over the positives of a D(I) slice
+        src = CoeffSet(tuple(set(xs)))
+        base = dset_below(src, cutoff)
+        again = dset_below(CoeffSet(base.positives), cutoff)
+        brute_base = brute_slice(src.elements, cutoff)
+        brute_twice = brute_slice(tuple(x for x in brute_base if x > 0), cutoff)
+        assert set(base.elements) == brute_base
+        assert set(again.elements) == brute_twice
+        assert brute_twice == brute_base
+        assert ddi_check(src, cutoff)

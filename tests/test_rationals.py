@@ -1,10 +1,28 @@
-"""Number-theory helpers: primality against the trial-division oracle."""
+"""Rational parsing, and primality against the trial-division oracle."""
+
+from fractions import Fraction
 
 import pytest
 
 import oracles
 from fptkit.errors import DomainError
-from fptkit.rationals import PRIME_TEST_LIMIT, is_prime
+from fptkit.rationals import PRIME_TEST_LIMIT, is_prime, parse_ratio
+
+
+class TestParseRatio:
+    @pytest.mark.parametrize(
+        "text,want",
+        [("3", 3), ("0", 0), ("-2", -2), ("+4", 4), (" 7 ", 7), ("12/8", Fraction(3, 2))],
+    )
+    def test_bare_integers_and_ratios(self, text, want):
+        got = parse_ratio(text)
+        assert type(got) is Fraction
+        assert got == want
+
+    @pytest.mark.parametrize("text", ["", "0.5", "1/0", "1 /2", "inf", "1e3"])
+    def test_rejects(self, text):
+        with pytest.raises(DomainError):
+            parse_ratio(text)
 
 
 class TestIsPrime:

@@ -1,5 +1,6 @@
 """Closed-form thresholds, klt predicates, and the t0 gap search."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -155,6 +156,31 @@ class TestT0:
         r = t0_from_lambdas([F(5, 6)])
         assert r.vacuous
         assert r.value is None
+
+    @given(
+        st.lists(
+            st.fractions(min_value=F(1, 7), max_value=F(6, 7), max_denominator=7),
+            max_size=2,
+        )
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_dset_witness_is_the_oracle_maximum(self, xs):
+        src = tuple(set(xs))
+        # below 2/3 only m <= 2 occurs in (m-1+f)/m, so every element there
+        # has a denominator dividing 2 * lcm(denominators of src)
+        den = 2 * math.lcm(1, *(x.denominator for x in src))
+        members = oracles.dset_bounded(src, den, below=F(2, 3))
+        gaps, lams = {}, {}
+        d = 3
+        while below := [x for x in members if 0 < x < F(2, d)]:
+            lams[d] = max(below)
+            gaps[d] = F(2, d) - lams[d]
+            d += 1
+        r = t0_from_dset(CoeffSet(src))
+        assert not r.vacuous
+        assert r.value == min(gaps.values())
+        assert r.witness_d == min(d for d, g in gaps.items() if g == r.value)
+        assert r.witness_lambda == lams[r.witness_d]
 
     def test_empty_list_rejected(self):
         with pytest.raises(DomainError):
