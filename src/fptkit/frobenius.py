@@ -10,8 +10,12 @@ some u with max(0, N d - q + 1) <= u <= min(q - 1, N deg g) has c_u != 0.
 
 N = 0 always stays outside, the window is empty once N d > 2(q - 1), and
 the property is monotone in N (the ideal is integrally stable under the
-partial order here), so nu is found by binary search and re-verified by
-direct probes at nu and nu + 1.
+partial order here), so each level is a binary search.  Frobenius is flat
+on k[x, y], so p nu(q) <= nu(pq) <= p nu(q) + p - 1 (Mustata-Takagi-
+Watanabe): nu climbs from q = p one level at a time, searching only the p
+candidates the ladder allows, and is re-verified at the top by direct
+probes at nu and nu + 1.  The powers themselves come from the base-p
+digits of N (`kernels.truncated_power`).
 """
 
 from __future__ import annotations
@@ -195,16 +199,29 @@ def power_in_frobenius_ideal(
 def nu(
     arr: LineArrangement, e: int, budget: OracleBudget = DEFAULT_BUDGET
 ) -> NuRecord:
-    """nu(q) = max{N : f^N not in (x^q, y^q)}, q = p^e, by binary search."""
+    """nu(q) = max{N : f^N not in (x^q, y^q)}, q = p^e, up the Frobenius ladder.
+
+    Each level p^k is a binary search with lo outside and hi inside the
+    ideal: at k = 1 over [0, 2(p - 1)/d + 1], and above it over
+    [p*nu, p*nu + p], nu the level below.  The ladder is a loop here, not
+    recursion through `nu`, so a caller scanning e = 1..E makes exactly one
+    `nu` call per level.
+    """
     q = _budgeted_q(arr, e, budget)
-    d = arr.degree
-    lo, hi = 0, 2 * (q - 1) // d + 1  # hi has an empty window, always inside
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if _outside_ideal(arr, mid, q):
-            lo = mid
-        else:
-            hi = mid
+    p = arr.p
+    level = p
+    lo, hi = 0, 2 * (p - 1) // arr.degree + 1  # hi has an empty window
+    while True:
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if _outside_ideal(arr, mid, level):
+                lo = mid
+            else:
+                hi = mid
+        if level == q:
+            break
+        level *= p
+        lo, hi = p * lo, p * lo + p
     if not _outside_ideal(arr, lo, q) or _outside_ideal(arr, lo + 1, q):
         raise AssertionError(
             f"membership probes contradict nu={lo} for {arr.describe()}"

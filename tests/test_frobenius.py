@@ -19,6 +19,7 @@ from fptkit import (
     sharply_fpure_at,
     verify_hm_bound,
 )
+from fptkit import frobenius
 from fptkit.slopes import INF
 
 F = Fraction
@@ -118,6 +119,36 @@ class TestNaiveOracleAgreement:
                     assert lib == want, (arr.describe(), n, q)
                     checked += 1
         assert checked > 200
+
+    NAIVE_SIZE = 700  # cap on (nu + 1) * deg g for a full expansion
+
+    def test_deep_levels_and_ladder(self):
+        # xy has nu(q) = q - 1, so every level sits at the top of the ladder
+        # p nu(q) <= nu(pq) <= p nu(q) + p - 1
+        rng = random.Random(20261018)
+        checked = 0
+        for p, e_max in [(2, 4), (3, 4), (5, 4), (7, 3)]:
+            arrs = [LineArrangement(p, (0, INF), (1, 1))]
+            arrs += [rand_arrangement(rng, primes=(p,)) for _ in range(6)]
+            for arr in arrs:
+                finite = [
+                    (s, m) for s, m in zip(arr.slopes, arr.mults) if s is not INF
+                ]
+                deg_g = arr.degree - arr.inf_mult
+                below = None
+                for e in range(1, e_max + 1):
+                    q = p**e
+                    v = nu(arr, e).nu
+                    if below is not None:
+                        assert p * below <= v <= p * below + p - 1, (arr, e)
+                    below = v
+                    if (v + 1) * deg_g > self.NAIVE_SIZE:
+                        continue
+                    args = (finite, arr.inf_mult, p)
+                    assert oracles.naive_outside_frobenius(*args, v, q), (arr, e)
+                    assert not oracles.naive_outside_frobenius(*args, v + 1, q)
+                    checked += 1
+        assert checked > 90
 
 
 class TestStructuralLaws:
@@ -235,6 +266,25 @@ class TestBudget:
     def test_within_budget_is_silent(self):
         arr = LineArrangement.all_rational_lines(5)
         assert nu(arr, 3, OracleBudget(max_e=9, max_ops=10**8)).nu == 24
+
+    def test_default_refusals_come_before_any_probe(self, monkeypatch):
+        # refused exactly when e > 5 or p*d*q > 10^8, and never after probing
+        class Probed(Exception):
+            pass
+
+        def probe(*args):
+            raise Probed
+
+        monkeypatch.setattr(frobenius, "_outside_ideal", probe)
+        for p in (2, 3, 7, 11, 101):
+            for e in range(1, 8):
+                q = p**e
+                edge = 10**8 // (p * q)
+                for d in {1, 2, edge, edge + 1} - {0}:
+                    arr = LineArrangement(p, (0,), (d,))
+                    refused = e > 5 or p * d * q > 10**8
+                    with pytest.raises(OracleBudgetError if refused else Probed):
+                        nu(arr, e)
 
     def test_e_must_be_positive(self):
         arr = LineArrangement(2, (0,), (1,))

@@ -91,19 +91,33 @@ class TestTruncatedPower:
         with pytest.raises(ValueError):
             truncated_power([1, 1], -1, 5)
 
-    @pytest.mark.parametrize("p,n", [(2, 9), (3, 7), (5, 6), (7, 4)])
+    # n < p is square-and-multiply; larger n recurse on base-p digits, at
+    # depth >= 2 for (2, 37), (3, 27), (5, 49), (7, 50), with the last digit
+    # zero for (2, 8), (3, 27), (2, 36) and nonzero otherwise
+    @pytest.mark.parametrize(
+        "p,n",
+        [(2, 9), (3, 7), (5, 6), (7, 4), (2, 8), (2, 36), (2, 37), (3, 27),
+         (5, 49), (7, 50)],
+    )
     def test_matches_repeated_multiplication(self, p, n):
         rng = random.Random(p * n)
         base = [rng.randrange(p) for _ in range(4)]
         if all(c == 0 for c in base):
             base[0] = 1
         assert truncated_power(base, n, p) == oracles.naive_power(base, n, p)
+        # a zero top coefficient still counts toward the output length
+        padded = base + [0]
+        assert truncated_power(padded, n, p) == oracles.naive_power(padded, n, p)
 
     def test_truncation_prefix(self):
-        base = [1, 1, 1]
-        full = oracles.naive_power(base, 6, 7)
-        for trunc in (1, 4, 9, 13, 40):
-            assert truncated_power(base, 6, 7, trunc=trunc) == full[:trunc]
+        cases = [([1, 1, 1], 6, 7), ([1, 1, 1], 50, 7), ([3, 1, 4], 49, 5),
+                 ([1, 0, 1, 1], 37, 2), ([2, 1, 0], 27, 3)]
+        for base, n, p in cases:
+            full = oracles.naive_power(base, n, p)
+            # truncations on and off multiples of p, and past the full length
+            for trunc in (1, 2, 4, 9, 13, 25, 40, 49, 51, 97, len(full), 400):
+                got = truncated_power(base, n, p, trunc=trunc)
+                assert got == full[:trunc], (base, n, p, trunc)
 
     def test_binomial_row_mod_p(self):
         # rows of Pascal's triangle mod p via (1+t)^p = 1 + t^p
