@@ -7,11 +7,15 @@ threshold p0 = floor(((1-eps)/eps) * (1/(1-Q/2))) with eps = min(I ∪ {1/2})
 makes every klt weighted arrangement with D(I)-coefficients in
 characteristic p > p0 certifiably strongly F-regular.
 
-The search is structured, not brute force: sort a candidate
-(q_1 <= ... <= q_l); each q_j with j < l is below 1 - (l-2)*eps/2 (drop-one
-subtotals sandwich it), so prefixes come from one finite slice of D(I), and
-for a fixed prefix only the largest admissible completion can be maximal.
-Every emitted candidate is re-verified against the raw constraints.
+The search is one depth-first walk, not brute force.  Sort a candidate
+(q_1 <= ... <= q_l).  Its prefix (q_1, ..., q_{l-1}) comes from the one
+slice D(I) ∩ (0, 1 - eps/2): q_{l-1} and q_l are the two largest entries
+and the others sum to at least eps, so 2*q_{l-1} + eps < 2.  One pruning
+rule bounds the walk: appending x to a prefix with sum `partial` needs
+partial + 2*x < 2, because the completion is at least x.  At every prefix
+of length >= 2 whose sum exceeds 1, only the largest completion can be
+maximal.  Every emitted candidate is re-verified against the raw
+constraints.
 """
 
 from __future__ import annotations
@@ -70,42 +74,31 @@ def admissible_sum(parts, total=None) -> bool:
 
 
 def q_max(coeffs: CoeffSet) -> QMaxResult:
+    """Q(I) with its lexicographically least witness and the sorted trace.
+
+    The trace holds every candidate the walk emits, ascending by
+    (total, parts); Q is the last total.
+    """
     eps = min_positive(coeffs)
-    l_max = math.floor(Fraction(2) / eps)
+    pool = dset_below(coeffs, 1 - eps / 2).positives
     candidates: list[SumCandidate] = []
 
-    for l in range(3, l_max + 1):
-        # any candidate entry except the last satisfies
-        # q_j < 2 - 1 - (l-2)*eps ... < 1 - (l-2)*eps/2 after symmetrizing;
-        # the slice below that cutoff is a finite superset of valid prefixes
-        cutoff = 1 - Fraction(l - 2, 2) * eps
-        if cutoff <= 0:
-            continue
-        pool = dset_below(coeffs, cutoff).positives
-        if not pool:
-            continue
-
-        def extend(start: int, chosen: tuple[Fraction, ...], partial: Fraction):
-            if len(chosen) == l - 1:
-                if partial <= 1:
-                    return  # dropping the last entry must leave > 1
-                last = largest_below(coeffs, 2 - partial, floor=chosen[-1])
-                if last is None:
-                    return
+    def extend(start: int, chosen: tuple[Fraction, ...], partial: Fraction):
+        if len(chosen) >= 2 and partial > 1:
+            last = largest_below(coeffs, 2 - partial, floor=chosen[-1])
+            if last is not None:
                 parts = chosen + (last,)
                 total = partial + last
                 if admissible_sum(parts, total):
                     candidates.append(SumCandidate(total=total, parts=parts))
-                return
-            for i in range(start, len(pool)):
-                x = pool[i]
-                # pool is ascending; once even x in every open slot busts 2,
-                # larger picks will too
-                if partial + x * (l - len(chosen)) >= 2:
-                    break
-                extend(i, chosen + (x,), partial + x)
+        for i in range(start, len(pool)):
+            x = pool[i]
+            # pool is ascending, so once x busts the rule every later pick does
+            if partial + 2 * x >= 2:
+                break
+            extend(i, chosen + (x,), partial + x)
 
-        extend(0, (), Fraction(0))
+    extend(0, (), Fraction(0))
 
     if not candidates:
         raise DomainError("constrained sum search found no admissible sums")

@@ -249,20 +249,6 @@ def _cmd_classify_p1(args):
     return inputs, outputs
 
 
-_HANDLERS = {
-    "dset": _cmd_dset,
-    "t0": _cmd_t0,
-    "p0": _cmd_p0,
-    "hsb": _cmd_hsb,
-    "nu": _cmd_nu,
-    "bracket": _cmd_bracket,
-    "fpure-at": _cmd_fpure_at,
-    "certify": _cmd_certify,
-    "perturb": _cmd_perturb,
-    "classify-p1": _cmd_classify_p1,
-}
-
-
 # ---------------------------------------------------------------- rendering
 
 
@@ -347,8 +333,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, **kwargs):
+    def add(name, handler, **kwargs):
         p = sub.add_parser(name, **kwargs)
+        p.set_defaults(handler=handler)
         if name != "paper-check":
             p.add_argument(
                 "--table",
@@ -357,52 +344,76 @@ def _build_parser() -> argparse.ArgumentParser:
             )
         return p
 
-    p = add("dset", help="slice of the derived coefficient set below a cutoff")
+    p = add(
+        "dset", _cmd_dset,
+        help="slice of the derived coefficient set below a cutoff",
+    )
     p.add_argument("--set", type=_ratio_list_arg, required=True)
     p.add_argument("--below", type=_ratio_arg, required=True)
 
-    p = add("t0", help="smallest positive gap 2/d - lambda")
+    p = add("t0", _cmd_t0, help="smallest positive gap 2/d - lambda")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--set", type=_ratio_list_arg, default=None)
     group.add_argument("--lambda-list", type=_ratio_list_arg, default=None)
 
-    p = add("p0", help="effective prime bound from the constrained sum search")
+    p = add(
+        "p0", _cmd_p0,
+        help="effective prime bound from the constrained sum search",
+    )
     p.add_argument("--set", type=_ratio_list_arg, required=True)
 
-    p = add("hsb", help="uniform gap bound 2n^2 - n for the set {1/n}")
+    p = add(
+        "hsb", _cmd_hsb,
+        help="uniform gap bound 2n^2 - n for the set {1/n}",
+    )
     p.add_argument("--n", type=int, required=True)
 
-    for name, text in (
-        ("nu", "Frobenius nu invariant and its threshold bracket"),
-        ("bracket", "threshold bracket (nu/q, (nu+1)/q]"),
+    for name, handler, text in (
+        ("nu", _cmd_nu, "Frobenius nu invariant and its threshold bracket"),
+        ("bracket", _cmd_bracket, "threshold bracket (nu/q, (nu+1)/q]"),
     ):
-        p = add(name, help=text)
+        p = add(name, handler, help=text)
         p.add_argument("--p", type=int, required=True)
         p.add_argument("--slopes", type=_slopes_arg, required=True)
         p.add_argument("--mults", type=_ints_arg, required=True)
         p.add_argument("--e", type=int, required=True)
 
-    p = add("fpure-at", help="sharp F-purity scan at a fixed coefficient")
+    p = add(
+        "fpure-at", _cmd_fpure_at,
+        help="sharp F-purity scan at a fixed coefficient",
+    )
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--slopes", type=_slopes_arg, required=True)
     p.add_argument("--mults", type=_ints_arg, required=True)
     p.add_argument("--lambda", dest="lam", type=_ratio_arg, required=True)
     p.add_argument("--emax", type=int, required=True)
 
-    p = add("certify", help="strong F-regularity certificate cascade")
+    p = add(
+        "certify", _cmd_certify,
+        help="strong F-regularity certificate cascade",
+    )
     p.add_argument("--weights", type=_ratio_list_arg, required=True)
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--slopes", type=_slopes_arg, default=None)
     p.add_argument("--emax", type=int, default=0)
 
-    p = add("perturb", help="safe unit-fraction perturbation of 1/q walls")
+    p = add(
+        "perturb", _cmd_perturb,
+        help="safe unit-fraction perturbation of 1/q walls",
+    )
     p.add_argument("--set", type=_ratio_list_arg, required=True)
     p.add_argument("--N", type=int, required=True)
 
-    p = add("classify-p1", help="klt / log Fano classification on the line")
+    p = add(
+        "classify-p1", _cmd_classify_p1,
+        help="klt / log Fano classification on the line",
+    )
     p.add_argument("--coeffs", type=_ratio_list_arg, required=True)
 
-    p = add("paper-check", help="recompute the worked-example table")
+    p = add(
+        "paper-check", _cmd_paper_check,
+        help="recompute the worked-example table",
+    )
     p.add_argument("--json", action="store_true")
 
     return parser
@@ -417,11 +428,10 @@ def run(argv, out=None) -> int:
         return int(exc.code or 0)
 
     if args.command == "paper-check":
-        return _cmd_paper_check(args, out)
+        return args.handler(args, out)
 
-    handler = _HANDLERS[args.command]
     try:
-        inputs, outputs = handler(args)
+        inputs, outputs = args.handler(args)
     except DomainError as exc:
         envelope = {
             "command": args.command,

@@ -54,9 +54,6 @@ class CoeffSet:
     def __len__(self):
         return len(self.elements)
 
-    def __contains__(self, x):
-        return x in self.elements
-
     def __str__(self):
         return "{" + ", ".join(format_ratio(x) for x in self.elements) + "}"
 
@@ -72,15 +69,6 @@ class DsetSlice:
     @property
     def positives(self) -> tuple[Fraction, ...]:
         return tuple(x for x in self.elements if x > 0)
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __len__(self):
-        return len(self.elements)
-
-    def __contains__(self, x):
-        return x in self.elements
 
 
 @lru_cache(maxsize=256)

@@ -15,7 +15,6 @@ import math
 import random
 import time
 from fractions import Fraction
-from itertools import combinations_with_replacement
 
 import oracles
 from conftest import acceptance
@@ -31,7 +30,6 @@ from fptkit import (
     hyperstandard_simple_bound,
     klt_weighted,
     lct_line_arrangement,
-    min_positive,
     nu,
     power_in_frobenius_ideal,
     q_max,
@@ -229,23 +227,39 @@ def test_criterion_08_x3y_brackets():
                 assert br.lower < F(1, 3) <= br.upper, (p, e)
 
 
+def _multisets_below_two(pool):
+    """Nonempty multisets of the ascending `pool` with total < 2.
+
+    Ordered by (size, parts), as `combinations_with_replacement` lists them
+    size by size.  Every entry is positive, so the walk ends on its own.
+    """
+    found = []
+
+    def walk(start, parts, total):
+        if parts:
+            found.append(parts)
+        for i in range(start, len(pool)):
+            x = pool[i]
+            if total + x >= 2:
+                break  # pool is ascending, so every later pick busts 2 too
+            walk(i, parts + (x,), total + x)
+
+    walk(0, (), F(0))
+    found.sort(key=lambda parts: (len(parts), parts))
+    return found
+
+
 def test_criterion_09_certification_sweep():
     with acceptance(9, "every klt instance above p0 certifies via (a)-(c)"):
         start = time.perf_counter()
         checked = 0
-        for src in ((), (F(1, 3),), (F(1, 2),)):
-            coeffs = CoeffSet(src)
-            eps = min_positive(coeffs)
-            l_max = int(F(2) / eps)
-            pool = dset_below(coeffs, F(19, 20)).positives
+        for src, count in (((), 210), ((F(1, 3),), 503), ((F(1, 2),), 210)):
+            pool = dset_below(CoeffSet(src), F(19, 20)).positives
             bound = cli_json(["p0", "--set", ",".join(map(str, src))])["outputs"]["p0"]
             primes = oracles.primes_between(bound, bound + 50)
             assert primes, f"no primes in ({bound}, {bound + 50})"
-            multisets = []
-            for l in range(1, l_max + 1):
-                for parts in combinations_with_replacement(pool, l):
-                    if sum(parts) < 2:
-                        multisets.append(parts)
+            multisets = _multisets_below_two(pool)
+            assert len(multisets) == count, src
             for parts in multisets:
                 w = WeightedArrangement(parts)
                 assert klt_weighted(w)

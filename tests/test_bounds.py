@@ -1,5 +1,6 @@
 """Constrained-sum maxima, prime bounds, gap bounds, perturbations."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -24,6 +25,18 @@ EMPTY = CoeffSet(())
 ONE_THIRD = CoeffSet((F(1, 3),))
 HALF = CoeffSet((F(1, 2),))
 TWO_FIFTHS = CoeffSet((F(2, 5),))
+
+# (source set, candidate count, sha256 of the formatted trace, one line
+# "total = q_1 + ... + q_l" per candidate): any change to the search's
+# pool or pruning must reproduce these exactly
+PINNED_TRACES = (
+    ((), 1, "9f4e6757c7060bd1a98646e2c1f02b578955c1997891c805ad6ae98231243e35"),
+    ((F(1, 2),), 1, "9f4e6757c7060bd1a98646e2c1f02b578955c1997891c805ad6ae98231243e35"),
+    ((F(1, 3),), 7, "eb8799c1f64412bac32ff2f527edbca5403ee5b23c7cd188f0de9f9edafccd83"),
+    ((F(2, 5),), 8, "ce920b53fa18ce2a2794de7b426bd9c75375fdf9c6c10ed9f0164e7b60b09606"),
+    ((F(1, 5),), 45, "7009b7c8fd7a529ee3643b0f8adb8efe727654f7a9f0d99a80953e89bfd95d85"),
+    ((F(1, 3), F(1, 4)), 50, "7e3ed236754a2015076f41d87f3f1d2a13dff5cf25483c8720f1a40186208cbd"),
+)
 
 
 class TestAdmissibleSum:
@@ -74,15 +87,22 @@ class TestQMax:
         assert res.witness == brute_w
 
     def test_trace_entries_are_verified_sums(self):
-        res = q_max(ONE_THIRD)
-        assert len(res.candidates) == 7
-        for cand in res.candidates:
-            assert cand.total == sum(cand.parts)
-            assert cand.parts == tuple(sorted(cand.parts))
-            assert admissible_sum(cand.parts, cand.total)
-            for x in cand.parts:
-                assert dset_contains(ONE_THIRD, x)
-            assert cand.total <= res.q
+        for src, count, digest in PINNED_TRACES:
+            coeffs = CoeffSet(src)
+            res = q_max(coeffs)
+            assert len(res.candidates) == count, src
+            text = "\n".join(
+                f"{c.total} = {' + '.join(map(str, c.parts))}"
+                for c in res.candidates
+            )
+            assert hashlib.sha256(text.encode()).hexdigest() == digest, src
+            for cand in res.candidates:
+                assert cand.total == sum(cand.parts)
+                assert cand.parts == tuple(sorted(cand.parts))
+                assert admissible_sum(cand.parts, cand.total)
+                for x in cand.parts:
+                    assert dset_contains(coeffs, x)
+                assert cand.total <= res.q
 
     def test_witness_is_lexicographically_least(self):
         res = q_max(EMPTY)
