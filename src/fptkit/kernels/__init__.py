@@ -1,8 +1,8 @@
 """Polynomial arithmetic kernels over F_p.
 
 `polymul_mod` is the single entry point the rest of the package uses.  It is
-`pure.polymul`, which multiplies small operands by schoolbook and large ones
-by Kronecker substitution, since big-int multiplication grows subquadratically.
+`pure.polymul`, which sends every product through Kronecker substitution:
+one big-int multiply, which grows subquadratically, on operands packed in C.
 """
 
 from __future__ import annotations
@@ -31,11 +31,13 @@ def truncated_power(base, n, p, trunc=None):
     square-and-multiply.  Truncation to degrees < trunc commutes with
     multiplication on the kept coefficients, so the low window of the
     result is exact; its length is min(trunc, (len(base) - 1) * n + 1).
+    Coefficients of `base` may be any ints; they are reduced mod p first.
     """
     if n < 0:
         raise ValueError("negative exponent")
     if n == 0:
         return [1 % p]
+    base = [c % p for c in base]
     if n >= p:
         full = (len(base) - 1) * (n - n % p) + 1
         spread = [0] * (full if trunc is None else min(full, trunc))
@@ -44,11 +46,8 @@ def truncated_power(base, n, p, trunc=None):
         if n % p == 0:
             return spread
         return polymul_mod(spread, truncated_power(base, n % p, p, trunc), p, trunc)
-    bits = bin(n)[2:]
-    result = [c % p for c in base]
-    if trunc is not None:
-        result = result[:trunc]
-    for bit in bits[1:]:
+    result = base if trunc is None else base[:trunc]
+    for bit in bin(n)[3:]:
         result = polymul_mod(result, result, p, trunc)
         if bit == "1":
             result = polymul_mod(result, base, p, trunc)

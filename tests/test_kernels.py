@@ -63,16 +63,59 @@ class TestPureRoutes:
         assert pure.polymul(a, b, p) == oracles.naive_polymul(a, b, p)
 
 
+# (p, m, bits): the column bound (p - 1)^2 * m of an m-coefficient shorter
+# operand sits just below or at/above 2^bits, so the packed digit width
+# steps 1 -> 2, 2 -> 3 (rounded to 4), 3 -> 4, 4 -> 5 (rounded to 8) and
+# 8 -> 9 bytes (the per-coefficient bytes path)
+WIDTH_BOUNDARIES = [
+    (5, 15, 8), (5, 16, 8), (11, 2, 8), (11, 3, 8),
+    (251, 1, 16), (251, 2, 16), (257, 1, 16),
+    (251, 268, 24), (251, 269, 24),
+    (65521, 1, 32), (65521, 2, 32),
+    (4294967291, 1, 64), (4294967291, 2, 64),
+]
+
+
 class TestDispatch:
-    @pytest.mark.parametrize("la,lb", [(64, 64), (64, 65), (41, 200)])
-    def test_both_sides_of_cutoff(self, la, lb):
-        # straddles pure.SCHOOLBOOK_CUTOFF = 4096 = 64*64: schoolbook, then
-        # Kronecker for the two larger shapes
-        rng = random.Random(la * lb)
-        p = 101
-        a = [rng.randrange(p) for _ in range(la)]
-        b = [rng.randrange(p) for _ in range(lb)]
-        assert polymul_mod(a, b, p) == oracles.naive_polymul(a, b, p)
+    @pytest.mark.parametrize("p,m,bits", WIDTH_BOUNDARIES)
+    def test_width_boundaries(self, p, m, bits):
+        assert ((p - 1) ** 2 * m).bit_length() in (bits, bits + 1)
+        rng = random.Random(p * m)
+        top = [p - 1] * (m + 7)  # every column that fully overlaps hits the bound
+        rand = [rng.randrange(p) for _ in range(m + 7)]
+        for long in (top, rand):
+            for short in (long[:m], [rng.randrange(p) for _ in range(m)]):
+                want = oracles.naive_polymul(short, long, p)
+                assert polymul_mod(short, long, p) == want
+                assert polymul_mod(long, short, p) == want
+                for trunc in (1, m, m + 3, len(want), len(want) + 5):
+                    assert polymul_mod(short, long, p, trunc) == want[:trunc]
+
+    @pytest.mark.parametrize("p", [2, 7, 251, 65521, 4294967291])
+    def test_one_and_two_coefficients(self, p):
+        for a, b in (([p - 1], [p - 1]), ([p - 1, 1], [p - 1, p - 1]), ([0, 1], [1, 0])):
+            want = oracles.naive_polymul(a, b, p)
+            assert polymul_mod(a, b, p) == want
+            assert polymul_mod(a, b, p, 1) == want[:1]
+
+    def test_every_product_reaches_polymul_kronecker(self, monkeypatch):
+        # perfbench's traced run counts multiplies by rebinding these two
+        # module globals, so every product must look them up at call time
+        calls = []
+        route = pure.polymul_kronecker
+
+        def counting(*args, **kwargs):
+            calls.append(args[:2])
+            return route(*args, **kwargs)
+
+        monkeypatch.setattr(pure, "polymul_kronecker", counting)
+        assert polymul_mod([1, 2], [3, 4], 5) == [3, 0, 3]
+        assert len(calls) == 1
+        assert truncated_power([1, 1, 1], 30, 7, trunc=20) == oracles.naive_power(
+            [1, 1, 1], 30, 7
+        )[:20]
+        assert len(calls) > 1
+        assert callable(pure.polymul_schoolbook)
 
     def test_huge_prime_falls_back_safely(self):
         # coefficient products near 2^122 must stay exact
@@ -118,6 +161,20 @@ class TestTruncatedPower:
             for trunc in (1, 2, 4, 9, 13, 25, 40, 49, 51, 97, len(full), 400):
                 got = truncated_power(base, n, p, trunc=trunc)
                 assert got == full[:trunc], (base, n, p, trunc)
+
+    @pytest.mark.parametrize("p,n", [(5, 3), (5, 13), (7, 50), (2, 37)])
+    def test_unreduced_base(self, p, n):
+        # negative and >= p coefficients act as their residues
+        assert truncated_power([-1, 1], 3, 5) == [4, 3, 2, 1]
+        rng = random.Random(p * n)
+        for length in (2, 5, 70):
+            residues = [rng.randrange(p) for _ in range(length)]
+            residues[-1] = 1
+            base = [c + p * rng.choice([-3, -1, 100, 199]) for c in residues]
+            want = oracles.naive_power(residues, n, p)
+            assert truncated_power(base, n, p) == want
+            for trunc in (1, 9, 46, len(want)):
+                assert truncated_power(base, n, p, trunc=trunc) == want[:trunc]
 
     def test_binomial_row_mod_p(self):
         # rows of Pascal's triangle mod p via (1+t)^p = 1 + t^p
