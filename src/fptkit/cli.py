@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
+from fractions import Fraction
 
 from . import bounds, coeffsets, frobenius, pairs, regressions, thresholds
 from .errors import DomainError
@@ -76,101 +76,75 @@ def _arrangement(args) -> frobenius.LineArrangement:
 
 
 # ---------------------------------------------------------------- handlers
+# Each handler returns (inputs, outputs) holding library values; `run`
+# encodes them for the wire with `_encode`.
 
 
 def _cmd_dset(args):
     coeffs = coeffsets.CoeffSet(args.set)
     sl = coeffsets.dset_below(coeffs, args.below)
-    inputs = {
-        "set": [format_ratio(x) for x in coeffs],
-        "below": format_ratio(sl.cutoff),
-    }
-    outputs = {
-        "elements": [format_ratio(x) for x in sl.elements],
-        "count": len(sl.elements),
-    }
-    return inputs, outputs
-
-
-def _t0_outputs(report: thresholds.T0Report) -> dict:
-    outputs = {
-        "t0": None if report.value is None else format_ratio(report.value),
-        "witness_d": report.witness_d,
-        "witness_lambda": (
-            None
-            if report.witness_lambda is None
-            else format_ratio(report.witness_lambda)
-        ),
-        "vacuous": report.vacuous,
-        "lambda_source": report.lambda_source,
-    }
-    if report.vacuous:
-        outputs["note"] = "vacuous: any p admissible"
-    return outputs
+    inputs = {"set": coeffs.elements, "below": sl.cutoff}
+    return inputs, {"elements": sl.elements, "count": len(sl.elements)}
 
 
 def _cmd_t0(args):
     if args.set is not None:
         coeffs = coeffsets.CoeffSet(args.set)
         report = thresholds.t0_from_dset(coeffs)
-        inputs = {"set": [format_ratio(x) for x in coeffs]}
+        inputs = {"set": coeffs.elements}
     else:
         report = thresholds.t0_from_lambdas(args.lambda_list)
-        inputs = {"lambda_list": [format_ratio(x) for x in args.lambda_list]}
-    return inputs, _t0_outputs(report)
+        inputs = {"lambda_list": args.lambda_list}
+    outputs = {
+        "t0": report.value,
+        "witness_d": report.witness_d,
+        "witness_lambda": report.witness_lambda,
+        "vacuous": report.vacuous,
+        "lambda_source": report.lambda_source,
+    }
+    if report.vacuous:
+        outputs["note"] = "vacuous: any p admissible"
+    return inputs, outputs
 
 
 def _cmd_p0(args):
     coeffs = coeffsets.CoeffSet(args.set)
     report = bounds.p0(coeffs)
-    inputs = {"set": [format_ratio(x) for x in coeffs]}
     outputs = {
-        "epsilon": format_ratio(report.epsilon),
-        "Q": format_ratio(report.q),
-        "witness": [format_ratio(x) for x in report.witness],
-        "p0_exact": format_ratio(report.p0_exact),
+        "epsilon": report.epsilon,
+        "Q": report.q,
+        "witness": report.witness,
+        "p0_exact": report.p0_exact,
         "p0": report.p0,
-        "trace": [
-            {
-                "total": format_ratio(c.total),
-                "parts": [format_ratio(x) for x in c.parts],
-            }
-            for c in report.trace
-        ],
+        "trace": [{"total": c.total, "parts": c.parts} for c in report.trace],
     }
-    return inputs, outputs
+    return {"set": coeffs.elements}, outputs
 
 
 def _cmd_hsb(args):
     report = bounds.hyperstandard_simple_bound(args.n)
-    inputs = {"n": report.n}
     outputs = {
-        "gap": format_ratio(report.gap),
+        "gap": report.gap,
         "bound": report.bound,
         "per_d": [
-            {"d": d, "lambda": format_ratio(lam), "gap": format_ratio(g)}
-            for d, lam, g in report.per_d
+            {"d": d, "lambda": lam, "gap": g} for d, lam, g in report.per_d
         ],
     }
-    return inputs, outputs
+    return {"n": report.n}, outputs
 
 
 def _arrangement_inputs(args) -> dict:
     return {
         "p": args.p,
         "slopes": [format_slope(s) for s in args.slopes],
-        "mults": list(args.mults),
+        "mults": args.mults,
     }
 
 
 def _cmd_bracket(args):
     br = frobenius.fpt_bracket(_arrangement(args), args.e, _budget())
     outputs = {
-        "e": br.e,
-        "q": br.q,
-        "nu": br.nu,
-        "lower": format_ratio(br.lower),
-        "upper": format_ratio(br.upper),
+        "e": br.e, "q": br.q, "nu": br.nu, "lower": br.lower, "upper": br.upper,
     }
     return _arrangement_inputs(args) | {"e": args.e}, outputs
 
@@ -189,67 +163,52 @@ def _cmd_fpure_at(args):
         "witness_e": chk.witness_e,
         "e_max": chk.e_max,
         "checks": [
-            {
-                "e": rec.e,
-                "q": rec.q,
-                "nu": rec.nu,
-                "required": math.ceil(args.lam * (rec.q - 1)),
-            }
-            for rec in chk.records
+            {"e": rec.e, "q": rec.q, "nu": rec.nu, "required": need}
+            for rec, need in zip(chk.records, chk.required)
         ],
     }
-    inputs = _arrangement_inputs(args) | {
-        "lambda": format_ratio(args.lam),
-        "emax": args.emax,
-    }
+    inputs = _arrangement_inputs(args) | {"lambda": args.lam, "emax": args.emax}
     return inputs, outputs
 
 
 def _cmd_certify(args):
     arr = thresholds.WeightedArrangement(args.weights, args.slopes)
     cert = pairs.certify_sfr(arr, args.p, args.emax, _budget())
-    inputs = {
-        "weights": [format_ratio(w) for w in args.weights],
-        "p": args.p,
-        "emax": args.emax,
-    }
+    inputs = {"weights": args.weights, "p": args.p, "emax": args.emax}
     if args.slopes is not None:
         inputs["slopes"] = [format_slope(s) for s in args.slopes]
-    outputs = {
-        "verdict": cert.verdict,
-        "reason": cert.reason,
-        "details": cert.details,
-    }
+    outputs = {"verdict": cert.verdict, "reason": cert.reason, "details": cert.details}
     return inputs, outputs
 
 
 def _cmd_perturb(args):
     coeffs = coeffsets.CoeffSet(args.set)
     report = bounds.safe_perturbation(coeffs, args.N)
-    inputs = {"set": [format_ratio(x) for x in coeffs], "N": args.N}
     outputs = {
-        "x": format_ratio(report.x),
-        "intervals": [
-            [format_ratio(lo), format_ratio(hi)] for lo, hi in report.intervals
-        ],
-        "endpoints": [format_ratio(v) for v in report.endpoints],
+        "x": report.x, "intervals": report.intervals, "endpoints": report.endpoints,
     }
-    return inputs, outputs
+    return {"set": coeffs.elements, "N": args.N}, outputs
 
 
 def _cmd_classify_p1(args):
     pair = pairs.P1Pair(args.coeffs)
     cls = pairs.classify_p1(pair)
-    inputs = {"coeffs": [format_ratio(c) for c in pair.coeffs]}
-    outputs = {
-        "klt": cls.klt,
-        "log_fano": cls.log_fano,
-        "total": format_ratio(cls.total),
-    }
-    return inputs, outputs
+    outputs = {"klt": cls.klt, "log_fano": cls.log_fano, "total": cls.total}
+    return {"coeffs": pair.coeffs}, outputs
 
 
 # ---------------------------------------------------------------- rendering
+
+
+def _encode(value):
+    """Wire form of a library value: Fractions as "a/b", tuples as lists."""
+    if isinstance(value, Fraction):
+        return format_ratio(value)
+    if isinstance(value, dict):
+        return {key: _encode(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_encode(v) for v in value]
+    return value
 
 
 def _print_json(payload: dict, out) -> None:
@@ -266,27 +225,21 @@ def _envelope(command: str, inputs: dict, outputs: dict) -> dict:
 
 
 def _table_scalar(value) -> str:
-    if value is None:
-        return "-"
-    return str(value)
+    return "-" if value is None else str(value)
+
+
+def _cells(item: dict) -> str:
+    return "  ".join(f"{k}={_table_scalar(v)}" for k, v in item.items())
 
 
 def _print_table(outputs: dict, out) -> None:
     for key, value in outputs.items():
         if isinstance(value, list) and value and isinstance(value[0], dict):
-            out.write(f"{key}:\n")
-            for item in value:
-                cells = "  ".join(f"{k}={_table_scalar(v)}" for k, v in item.items())
-                out.write(f"  {cells}\n")
+            out.write(f"{key}:\n" + "".join(f"  {_cells(item)}\n" for item in value))
         elif isinstance(value, list):
-            rendered = ", ".join(
-                _table_scalar(v) if not isinstance(v, list) else str(v)
-                for v in value
-            )
-            out.write(f"{key}: {rendered}\n")
+            out.write(f"{key}: {', '.join(map(_table_scalar, value))}\n")
         elif isinstance(value, dict):
-            cells = "  ".join(f"{k}={_table_scalar(v)}" for k, v in value.items())
-            out.write(f"{key}: {cells}\n")
+            out.write(f"{key}: {_cells(value)}\n")
         else:
             out.write(f"{key}: {_table_scalar(value)}\n")
 
@@ -336,13 +289,17 @@ def _build_parser() -> argparse.ArgumentParser:
     def add(name, handler, **kwargs):
         p = sub.add_parser(name, **kwargs)
         p.set_defaults(handler=handler)
-        if name != "paper-check":
-            p.add_argument(
-                "--table",
-                action="store_true",
-                help="human-readable output instead of JSON",
-            )
+        p.add_argument(
+            "--table",
+            action="store_true",
+            help="human-readable output instead of JSON",
+        )
         return p
+
+    def add_arrangement(p):
+        p.add_argument("--p", type=int, required=True)
+        p.add_argument("--slopes", type=_slopes_arg, required=True)
+        p.add_argument("--mults", type=_ints_arg, required=True)
 
     p = add(
         "dset", _cmd_dset,
@@ -373,18 +330,14 @@ def _build_parser() -> argparse.ArgumentParser:
         ("bracket", _cmd_bracket, "threshold bracket (nu/q, (nu+1)/q]"),
     ):
         p = add(name, handler, help=text)
-        p.add_argument("--p", type=int, required=True)
-        p.add_argument("--slopes", type=_slopes_arg, required=True)
-        p.add_argument("--mults", type=_ints_arg, required=True)
+        add_arrangement(p)
         p.add_argument("--e", type=int, required=True)
 
     p = add(
         "fpure-at", _cmd_fpure_at,
         help="sharp F-purity scan at a fixed coefficient",
     )
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--slopes", type=_slopes_arg, required=True)
-    p.add_argument("--mults", type=_ints_arg, required=True)
+    add_arrangement(p)
     p.add_argument("--lambda", dest="lam", type=_ratio_arg, required=True)
     p.add_argument("--emax", type=int, required=True)
 
@@ -410,10 +363,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--coeffs", type=_ratio_list_arg, required=True)
 
-    p = add(
-        "paper-check", _cmd_paper_check,
-        help="recompute the worked-example table",
+    p = sub.add_parser(
+        "paper-check", help="recompute the worked-example table"
     )
+    p.set_defaults(handler=_cmd_paper_check)
     p.add_argument("--json", action="store_true")
 
     return parser
@@ -431,7 +384,7 @@ def run(argv, out=None) -> int:
         return args.handler(args, out)
 
     try:
-        inputs, outputs = args.handler(args)
+        inputs, outputs = _encode(args.handler(args))
     except DomainError as exc:
         envelope = {
             "command": args.command,

@@ -124,26 +124,42 @@ class ThresholdBracket:
 
 @dataclass(frozen=True)
 class FPurityCheck:
-    """Outcome of scanning e = 1..e_max for ceil(lam*(q-1)) <= nu(q)."""
+    """Outcome of scanning e = 1..e_max for ceil(lam*(q-1)) <= nu(q).
+
+    `required[i]` is the ceil(lam*(q-1)) that `records[i].nu` was held to.
+    """
 
     holds: bool
     witness_e: int | None
     e_max: int
     records: tuple[NuRecord, ...]
+    required: tuple[int, ...]
 
 
 def _budgeted_q(arr: LineArrangement, e: int, budget: OracleBudget) -> int:
     if e < 1:
         raise DomainError(f"e must be a positive integer, got {e}")
+    # p*q >= 2^(e+1) and d >= 2^(bits(d)-1), so p*d*q >= 2^floor_bits; once
+    # that passes max_ops, q and the estimate (maybe too long to print) are
+    # not computed
+    floor_bits = e + arr.degree.bit_length()
+    q = arr.p**e if floor_bits < budget.max_ops.bit_length() else None
     if e > budget.max_e:
         raise OracleBudgetError(
             f"e={e} exceeds the budget cap e<={budget.max_e} "
             f"(limiting q={arr.p}^{e})",
-            q=arr.p**e,
+            q=q,
             estimate=None,
             limit=budget.max_e,
         )
-    q = arr.p**e
+    if q is None:
+        raise OracleBudgetError(
+            f"work estimate p*d*q >= 2^{floor_bits} exceeds {budget.max_ops} "
+            f"(limiting q={arr.p}^{e})",
+            q=None,
+            estimate=None,
+            limit=budget.max_ops,
+        )
     estimate = arr.p * arr.degree * q
     if estimate > budget.max_ops:
         raise OracleBudgetError(
@@ -260,12 +276,13 @@ def sharply_fpure_at(
         raise DomainError("the coefficient must lie in (0,1]")
     if e_max < 1:
         raise DomainError("e_max must be at least 1")
-    records = []
+    records, required = [], []
     witness = None
     for e in range(1, e_max + 1):
         rec = nu(arr, e, budget)
         records.append(rec)
-        if math.ceil(lam * (rec.q - 1)) <= rec.nu:
+        required.append(math.ceil(lam * (rec.q - 1)))
+        if required[-1] <= rec.nu:
             witness = e
             break
     return FPurityCheck(
@@ -273,6 +290,7 @@ def sharply_fpure_at(
         witness_e=witness,
         e_max=e_max,
         records=tuple(records),
+        required=tuple(required),
     )
 
 

@@ -9,7 +9,7 @@ turns the planar certificates into statements about pairs on the line.
 `certify_sfr` runs the certificate cascade for (A^2, sum q_i L_i) at a
 given prime: boundary reduction, the characteristic-p lower bound, and
 optional Frobenius escalation.  Every certificate carries the data needed
-to recheck it by hand.
+to recheck it by hand, as exact `Fraction`/`int` values.
 """
 
 from __future__ import annotations
@@ -19,7 +19,8 @@ from fractions import Fraction
 
 from .errors import DomainError, OracleBudgetError
 from .frobenius import DEFAULT_BUDGET, LineArrangement, OracleBudget, fpt_bracket
-from .rationals import format_ratio, is_prime
+from .rationals import is_prime
+from .slopes import normalize_slopes
 from .thresholds import (
     MultiplicityProfile,
     WeightedArrangement,
@@ -114,6 +115,7 @@ def certify_sfr(
 
     Each rule certifies the coefficient vector sits strictly below the
     F-pure threshold, which is what strong F-regularity needs here.
+    Given slopes must name distinct lines mod p, as in `nu`.
     """
     if not is_prime(p):
         raise DomainError(f"{p} is not prime")
@@ -121,12 +123,11 @@ def certify_sfr(
         raise DomainError("e_max must be >= 0")
     if e_max > 0 and arr.slopes is None:
         raise DomainError("oracle escalation needs slopes on the arrangement")
+    if arr.slopes is not None:
+        normalize_slopes(arr.slopes, p)
 
     total = arr.total
-    details: dict = {
-        "weights": [format_ratio(w) for w in arr.weights],
-        "total": format_ratio(total),
-    }
+    details: dict = {"weights": list(arr.weights), "total": total}
 
     if not klt_weighted(arr):
         if any(w >= 1 for w in arr.weights):
@@ -140,8 +141,8 @@ def certify_sfr(
     heaviest = max(arr.weights)
     rest = total - heaviest
     if rest <= 1:
-        details["dropped_weight"] = format_ratio(heaviest)
-        details["remaining_total"] = format_ratio(rest)
+        details["dropped_weight"] = heaviest
+        details["remaining_total"] = rest
         return Certificate(
             verdict=STRONGLY_F_REGULAR,
             reason="boundary_reduction",
@@ -155,7 +156,7 @@ def certify_sfr(
     lam = Fraction(1, c)
     details["c"] = c
     details["integral_mults"] = list(mults)
-    details["lambda"] = format_ratio(lam)
+    details["lambda"] = lam
 
     if profile.degenerate:
         raise AssertionError(
@@ -164,7 +165,7 @@ def certify_sfr(
         )
 
     hm = hara_monsky_lower(profile, p)
-    details["hm_lower_bound"] = format_ratio(hm)
+    details["hm_lower_bound"] = hm
     if lam < hm:
         return Certificate(
             verdict=STRONGLY_F_REGULAR,
@@ -190,7 +191,7 @@ def certify_sfr(
                 details["e"] = e
                 details["q"] = br.q
                 details["nu"] = br.nu
-                details["nu_over_q"] = format_ratio(br.lower)
+                details["nu_over_q"] = br.lower
                 return Certificate(
                     verdict=STRONGLY_F_REGULAR,
                     reason="oracle_escalation",

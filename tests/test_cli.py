@@ -258,6 +258,15 @@ class TestExitCodes:
         assert code == 1
         assert "coincide" in doc["error"]["message"]
 
+    def test_certify_coinciding_slopes_is_one(self):
+        # 0 = 7 mod 7: one line of weight 1, not klt, so no certificate
+        code, doc = invoke_json(
+            ["certify", "--weights", "1/2,1/2,1/2", "--p", "7", "--slopes", "0,7,inf"]
+        )
+        assert code == 1
+        assert doc["error"]["type"] == "DomainError"
+        assert "coincide" in doc["error"]["message"]
+
     def test_eighteen_digit_prime_is_decided_quickly(self):
         start = time.perf_counter()
         code, doc = invoke_json(
@@ -293,6 +302,25 @@ class TestBudgetEnv:
         )
         assert code == 1
         assert "e=3" in doc["error"]["message"]
+
+    @pytest.mark.parametrize(
+        "env,e",
+        [(None, "30000000"), ("100,100000", "10000")],
+        ids=["e-cap", "ops-cap"],
+    )
+    def test_huge_e_is_refused_at_once(self, monkeypatch, env, e):
+        if env is None:
+            monkeypatch.delenv("FPTKIT_ORACLE_BUDGET", raising=False)
+        else:
+            monkeypatch.setenv("FPTKIT_ORACLE_BUDGET", env)
+        start = time.perf_counter()
+        code, doc = invoke_json(
+            ["nu", "--p", "11", "--slopes", "0,1,inf", "--mults", "1,1,1", "--e", e]
+        )
+        assert time.perf_counter() - start < 1
+        assert code == 1
+        assert doc["error"]["type"] == "OracleBudgetError"
+        assert f"q=11^{e}" in doc["error"]["message"]
 
     def test_malformed_env_is_domain_error(self, monkeypatch):
         monkeypatch.setenv("FPTKIT_ORACLE_BUDGET", "plenty")
@@ -353,6 +381,56 @@ class TestTables:
             "lambda_source: list:1/1\n"
             "note: vacuous: any p admissible\n"
         )
+
+
+    @pytest.mark.parametrize(
+        "argv,table",
+        [
+            (
+                ["hsb", "--n", "4"],
+                "gap: 1/28\n"
+                "bound: 28\n"
+                "per_d:\n"
+                "  d=3  lambda=5/8  gap=1/24\n"
+                "  d=4  lambda=1/4  gap=1/4\n"
+                "  d=5  lambda=1/4  gap=3/20\n"
+                "  d=6  lambda=1/4  gap=1/12\n"
+                "  d=7  lambda=1/4  gap=1/28\n",
+            ),
+            (
+                ["perturb", "--set", "1/3", "--N", "3"],
+                "x: 1/2\n"
+                "intervals: ['1/5', '1/3'], ['1/3', '1/2'], ['3/5', '2/3']\n"
+                "endpoints: 1/5, 1/3, 1/2, 3/5, 2/3\n",
+            ),
+            (
+                ["fpure-at", "--p", "2", "--slopes", "0,inf", "--mults", "3,1",
+                 "--lambda", "1/3", "--emax", "3"],
+                "holds: True\n"
+                "witness_e: 2\n"
+                "e_max: 3\n"
+                "checks:\n"
+                "  e=1  q=2  nu=0  required=1\n"
+                "  e=2  q=4  nu=1  required=1\n",
+            ),
+            (
+                ["certify", "--p", "5", "--weights", "1/2,2/3,2/3",
+                 "--slopes", "0,1,inf", "--emax", "3"],
+                "verdict: strongly_F_regular\n"
+                "reason: oracle_escalation\n"
+                "details: weights=['1/2', '2/3', '2/3']  total=11/6  c=6  "
+                "integral_mults=[3, 4, 4]  lambda=1/6  hm_lower_bound=9/55  "
+                "e=3  q=125  nu=22  nu_over_q=22/125\n",
+            ),
+            (
+                ["classify-p1", "--coeffs", "1/2,2/3,4/5"],
+                "klt: True\nlog_fano: True\ntotal: 59/30\n",
+            ),
+        ],
+        ids=["hsb", "perturb", "fpure-at", "certify", "classify-p1"],
+    )
+    def test_pinned_tables(self, argv, table):
+        assert invoke(argv + ["--table"]) == (0, table)
 
 
 class TestPaperCheck:

@@ -226,6 +226,7 @@ class TestSharplyFPure:
         res = sharply_fpure_at(arr, F(1, 3), e_max=3)
         assert res.holds and res.witness_e == 2
         assert [r.nu for r in res.records] == [0, 1]
+        assert res.required == (1, 1)
 
     def test_x3y_at_one_third_p3_never(self):
         # ceil((q-1)/3) = (q-1)/3 + 1 > nu when 3 | q - 1 fails... here
@@ -235,6 +236,8 @@ class TestSharplyFPure:
         assert not res.holds
         assert res.witness_e is None
         assert len(res.records) == 3
+        assert res.required == tuple((r.q + 1) // 3 for r in res.records)
+        assert all(need > r.nu for r, need in zip(res.records, res.required))
 
     def test_lambda_validated(self):
         arr = LineArrangement(3, (0,), (1,))
@@ -285,6 +288,26 @@ class TestBudget:
                     refused = e > 5 or p * d * q > 10**8
                     with pytest.raises(OracleBudgetError if refused else Probed):
                         nu(arr, e)
+
+    def test_refusal_settled_by_bit_lengths_skips_q(self):
+        # p*d*q >= 2^(e + bits(d)) > max_ops, so q = 11^10000 is neither
+        # computed nor printed (10,415 digits pass Python's int-to-str limit)
+        arr = LineArrangement(11, (0, 1, INF), (1, 1, 1))
+        with pytest.raises(OracleBudgetError) as exc:
+            nu(arr, 10_000, OracleBudget(max_e=100_000, max_ops=100))
+        assert str(exc.value) == (
+            "work estimate p*d*q >= 2^10002 exceeds 100 (limiting q=11^10000)"
+        )
+        assert exc.value.q is None and exc.value.limit == 100
+        with pytest.raises(OracleBudgetError) as exc:
+            nu(arr, 30_000_000)
+        assert "e=30000000 exceeds the budget cap e<=5" in str(exc.value)
+        assert exc.value.q is None
+        # a 4301-digit degree at e = 1 is settled the same way
+        wide = LineArrangement(2, (0,), (10**4300,))
+        with pytest.raises(OracleBudgetError) as exc:
+            nu(wide, 1)
+        assert str(exc.value).endswith("(limiting q=2^1)")
 
     def test_e_must_be_positive(self):
         arr = LineArrangement(2, (0,), (1,))

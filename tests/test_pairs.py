@@ -79,7 +79,7 @@ class TestCertifyClosedForm:
         cert = certify_sfr(WeightedArrangement((F(1, 2),) * 3), 7)
         assert cert.verdict == STRONGLY_F_REGULAR
         assert cert.reason == "boundary_reduction"
-        assert cert.details["dropped_weight"] == "1/2"
+        assert cert.details["dropped_weight"] == F(1, 2)
 
     def test_hara_monsky_rule(self):
         cert = certify_sfr(WeightedArrangement((F(1, 2), F(2, 3), F(4, 5))), 31)
@@ -87,7 +87,7 @@ class TestCertifyClosedForm:
         assert cert.reason == "hara_monsky_rule"
         assert cert.details["c"] == 30
         assert cert.details["integral_mults"] == [15, 20, 24]
-        assert cert.details["hm_lower_bound"] == "61/1829"
+        assert cert.details["hm_lower_bound"] == F(61, 1829)
 
     def test_inconclusive_below_p0_without_oracle(self):
         cert = certify_sfr(WeightedArrangement((F(1, 2), F(2, 3), F(4, 5))), 29)
@@ -101,6 +101,21 @@ class TestCertifyClosedForm:
     def test_escalation_needs_slopes(self):
         with pytest.raises(DomainError):
             certify_sfr(WeightedArrangement((F(1, 2),) * 3), 7, e_max=2)
+
+    def test_slopes_coinciding_mod_p_rejected(self):
+        # 0 = 7 mod 7 puts weight 1 on one line; boundary reduction would
+        # otherwise certify it
+        w = WeightedArrangement((F(1, 2),) * 3, slopes=(0, 7, INF))
+        with pytest.raises(DomainError, match="coincide"):
+            certify_sfr(w, 7)
+        assert certify_sfr(w, 5).reason == "boundary_reduction"
+
+    def test_details_are_exact(self):
+        cert = certify_sfr(WeightedArrangement((F(1, 2), F(2, 3), F(4, 5))), 31)
+        assert cert.details["weights"] == [F(1, 2), F(2, 3), F(4, 5)]
+        assert cert.details["total"] == F(59, 30)
+        # no pre-formatted rationals: the CLI owns the wire format
+        assert [k for k, v in cert.details.items() if isinstance(v, str)] == []
 
     def test_prime_sweep_above_p0_three_heavy_lines(self):
         # heaviest admissible standard triple; certifies for every p > 60
@@ -125,9 +140,9 @@ class TestCertifyEscalation:
         assert cert.details["e"] == 3
         assert cert.details["q"] == 125
         assert cert.details["nu"] == 22
-        assert cert.details["nu_over_q"] == "22/125"
-        assert cert.details["lambda"] == "1/6"
-        assert cert.details["hm_lower_bound"] == "9/55"
+        assert cert.details["nu_over_q"] == F(22, 125)
+        assert cert.details["lambda"] == F(1, 6)
+        assert cert.details["hm_lower_bound"] == F(9, 55)
 
     def test_horizon_too_short_stays_inconclusive(self):
         for e_max in (0, 1, 2):
@@ -203,5 +218,5 @@ class TestCascadePrecedence:
         mults = cert.details["integral_mults"]
         assert sum(mults) == 59
         # lambda * mults reproduces the weights
-        lam = F(cert.details["lambda"])
+        lam = cert.details["lambda"]
         assert [lam * m for m in mults] == [F(1, 2), F(2, 3), F(4, 5)]
