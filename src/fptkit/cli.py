@@ -92,15 +92,17 @@ def _cmd_t0(args):
         coeffs = coeffsets.CoeffSet(args.set)
         report = thresholds.t0_from_dset(coeffs)
         inputs = {"set": coeffs.elements}
+        source = "D({" + ", ".join(_encode(report.lambda_source.elements)) + "})"
     else:
         report = thresholds.t0_from_lambdas(args.lambda_list)
         inputs = {"lambda_list": args.lambda_list}
+        source = "list:" + ",".join(_encode(report.lambda_source))
     outputs = {
         "t0": report.value,
         "witness_d": report.witness_d,
         "witness_lambda": report.witness_lambda,
         "vacuous": report.vacuous,
-        "lambda_source": report.lambda_source,
+        "lambda_source": source,
     }
     if report.vacuous:
         outputs["note"] = "vacuous: any p admissible"

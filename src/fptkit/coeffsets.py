@@ -8,20 +8,31 @@ that land in [0,1].  The derived set is
 
 D(I) always contains the standard coefficients (m-1)/m and is closed under
 the derivation itself up to the single new element 1; `ddi_check` verifies
-that identity on any slice.  Everything here is exact Fraction arithmetic.
+that identity on any slice.
+
+Everything here is exact, and the inner loops run on integers.  I_plus is
+built once per coefficient set and cached as (L, ascending numerators a
+over L), L the lcm of the generators' denominators.  With r = L - a, an
+element of D(I) is (m*L - r)/(m*L), so a slice collects reduced integer
+pairs (n, d) and `largest_below` compares the gaps r/m by cross-multiplying.
+A slice is sorted by the integer key floor(n * 2*dmax^2 / d), dmax its
+largest denominator: distinct fractions with denominators <= dmax differ
+by at least 1/dmax^2, so their keys differ by at least 2 and the order is
+strict.  One Fraction is built per returned element.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 
 from .errors import DomainError
 from .rationals import format_ratio, parse_ratio_list
 
 HALF = Fraction(1, 2)
-ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -72,17 +83,20 @@ class DsetSlice:
 
 
 @lru_cache(maxsize=256)
-def _plus_closure_cached(elements: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-    seen = {Fraction(0)}
-    stack = [Fraction(0)]
+def _plus_closure_cached(elements: tuple[Fraction, ...]) -> tuple[int, tuple[int, ...]]:
+    """I_plus of `elements` as (L, ascending numerators over L)."""
+    scale = lcm(1, *(x.denominator for x in elements))
+    gens = [x.numerator * (scale // x.denominator) for x in elements]
+    seen = {0}
+    stack = [0]
     while stack:
         s = stack.pop()
-        for a in elements:
+        for a in gens:
             t = s + a
-            if t <= 1 and t not in seen:
+            if t <= scale and t not in seen:
                 seen.add(t)
                 stack.append(t)
-    return tuple(sorted(seen))
+    return scale, tuple(sorted(seen))
 
 
 def plus_closure(coeffs: CoeffSet) -> tuple[Fraction, ...]:
@@ -90,7 +104,8 @@ def plus_closure(coeffs: CoeffSet) -> tuple[Fraction, ...]:
 
     The empty sum counts, so 0 is always present.
     """
-    return _plus_closure_cached(coeffs.elements)
+    scale, nums = _plus_closure_cached(coeffs.elements)
+    return tuple(Fraction(a, scale) for a in nums)
 
 
 def dset_below(coeffs: CoeffSet, cutoff: Fraction) -> DsetSlice:
@@ -105,23 +120,26 @@ def dset_below(coeffs: CoeffSet, cutoff: Fraction) -> DsetSlice:
             f"cutoff {format_ratio(cutoff)} outside [0,1); a cutoff below 1 "
             "is what keeps the slice finite"
         )
-    out = set()
-    for f in plus_closure(coeffs):
-        if f >= cutoff:
-            continue
-        # m ranges over 1 <= m < (1-f)/(1-cutoff)
-        bound = (1 - f) / (1 - cutoff)
-        m_max = _strict_floor(bound)
-        for m in range(1, m_max + 1):
-            out.add(Fraction(m - 1 + f, 1) / m)
-    return DsetSlice(source=coeffs, cutoff=cutoff, elements=tuple(sorted(out)))
-
-
-def _strict_floor(x: Fraction) -> int:
-    """Largest integer strictly below x (0 if none is positive)."""
-    if x.denominator == 1:
-        return x.numerator - 1
-    return x.numerator // x.denominator
+    b, c = cutoff.numerator, cutoff.denominator
+    scale, nums = _plus_closure_cached(coeffs.elements)
+    step = scale * (c - b)
+    pairs = set()
+    # f = a/scale < cutoff  <=>  a <= (b*scale - 1) // c
+    for a in nums[: bisect_right(nums, (b * scale - 1) // c)]:
+        r = scale - a
+        # (m-1+f)/m = (m*scale - r)/(m*scale) for 1 <= m < r*c/step
+        for den in range(scale, ((r * c - 1) // step + 1) * scale, scale):
+            g = gcd(r, den)
+            pairs.add(((den - r) // g, den // g))
+    # distinct n/d with d <= dmax differ by >= 1/dmax^2, so floor(x*2*dmax^2)
+    # orders them strictly
+    width = 2 * max((d for _, d in pairs), default=1) ** 2
+    ordered = sorted(pairs, key=lambda nd: nd[0] * width // nd[1])
+    return DsetSlice(
+        source=coeffs,
+        cutoff=cutoff,
+        elements=tuple(Fraction(n, d) for n, d in ordered),
+    )
 
 
 def dset_contains(coeffs: CoeffSet, value: Fraction) -> bool:
@@ -129,16 +147,22 @@ def dset_contains(coeffs: CoeffSet, value: Fraction) -> bool:
     value = Fraction(value)
     if not 0 <= value <= 1:
         return False
-    plus = plus_closure(coeffs)
-    if value == 1:
-        return ONE in plus
-    # (m-1+f)/m = value  <=>  f = 1 - m*(1-value) >= 0  <=>  m <= 1/(1-value)
-    m = 1
-    while m * (1 - value) <= 1:
-        if 1 - m * (1 - value) in plus:
-            return True
-        m += 1
-    return False
+    scale, nums = _plus_closure_cached(coeffs.elements)
+    s, t = value.numerator, value.denominator
+    if s == t:  # (m-1+f)/m = 1 forces f = 1
+        return _has(nums, scale)
+    # (m-1+f)/m = s/t  <=>  f = 1 - m*(t-s)/t, which is >= 0 for m <= t/(t-s);
+    # L*f is an integer only when t/gcd(t, L) divides m (t-s is prime to t)
+    step = t // gcd(t, scale)
+    return any(
+        _has(nums, scale - m * scale * (t - s) // t)
+        for m in range(step, t // (t - s) + 1, step)
+    )
+
+
+def _has(nums: tuple[int, ...], a: int) -> bool:
+    i = bisect_left(nums, a)
+    return i < len(nums) and nums[i] == a
 
 
 def largest_below(
@@ -154,18 +178,23 @@ def largest_below(
         raise DomainError(
             f"bound {format_ratio(bound)} outside (0,1)"
         )
-    best = None
-    for f in plus_closure(coeffs):
-        if f >= bound:
-            continue
-        m = _strict_floor((1 - f) / (1 - bound))
-        if m < 1:
-            continue
-        # (m-1+f)/m grows with m, so only the largest admissible m matters
-        v = Fraction(m - 1 + f, 1) / m
-        if v >= floor and (best is None or v > best):
-            best = v
-    return best
+    b, c = bound.numerator, bound.denominator
+    scale, nums = _plus_closure_cached(coeffs.elements)
+    step = scale * (c - b)
+    # (m-1+f)/m = 1 - r/(m*scale) with r = scale - a grows with m, so per f
+    # only the largest m below r*c/step matters, and the best f has the
+    # least r/m
+    best_r, best_m = 1, 0
+    for a in nums[: bisect_right(nums, (b * scale - 1) // c)]:
+        r = scale - a
+        m = (r * c - 1) // step
+        if m >= 1 and r * best_m < best_r * m:
+            best_r, best_m = r, m
+    if best_m == 0:
+        return None
+    den = best_m * scale
+    v = Fraction(den - best_r, den)
+    return v if v >= floor else None
 
 
 def min_positive(coeffs: CoeffSet) -> Fraction:

@@ -41,6 +41,9 @@ class OracleBudget:
 
 
 DEFAULT_BUDGET = OracleBudget()
+# a raised budget admits estimates whose decimal form can pass Python's
+# int-to-str limit; refusals name a longer one by its bit length, q as p^e
+_PRINTED_BITS = 4096
 
 
 @dataclass(frozen=True)
@@ -162,9 +165,14 @@ def _budgeted_q(arr: LineArrangement, e: int, budget: OracleBudget) -> int:
         )
     estimate = arr.p * arr.degree * q
     if estimate > budget.max_ops:
+        bits = estimate.bit_length()
+        if bits > _PRINTED_BITS:
+            shown, limiting = f">= 2^{bits - 1}", f"{arr.p}^{e}"
+        else:
+            shown, limiting = f"= {estimate}", q
         raise OracleBudgetError(
-            f"work estimate p*d*q = {estimate} exceeds {budget.max_ops} "
-            f"(limiting q={q})",
+            f"work estimate p*d*q {shown} exceeds {budget.max_ops} "
+            f"(limiting q={limiting})",
             q=q,
             estimate=estimate,
             limit=budget.max_ops,

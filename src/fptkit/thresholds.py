@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .coeffsets import CoeffSet, largest_below, min_positive
 from .errors import DomainError
-from .rationals import format_ratio, is_prime
+from .rationals import is_prime
 from .slopes import INF
 
 
@@ -98,7 +98,7 @@ class T0Report:
     witness_d: int | None
     witness_lambda: Fraction | None
     vacuous: bool
-    lambda_source: str
+    lambda_source: tuple[Fraction, ...] | CoeffSet  # sorted list, or I of D(I)
 
 
 def lct_line_arrangement(profile: MultiplicityProfile) -> Fraction:
@@ -144,7 +144,7 @@ def klt_scaled(profile: MultiplicityProfile, lam: Fraction) -> bool:
     return lam * profile.max_mult < 1 and lam * profile.degree < 2
 
 
-def _t0_search(candidate_for_d, d_max: int, source: str) -> T0Report:
+def _t0_search(candidate_for_d, d_max: int, source) -> T0Report:
     best = None
     for d in range(3, d_max + 1):
         lam = candidate_for_d(d)
@@ -184,8 +184,7 @@ def t0_from_lambdas(lams) -> T0Report:
         below = [x for x in lams if x < Fraction(2, d)]
         return max(below) if below else None
 
-    source = "list:" + ",".join(format_ratio(x) for x in sorted(lams))
-    return _t0_search(candidate, d_max, source)
+    return _t0_search(candidate, d_max, tuple(sorted(lams)))
 
 
 def t0_from_dset(coeffs: CoeffSet) -> T0Report:
@@ -202,4 +201,4 @@ def t0_from_dset(coeffs: CoeffSet) -> T0Report:
         # every positive element is >= eps, so the floor excludes only 0
         return largest_below(coeffs, Fraction(2, d), floor=eps)
 
-    return _t0_search(candidate, d_max, f"D({coeffs})")
+    return _t0_search(candidate, d_max, coeffs)

@@ -47,6 +47,22 @@ def dset_member(plus: set[Fraction], v: Fraction) -> bool:
         m += 1
 
 
+def dset_by_definition(elements, cutoff) -> set[Fraction]:
+    """D(elements) ∩ [0, cutoff) straight from the definition, cutoff < 1.
+
+    Every f of the round-based closure, and m = 1, 2, ... until
+    (m-1+f)/m reaches the cutoff; that value grows with m, so nothing
+    later is missed.
+    """
+    out = set()
+    for f in closure_sums(elements):
+        m = 1
+        while (v := (m - 1 + f) / m) < cutoff:
+            out.add(v)
+            m += 1
+    return out
+
+
 def bounded_fractions(max_den: int):
     """All reduced fractions in [0,1] with denominator <= max_den."""
     seen = set()

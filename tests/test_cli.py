@@ -91,6 +91,9 @@ class TestSubcommands:
         assert out["t0"] == "1/15"
         assert out["witness_d"] == 5
         assert out["witness_lambda"] == "1/3"
+        assert out["lambda_source"] == "D({1/3})"
+        _, doc = invoke_json(["t0", "--set", "1/2,1/3"])
+        assert doc["outputs"]["lambda_source"] == "D({1/3, 1/2})"
 
     def test_t0_lambda_list(self):
         code, doc = invoke_json(["t0", "--lambda-list", "1/2,1/3"])
@@ -321,6 +324,20 @@ class TestBudgetEnv:
         assert code == 1
         assert doc["error"]["type"] == "OracleBudgetError"
         assert f"q=11^{e}" in doc["error"]["message"]
+
+    def test_ops_cap_estimate_too_long_to_print(self, monkeypatch):
+        # a raised max_e lets q = (10^9+7)^600 through to the estimate, whose
+        # 5400 digits pass Python's int-to-str limit
+        monkeypatch.setenv("FPTKIT_ORACLE_BUDGET", f"{10**200},1000")
+        code, doc = invoke_json(
+            ["nu", "--p", "1000000007", "--slopes", "0", "--mults", "1", "--e", "600"]
+        )
+        assert code == 1
+        assert doc["error"]["type"] == "OracleBudgetError"
+        assert doc["error"]["message"] == (
+            f"work estimate p*d*q >= 2^17968 exceeds {10**200} "
+            "(limiting q=1000000007^600)"
+        )
 
     def test_malformed_env_is_domain_error(self, monkeypatch):
         monkeypatch.setenv("FPTKIT_ORACLE_BUDGET", "plenty")

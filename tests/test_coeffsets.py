@@ -224,6 +224,84 @@ class TestLargestBelow:
         assert got == (max(slice_) if slice_ else None)
 
 
+PRIMES_TO_97 = oracles.primes_between(1, 98)
+LOW_CUTOFFS = st.fractions(min_value=F(1, 20), max_value=F(3, 4), max_denominator=20)
+
+
+@st.composite
+def coprime_sets(draw):
+    """One or two generators k/p over distinct primes p <= 97, k <= 3."""
+    primes = draw(
+        st.lists(st.sampled_from(PRIMES_TO_97), min_size=1, max_size=2, unique=True)
+    )
+    return CoeffSet(F(draw(st.integers(1, min(3, p - 1))), p) for p in primes)
+
+
+def exact(values):
+    # Fraction, never a float or an int
+    return all(type(v) is F for v in values)
+
+
+class TestIntegerLayer:
+    """The (L, numerators) layer against the Fraction oracles, on closures
+    of a few thousand sums whose common denominator L reaches 97 * 89."""
+
+    @given(coprime_sets())
+    @settings(max_examples=40, deadline=None)
+    def test_plus_closure(self, coeffs):
+        got = plus_closure(coeffs)
+        assert exact(got)
+        assert got == tuple(sorted(oracles.closure_sums(coeffs.elements)))
+
+    @given(coprime_sets(), LOW_CUTOFFS)
+    @settings(max_examples=40, deadline=None)
+    def test_dset_below(self, coeffs, cutoff):
+        got = dset_below(coeffs, cutoff).elements
+        assert exact(got)
+        assert got == tuple(sorted(oracles.dset_by_definition(coeffs.elements, cutoff)))
+
+    @given(coprime_sets(), LOW_CUTOFFS, st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_dset_contains(self, coeffs, cutoff, data):
+        plus = oracles.closure_sums(coeffs.elements)
+        members = dset_below(coeffs, cutoff).elements
+        # fractions over the members' own denominators, member or not
+        den = data.draw(st.sampled_from(members)).denominator
+        for k in data.draw(st.lists(st.integers(0, den), max_size=10)):
+            assert dset_contains(coeffs, F(k, den)) == oracles.dset_member(plus, F(k, den))
+        assert all(dset_contains(coeffs, v) for v in members)
+
+    @given(coprime_sets(), LOW_CUTOFFS, st.fractions(min_value=0, max_value=F(3, 4)))
+    @settings(max_examples=40, deadline=None)
+    def test_largest_below_with_floor(self, coeffs, bound, floor):
+        got = largest_below(coeffs, bound, floor=floor)
+        slice_ = [v for v in oracles.dset_by_definition(coeffs.elements, bound) if v >= floor]
+        assert got == (max(slice_) if slice_ else None)
+        assert got is None or type(got) is F
+
+    @pytest.mark.parametrize("cutoff", [F(1, 2), F(3, 5)])
+    def test_wide_pair_matches_grid_scan(self, cutoff):
+        src = (F(1, 97), F(2, 89))
+        got = dset_below(CoeffSet(src), cutoff).elements
+        assert set(got) == brute_slice(src, cutoff)
+        assert largest_below(CoeffSet(src), cutoff) == got[-1]
+
+    @pytest.mark.parametrize(
+        "src,cutoff",
+        [((), F(99, 100)), ((F(1, 2),), F(49, 50)), ((F(1, 3),), F(99, 100))],
+        ids=["standard", "half", "one-third"],
+    )
+    def test_sort_is_strict_near_the_minimum_gap(self, src, cutoff):
+        got = dset_below(CoeffSet(src), cutoff).elements
+        assert exact(got)
+        assert all(x < y for x, y in zip(got, got[1:]))
+        assert got == tuple(sorted(oracles.dset_by_definition(src, cutoff)))
+        # neighbours within 2/dmax^2 (1.01, 1.02 and 1.99 times 1/dmax^2):
+        # a coarser key than floor(x * 2 * dmax^2) could tie them
+        dmax = max(v.denominator for v in got)
+        assert min(y - x for x, y in zip(got, got[1:])) < F(2, dmax**2)
+
+
 class TestDdiCheck:
     # D(D(I)) = D(I) below the cutoff, on a grid of sets and cutoffs
     @pytest.mark.parametrize(

@@ -309,6 +309,18 @@ class TestBudget:
             nu(wide, 1)
         assert str(exc.value).endswith("(limiting q=2^1)")
 
+    def test_long_estimates_are_named_by_bit_length(self):
+        arr = LineArrangement(3, (0,), (1,))
+        with pytest.raises(OracleBudgetError) as exc:
+            nu(arr, 2000, OracleBudget(max_e=10**4, max_ops=2**3000))
+        assert f"p*d*q = {3**2001} exceeds" in str(exc.value)  # 3172 bits
+        with pytest.raises(OracleBudgetError) as exc:
+            nu(arr, 3000, OracleBudget(max_e=10**4, max_ops=2**4500))
+        assert str(exc.value) == (
+            f"work estimate p*d*q >= 2^4756 exceeds {2**4500} (limiting q=3^3000)"
+        )
+        assert exc.value.q == 3**3000 and exc.value.estimate == 3**3001
+
     def test_e_must_be_positive(self):
         arr = LineArrangement(2, (0,), (1,))
         with pytest.raises(DomainError):

@@ -1,5 +1,7 @@
-"""Repository hygiene: no tracked file is one `.gitignore` excludes."""
+"""Repository hygiene: no tracked file is one `.gitignore` excludes, and
+the library holds no float arithmetic."""
 
+import ast
 import shutil
 import subprocess
 from pathlib import Path
@@ -19,3 +21,42 @@ def test_no_ignored_file_is_tracked():
         cwd=ROOT, capture_output=True, text=True, check=True,
     )
     assert proc.stdout == ""
+
+
+# math functions that return floats, and math's float constants
+FLOAT_MATH = {"sqrt", "log", "log2", "log10", "exp", "pi", "e", "tau", "inf", "nan"}
+
+
+def _float_uses(tree):
+    """(line, what) for float literals, float(...) calls and FLOAT_MATH names."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+            yield node.lineno, f"literal {node.value!r}"
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            if node.func.id == "float":
+                yield node.lineno, "float(...)"
+        elif isinstance(node, ast.Attribute) and node.attr in FLOAT_MATH:
+            if isinstance(node.value, ast.Name) and node.value.id == "math":
+                yield node.lineno, f"math.{node.attr}"
+        elif isinstance(node, ast.ImportFrom) and node.module == "math":
+            for alias in node.names:
+                if alias.name in FLOAT_MATH:
+                    yield node.lineno, f"from math import {alias.name}"
+
+
+def test_library_has_no_floats():
+    # `isinstance(x, float)` rejections name the type without calling it
+    found = [
+        f"{path.relative_to(ROOT)}:{line}: {what}"
+        for path in sorted((ROOT / "src" / "fptkit").rglob("*.py"))
+        for line, what in _float_uses(ast.parse(path.read_text(), str(path)))
+    ]
+    assert found == []
+
+
+def test_float_scan_catches_each_kind():
+    src = (
+        "import math\nfrom math import sqrt\n"
+        "x = 0.5\ny = float(3)\nz = math.log(2)\nok = isinstance(x, float)\n"
+    )
+    assert sorted(line for line, _ in _float_uses(ast.parse(src))) == [2, 3, 4, 5]
