@@ -21,11 +21,13 @@ constraints.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .coeffsets import CoeffSet, dset_below, largest_below, min_positive
 from .errors import DomainError
+from .rationals import as_fraction
 
 
 @dataclass(frozen=True)
@@ -57,20 +59,20 @@ class BoundReport:
             raise AssertionError("p0 must be the floor of p0_exact")
 
 
-def admissible_sum(parts, total=None) -> bool:
-    """Raw constraints: all parts in (0,1), total < 2, drop-one sums > 1.
+def admissible_sum(parts) -> bool:
+    """Raw constraints: at least three parts, all in (0,1), total < 2, and
+    every drop-one subtotal > 1.
 
-    Membership of the parts in D(I) is the caller's business; this is the
-    re-verification used on every structured-search candidate.
+    The smallest drop-one subtotal drops the largest part, so the last rule
+    is total - max(parts) > 1.  Membership of the parts in D(I) is the
+    caller's business; this is the re-verification used on every
+    structured-search candidate.
     """
-    parts = tuple(Fraction(x) for x in parts)
-    if total is None:
-        total = sum(parts)
-    if any(not 0 < x < 1 for x in parts):
+    parts = tuple(as_fraction(x) for x in parts)
+    if len(parts) < 3 or any(not 0 < x < 1 for x in parts):
         return False
-    if not total < 2:
-        return False
-    return all(total - x > 1 for x in set(parts))
+    total = sum(parts)
+    return total < 2 and total - max(parts) > 1
 
 
 def q_max(coeffs: CoeffSet) -> QMaxResult:
@@ -88,9 +90,8 @@ def q_max(coeffs: CoeffSet) -> QMaxResult:
             last = largest_below(coeffs, 2 - partial, floor=chosen[-1])
             if last is not None:
                 parts = chosen + (last,)
-                total = partial + last
-                if admissible_sum(parts, total):
-                    candidates.append(SumCandidate(total=total, parts=parts))
+                if admissible_sum(parts):
+                    candidates.append(SumCandidate(total=partial + last, parts=parts))
         for i in range(start, len(pool)):
             x = pool[i]
             # pool is ascending, so once x busts the rule every later pick does
@@ -186,12 +187,13 @@ def safe_perturbation(coeffs: CoeffSet, n: int) -> PerturbationReport:
     cap: Fraction | None = None
     for q in range(2, n + 1):
         for p in range(1, q):
-            r = Fraction(p, q)
-            for a in elems:
-                if a < r:
-                    c = (p - a * q) / (1 - a)
-                    if cap is None or c < cap:
-                        cap = c
+            # the cap falls as a rises, so the largest element below p/q binds
+            i = bisect_left(elems, Fraction(p, q))
+            if i:
+                a = elems[i - 1]
+                c = (p - a * q) / (1 - a)
+                if cap is None or c < cap:
+                    cap = c
     if cap is None:
         k = 2
     else:
@@ -208,12 +210,13 @@ def safe_perturbation(coeffs: CoeffSet, n: int) -> PerturbationReport:
             for p in range(1, q)
         }
     )
-    for a in elems:
-        for lo, hi in intervals:
-            if lo < a < hi:
-                raise AssertionError(
-                    f"perturbation 1/{k} leaves {a} inside ({lo}, {hi})"
-                )
+    for lo, hi in intervals:
+        # the first element above lo is the only candidate inside (lo, hi)
+        i = bisect_right(elems, lo)
+        if i < len(elems) and elems[i] < hi:
+            raise AssertionError(
+                f"perturbation 1/{k} leaves {elems[i]} inside ({lo}, {hi})"
+            )
     endpoints = tuple(sorted({v for pair in intervals for v in pair}))
     return PerturbationReport(
         n=n, x=x, intervals=tuple(intervals), endpoints=endpoints

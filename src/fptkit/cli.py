@@ -144,9 +144,9 @@ def _arrangement_inputs(args) -> dict:
 
 
 def _cmd_bracket(args):
-    br = frobenius.fpt_bracket(_arrangement(args), args.e, _budget())
+    rec = frobenius.nu(_arrangement(args), args.e, _budget())
     outputs = {
-        "e": br.e, "q": br.q, "nu": br.nu, "lower": br.lower, "upper": br.upper,
+        "e": rec.e, "q": rec.q, "nu": rec.nu, "lower": rec.lower, "upper": rec.upper,
     }
     return _arrangement_inputs(args) | {"e": args.e}, outputs
 

@@ -30,7 +30,7 @@ from functools import lru_cache
 from math import gcd, lcm
 
 from .errors import DomainError
-from .rationals import format_ratio, parse_ratio_list
+from .rationals import as_fraction, format_ratio, parse_ratio_list
 
 HALF = Fraction(1, 2)
 
@@ -44,9 +44,7 @@ class CoeffSet:
     def __init__(self, elements=()):
         elems = []
         for x in elements:
-            if isinstance(x, float):
-                raise DomainError(f"float coefficient {x!r}; use Fraction")
-            x = Fraction(x)
+            x = as_fraction(x)
             if not 0 < x < 1:
                 raise DomainError(
                     f"coefficient {format_ratio(x)} outside (0,1)"
@@ -114,7 +112,7 @@ def dset_below(coeffs: CoeffSet, cutoff: Fraction) -> DsetSlice:
     The slice is finite for cutoff < 1 because (m-1+f)/m < cutoff forces
     m*(1-cutoff) < 1-f.  Values at or above the cutoff are not computed.
     """
-    cutoff = Fraction(cutoff)
+    cutoff = as_fraction(cutoff)
     if not 0 <= cutoff < 1:
         raise DomainError(
             f"cutoff {format_ratio(cutoff)} outside [0,1); a cutoff below 1 "
@@ -144,7 +142,7 @@ def dset_below(coeffs: CoeffSet, cutoff: Fraction) -> DsetSlice:
 
 def dset_contains(coeffs: CoeffSet, value: Fraction) -> bool:
     """Exact membership test for D(coeffs) on [0,1]."""
-    value = Fraction(value)
+    value = as_fraction(value)
     if not 0 <= value <= 1:
         return False
     scale, nums = _plus_closure_cached(coeffs.elements)
@@ -172,8 +170,8 @@ def largest_below(
 
     bound must lie in (0,1); the slice above any bound >= 1 is infinite.
     """
-    bound = Fraction(bound)
-    floor = Fraction(floor)
+    bound = as_fraction(bound)
+    floor = as_fraction(floor)
     if not 0 < bound < 1:
         raise DomainError(
             f"bound {format_ratio(bound)} outside (0,1)"

@@ -27,7 +27,7 @@ from functools import lru_cache
 
 from .errors import DomainError, OracleBudgetError
 from .kernels import polymul_mod, truncated_power
-from .rationals import is_prime
+from .rationals import as_fraction, is_prime
 from .thresholds import MultiplicityProfile, hara_monsky_lower
 from .slopes import INF, format_slope, normalize_slopes, slope_key
 
@@ -107,22 +107,20 @@ class LineArrangement:
 
 @dataclass(frozen=True)
 class NuRecord:
-    p: int
-    e: int
-    q: int
-    nu: int
-
-
-@dataclass(frozen=True)
-class ThresholdBracket:
-    """fpt lies in (lower, upper]; the width is exactly 1/q."""
+    """nu(q) at q = p^e; the F-pure threshold lies in (lower, upper]."""
 
     p: int
     e: int
     q: int
     nu: int
-    lower: Fraction
-    upper: Fraction
+
+    @property
+    def lower(self) -> Fraction:
+        return Fraction(self.nu, self.q)
+
+    @property
+    def upper(self) -> Fraction:
+        return Fraction(self.nu + 1, self.q)
 
 
 @dataclass(frozen=True)
@@ -207,7 +205,7 @@ def _outside_ideal(arr: LineArrangement, n: int, q: int) -> bool:
     if lo > hi:
         return False
     coeffs = truncated_power(list(g), n, arr.p, trunc=hi + 1)
-    return any(coeffs[u] for u in range(lo, hi + 1))
+    return any(coeffs[lo : hi + 1])
 
 
 def power_in_frobenius_ideal(
@@ -253,21 +251,6 @@ def nu(
     return NuRecord(p=arr.p, e=e, q=q, nu=lo)
 
 
-def fpt_bracket(
-    arr: LineArrangement, e: int, budget: OracleBudget = DEFAULT_BUDGET
-) -> ThresholdBracket:
-    """Enclose the F-pure threshold in (nu/q, (nu+1)/q]."""
-    rec = nu(arr, e, budget)
-    return ThresholdBracket(
-        p=rec.p,
-        e=rec.e,
-        q=rec.q,
-        nu=rec.nu,
-        lower=Fraction(rec.nu, rec.q),
-        upper=Fraction(rec.nu + 1, rec.q),
-    )
-
-
 def sharply_fpure_at(
     arr: LineArrangement,
     lam: Fraction,
@@ -279,7 +262,7 @@ def sharply_fpure_at(
     (A^2, lam*f) is sharply F-pure iff ceil(lam*(q-1)) <= nu(q) for some
     q = p^e; the check reports the least witnessing e within the horizon.
     """
-    lam = Fraction(lam)
+    lam = as_fraction(lam)
     if not 0 < lam <= 1:
         raise DomainError("the coefficient must lie in (0,1]")
     if e_max < 1:
@@ -311,7 +294,7 @@ def verify_hm_bound(
     so the upper end of any bracket must too.
     """
     bound = hara_monsky_lower(arr.profile(), arr.p)
-    return fpt_bracket(arr, e, budget).upper >= bound
+    return nu(arr, e, budget).upper >= bound
 
 
 def apply_projective_change(arr: LineArrangement, matrix) -> LineArrangement:

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, OracleBudgetError
-from .frobenius import DEFAULT_BUDGET, LineArrangement, OracleBudget, fpt_bracket
-from .rationals import is_prime
+from .frobenius import DEFAULT_BUDGET, LineArrangement, OracleBudget, nu
+from .rationals import as_fraction, is_prime
 from .slopes import normalize_slopes
 from .thresholds import (
     MultiplicityProfile,
@@ -40,7 +40,7 @@ class P1Pair:
     coeffs: tuple[Fraction, ...]
 
     def __init__(self, coeffs):
-        coeffs = tuple(Fraction(c) for c in coeffs)
+        coeffs = tuple(as_fraction(c) for c in coeffs)
         if len(coeffs) == 0:
             raise DomainError("a pair needs at least one marked point")
         if any(c <= 0 for c in coeffs):
@@ -73,7 +73,7 @@ def sharply_fpure_A1(coeffs) -> bool:
     Characteristic-free: t^ceil(total*(q-1)) divides outside (t^q) exactly
     when total <= 1 in the limit, for every prime.
     """
-    coeffs = tuple(Fraction(c) for c in coeffs)
+    coeffs = tuple(as_fraction(c) for c in coeffs)
     if len(coeffs) == 0:
         raise DomainError("empty coefficient list")
     if any(c <= 0 for c in coeffs):
@@ -178,7 +178,7 @@ def certify_sfr(
         line_arr = LineArrangement(p, arr.slopes, mults)
         for e in range(1, e_max + 1):
             try:
-                br = fpt_bracket(line_arr, e, budget)
+                rec = nu(line_arr, e, budget)
             except OracleBudgetError as exc:
                 details["note"] = f"oracle budget exhausted at e={e}: {exc}"
                 return Certificate(
@@ -187,11 +187,11 @@ def certify_sfr(
                     p=p,
                     details=details,
                 )
-            if br.lower > lam:
+            if rec.lower > lam:
                 details["e"] = e
-                details["q"] = br.q
-                details["nu"] = br.nu
-                details["nu_over_q"] = br.lower
+                details["q"] = rec.q
+                details["nu"] = rec.nu
+                details["nu_over_q"] = rec.lower
                 return Certificate(
                     verdict=STRONGLY_F_REGULAR,
                     reason="oracle_escalation",

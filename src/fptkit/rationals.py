@@ -42,9 +42,21 @@ def parse_ratio_list(text: str) -> tuple[Fraction, ...]:
     return tuple(parse_ratio(item) for item in text.split(","))
 
 
+def as_fraction(x) -> Fraction:
+    """A caller's rational as a Fraction; a float is refused, not rounded.
+
+    Every library entry point converts its rational arguments here.
+    """
+    if type(x) is Fraction:
+        return x
+    if isinstance(x, float):
+        raise DomainError(f"float coefficient {x!r}; use Fraction")
+    return Fraction(x)
+
+
 def format_ratio(x: Fraction) -> str:
     """Render a rational as "a/b" in lowest terms, denominator always shown."""
-    x = Fraction(x)
+    x = as_fraction(x)
     return f"{x.numerator}/{x.denominator}"
 
 

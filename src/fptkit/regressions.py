@@ -83,7 +83,7 @@ def _got_case_sums():
     for parts in triples:
         total = sum(parts)
         in_dset = all(coeffsets.dset_contains(ONE_THIRD, x) for x in parts)
-        ok = in_dset and bounds.admissible_sum(parts, total) and total < q
+        ok = in_dset and bounds.admissible_sum(parts) and total < q
         descriptions.append(f"{format_ratio(total)}:{'admissible<Q' if ok else 'BAD'}")
     return ";".join(descriptions)
 
@@ -97,8 +97,8 @@ def _got_brackets_all_lines():
     hits = []
     for p, e_top in ((2, 3), (3, 3), (5, 2)):
         arr = frobenius.LineArrangement.all_rational_lines(p)
-        br = frobenius.fpt_bracket(arr, e_top)
-        inside = br.lower < F(1, p) <= br.upper
+        rec = frobenius.nu(arr, e_top)
+        inside = rec.lower < F(1, p) <= rec.upper
         hits.append(f"1/{p}:{'in' if inside else 'OUT'}")
     return ";".join(hits)
 
@@ -108,8 +108,8 @@ def _x3y(p):
 
 
 def _got_bracket_x3y():
-    br = frobenius.fpt_bracket(_x3y(3), 2)
-    return f"nu={br.nu}, ({format_ratio(br.lower)}, {format_ratio(br.upper)}]"
+    rec = frobenius.nu(_x3y(3), 2)
+    return f"nu={rec.nu}, ({format_ratio(rec.lower)}, {format_ratio(rec.upper)}]"
 
 
 def _got_fpure_at_x3y():

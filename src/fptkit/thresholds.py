@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .coeffsets import CoeffSet, largest_below, min_positive
 from .errors import DomainError
-from .rationals import is_prime
+from .rationals import as_fraction, is_prime
 from .slopes import INF
 
 
@@ -65,7 +65,7 @@ class WeightedArrangement:
     slopes: tuple | None = None
 
     def __init__(self, weights, slopes=None):
-        weights = tuple(Fraction(w) for w in weights)
+        weights = tuple(as_fraction(w) for w in weights)
         if len(weights) == 0:
             raise DomainError("an arrangement needs at least one line")
         if any(w <= 0 for w in weights):
@@ -138,7 +138,7 @@ def klt_weighted(arr: WeightedArrangement) -> bool:
 
 
 def klt_scaled(profile: MultiplicityProfile, lam: Fraction) -> bool:
-    lam = Fraction(lam)
+    lam = as_fraction(lam)
     if lam <= 0:
         raise DomainError("scaling coefficient must be positive")
     return lam * profile.max_mult < 1 and lam * profile.degree < 2
@@ -173,7 +173,7 @@ def _t0_search(candidate_for_d, d_max: int, source) -> T0Report:
 
 def t0_from_lambdas(lams) -> T0Report:
     """t0 for an explicit finite list of coefficients in (0,1]."""
-    lams = tuple(Fraction(x) for x in lams)
+    lams = tuple(as_fraction(x) for x in lams)
     if len(lams) == 0:
         raise DomainError("empty coefficient list")
     if any(not 0 < x <= 1 for x in lams):

@@ -9,6 +9,7 @@ purpose; the point is that none of the library's shortcuts appear here.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 F = Fraction
@@ -146,6 +147,37 @@ def t0_brute(lams):
             if gap > 0 and (best is None or gap < best[0]):
                 best = (gap, d, lam)
     return best
+
+
+def perturbation_denominator(elements, n: int) -> int:
+    """k of the unit fraction 1/k that `safe_perturbation` picks, by scanning
+    every wall p/q (1 <= p < q <= n) against every element a < p/q of
+    D(elements) ∩ (0, (n-1)/n): the cap is the least (p - a*q)/(1 - a), and
+    k = max(2, ceil(1/cap)), or 2 when no element lies below any wall.
+    """
+    elems = sorted(x for x in dset_by_definition(elements, F(n - 1, n)) if x > 0)
+    cap = None
+    for q in range(2, n + 1):
+        for p in range(1, q):
+            r = F(p, q)
+            for a in elems:
+                if a < r:
+                    c = (p - a * q) / (1 - a)
+                    if cap is None or c < cap:
+                        cap = c
+    return 2 if cap is None else max(2, math.ceil(1 / cap))
+
+
+def perturbation_violation(elements, n: int, x: Fraction) -> bool:
+    """Does some element of D(elements) ∩ (0, (n-1)/n) lie strictly inside
+    some interval ((p-x)/(q-x), p/q)?  Every element against every wall."""
+    elems = [a for a in dset_by_definition(elements, F(n - 1, n)) if a > 0]
+    return any(
+        (p - x) / (q - x) < a < F(p, q)
+        for q in range(2, n + 1)
+        for p in range(1, q)
+        for a in elems
+    )
 
 
 def naive_polymul(a, b, p):

@@ -26,7 +26,6 @@ from fptkit import (
     certify_sfr,
     ddi_check,
     dset_below,
-    fpt_bracket,
     hyperstandard_simple_bound,
     klt_weighted,
     lct_line_arrangement,
@@ -165,7 +164,7 @@ def test_criterion_06_all_lines_nu():
             for e in tops:
                 rec = nu(arr, e)
                 assert rec.nu == p ** (e - 1) - 1, (p, e)
-                br = fpt_bracket(arr, e)
+                br = nu(arr, e)
                 assert br.lower < F(1, p) <= br.upper, (p, e)
         elapsed = time.perf_counter() - start
         assert elapsed < 30, f"took {elapsed:.1f}s"
@@ -207,7 +206,7 @@ def test_criterion_07_property_suite():
             assert nu(powered, e).nu == v // k
             instances += 1
 
-            br = fpt_bracket(arr, e)
+            br = nu(arr, e)
             assert br.lower < lct_line_arrangement(arr.profile())
             instances += 1
 
@@ -222,7 +221,7 @@ def test_criterion_08_x3y_brackets():
         for p in (2, 3, 5):
             arr = LineArrangement(p, (0, INF), (3, 1))
             for e in (1, 2, 3):
-                br = fpt_bracket(arr, e)
+                br = nu(arr, e)
                 assert br.upper - br.lower == F(1, p**e)
                 assert br.lower < F(1, 3) <= br.upper, (p, e)
 

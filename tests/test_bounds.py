@@ -11,6 +11,7 @@ from fptkit import (
     CoeffSet,
     DomainError,
     admissible_sum,
+    bounds,
     dset_below,
     dset_contains,
     hyperstandard_simple_bound,
@@ -58,6 +59,20 @@ class TestAdmissibleSum:
     def test_part_out_of_range(self):
         assert not admissible_sum((F(1, 2), F(2, 3), F(1)))
 
+    def test_empty_never_admissible(self):
+        assert admissible_sum(()) is False
+
+    @given(
+        st.lists(
+            st.fractions(min_value=0, max_value=1, max_denominator=12), max_size=5
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_every_drop_one_subtotal(self, parts):
+        # total - max(parts) > 1 stands for the whole drop-one rule
+        want = len(parts) >= 3 and oracles.admissible(parts, sum(parts))
+        assert admissible_sum(parts) == want
+
 
 class TestQMax:
     @pytest.mark.parametrize(
@@ -99,7 +114,7 @@ class TestQMax:
             for cand in res.candidates:
                 assert cand.total == sum(cand.parts)
                 assert cand.parts == tuple(sorted(cand.parts))
-                assert admissible_sum(cand.parts, cand.total)
+                assert admissible_sum(cand.parts)
                 for x in cand.parts:
                     assert dset_contains(coeffs, x)
                 assert cand.total <= res.q
@@ -219,6 +234,39 @@ class TestSafePerturbation:
     def test_n_validated(self):
         with pytest.raises(DomainError):
             safe_perturbation(EMPTY, 1)
+
+    @given(
+        st.lists(
+            st.fractions(min_value=F(1, 10), max_value=F(9, 10), max_denominator=10),
+            max_size=2,
+        ),
+        st.integers(min_value=2, max_value=25),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_x_matches_brute_force(self, xs, n):
+        k = oracles.perturbation_denominator(xs, n)
+        coeffs = CoeffSet(xs)
+        if k > bounds._PERTURBATION_K_CAP:
+            with pytest.raises(DomainError):
+                safe_perturbation(coeffs, n)
+        else:
+            assert safe_perturbation(coeffs, n).x == F(1, k)
+
+    def test_final_check_is_exhaustive(self, monkeypatch):
+        # with no cap found, x = 1/2; the final check must then refuse
+        # exactly the inputs where 1/2 leaves an element inside an interval
+        monkeypatch.setattr(bounds, "bisect_left", lambda *args: 0)
+        outcomes = set()
+        for src in ((), (F(1, 3),), (F(2, 5),), (F(1, 4),)):
+            for n in range(2, 9):
+                bad = oracles.perturbation_violation(src, n, F(1, 2))
+                outcomes.add(bad)
+                if bad:
+                    with pytest.raises(AssertionError, match="leaves"):
+                        safe_perturbation(CoeffSet(src), n)
+                else:
+                    assert safe_perturbation(CoeffSet(src), n).x == F(1, 2)
+        assert outcomes == {False, True}
 
     @given(
         st.lists(

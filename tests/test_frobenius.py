@@ -12,7 +12,6 @@ from fptkit import (
     OracleBudget,
     OracleBudgetError,
     apply_projective_change,
-    fpt_bracket,
     lct_line_arrangement,
     nu,
     power_in_frobenius_ideal,
@@ -198,7 +197,7 @@ class TestStructuralLaws:
         rng = random.Random(5)
         for _ in range(25):
             arr = rand_arrangement(rng)
-            br = fpt_bracket(arr, rng.randint(1, 2))
+            br = nu(arr, rng.randint(1, 2))
             assert br.lower < lct_line_arrangement(arr.profile())
             assert br.upper - br.lower == F(1, br.q)
             assert br.lower == F(br.nu, br.q)

@@ -5,8 +5,28 @@ from fractions import Fraction
 import pytest
 
 import oracles
+from fptkit import (
+    INF,
+    CoeffSet,
+    LineArrangement,
+    MultiplicityProfile,
+    P1Pair,
+    WeightedArrangement,
+    admissible_sum,
+    dset_below,
+    dset_contains,
+    format_ratio,
+    klt_scaled,
+    largest_below,
+    sharply_fpure_A1,
+    sharply_fpure_at,
+    t0_from_lambdas,
+)
 from fptkit.errors import DomainError
-from fptkit.rationals import PRIME_TEST_LIMIT, is_prime, parse_ratio
+from fptkit.rationals import PRIME_TEST_LIMIT, as_fraction, is_prime, parse_ratio
+
+F = Fraction
+EMPTY = CoeffSet(())
 
 
 class TestParseRatio:
@@ -23,6 +43,48 @@ class TestParseRatio:
     def test_rejects(self, text):
         with pytest.raises(DomainError):
             parse_ratio(text)
+
+
+class TestAsFraction:
+    def test_fraction_passes_through(self):
+        x = F(2, 3)
+        assert as_fraction(x) is x
+
+    @pytest.mark.parametrize("value,want", [(3, F(3)), ("5/10", F(1, 2))])
+    def test_exact_values_convert(self, value, want):
+        got = as_fraction(value)
+        assert type(got) is Fraction
+        assert got == want
+
+    def test_refuses_floats(self):
+        with pytest.raises(DomainError, match="float coefficient 0.5; use Fraction"):
+            as_fraction(0.5)
+
+
+# every library entry point that takes a caller's rational, fed one float
+FLOAT_ENTRY_POINTS = {
+    "admissible_sum": lambda: admissible_sum((0.5, F(2, 3), F(4, 5))),
+    "CoeffSet": lambda: CoeffSet((0.5,)),
+    "dset_below": lambda: dset_below(EMPTY, 0.5),
+    "dset_contains": lambda: dset_contains(EMPTY, 0.5),
+    "largest_below.bound": lambda: largest_below(EMPTY, 0.5),
+    "largest_below.floor": lambda: largest_below(EMPTY, F(1, 2), floor=0.25),
+    "sharply_fpure_at": lambda: sharply_fpure_at(
+        LineArrangement(3, (0, INF), (3, 1)), 0.5, 1
+    ),
+    "P1Pair": lambda: P1Pair((0.1,)),
+    "sharply_fpure_A1": lambda: sharply_fpure_A1((0.5,)),
+    "format_ratio": lambda: format_ratio(0.5),
+    "WeightedArrangement": lambda: WeightedArrangement((0.5,)),
+    "klt_scaled": lambda: klt_scaled(MultiplicityProfile((1, 1, 1)), 0.5),
+    "t0_from_lambdas": lambda: t0_from_lambdas((0.5,)),
+}
+
+
+@pytest.mark.parametrize("call", FLOAT_ENTRY_POINTS.values(), ids=FLOAT_ENTRY_POINTS)
+def test_entry_points_refuse_floats(call):
+    with pytest.raises(DomainError, match="float coefficient"):
+        call()
 
 
 class TestIsPrime:
