@@ -14,8 +14,10 @@ partial order here), so each level is a binary search.  Frobenius is flat
 on k[x, y], so p nu(q) <= nu(pq) <= p nu(q) + p - 1 (Mustata-Takagi-
 Watanabe): nu climbs from q = p one level at a time, searching only the p
 candidates the ladder allows, and is re-verified at the top by direct
-probes at nu and nu + 1.  The powers themselves come from the base-p
-digits of N (`kernels.truncated_power`).
+probes at nu and nu + 1.  A probe builds only the window [lo, hi] of g^N
+(`kernels.truncated_power` with `lo`), by a recursion down the base-p digits
+of N whose cost follows the window's width; near nu that width is a small
+share of q for few lines and large p.
 """
 
 from __future__ import annotations
@@ -204,8 +206,7 @@ def _outside_ideal(arr: LineArrangement, n: int, q: int) -> bool:
     hi = min(q - 1, n * deg_g)
     if lo > hi:
         return False
-    coeffs = truncated_power(list(g), n, arr.p, trunc=hi + 1)
-    return any(coeffs[lo : hi + 1])
+    return any(truncated_power(g, n, arr.p, trunc=hi + 1, lo=lo))
 
 
 def power_in_frobenius_ideal(

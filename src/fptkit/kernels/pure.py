@@ -39,6 +39,8 @@ def polymul_schoolbook(a, b, p, trunc=None):
         raise ValueError("empty polynomial")
     n = la + lb - 1
     if trunc is not None:
+        if trunc < 0:
+            raise ValueError("negative trunc")
         n = min(n, trunc)
     out = [0] * n
     for i, ai in enumerate(a):
@@ -67,6 +69,8 @@ def polymul_kronecker(a, b, p, trunc=None):
         raise ValueError("empty polynomial")
     n = la + lb - 1
     if trunc is not None:
+        if trunc < 0:
+            raise ValueError("negative trunc")
         n = min(n, trunc)
     # largest possible column sum: full overlap of the shorter operand
     need = (((p - 1) * (p - 1) * min(la, lb)).bit_length() + 7) // 8

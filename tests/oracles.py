@@ -5,12 +5,16 @@ rounds of addition, set membership by scanning all reduced fractions with
 bounded denominator, maxima by exhaustive multiset recursion, polynomial
 powers by naive repeated multiplication with no truncation.  Slow on
 purpose; the point is that none of the library's shortcuts appear here.
+The one exception is `direct_power`, for levels too deep for
+`naive_power`: it shares the library's multiply, but not its windows.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+
+from fptkit.kernels import polymul_mod
 
 F = Fraction
 
@@ -193,6 +197,32 @@ def naive_power(base, n, p):
     for _ in range(n):
         out = naive_polymul(out, base, p)
     return out
+
+
+def direct_power(base, n, p, trunc=None):
+    """base**n mod p below degree trunc, every coefficient from degree 0.
+
+    Splits n at its last base-p digit, base**n = (base**(n // p))(t^p) *
+    base**(n % p) over F_p, and uses square-and-multiply below p.  The
+    output has min(trunc, (len(base) - 1) * n + 1) coefficients.
+    """
+    if n == 0:
+        return [1 % p]
+    base = [c % p for c in base]
+    if n >= p:
+        full = (len(base) - 1) * (n - n % p) + 1
+        spread = [0] * (full if trunc is None else min(full, trunc))
+        inner = None if trunc is None else -(-trunc // p)
+        spread[::p] = direct_power(base, n // p, p, inner)
+        if n % p == 0:
+            return spread
+        return polymul_mod(spread, direct_power(base, n % p, p, trunc), p, trunc)
+    result = base if trunc is None else base[:trunc]
+    for bit in bin(n)[3:]:
+        result = polymul_mod(result, result, p, trunc)
+        if bit == "1":
+            result = polymul_mod(result, base, p, trunc)
+    return result
 
 
 def naive_outside_frobenius(finite_slopes_mults, inf_mult, p, n, q) -> bool:

@@ -19,6 +19,7 @@ from fptkit import (
     verify_hm_bound,
 )
 from fptkit import frobenius
+from fptkit.kernels import pure
 from fptkit.slopes import INF
 
 F = Fraction
@@ -148,6 +149,68 @@ class TestNaiveOracleAgreement:
                     assert not oracles.naive_outside_frobenius(*args, v + 1, q)
                     checked += 1
         assert checked > 90
+
+    def test_probes_match_direct_power(self):
+        # windowed probes against a window scan of the whole low power, up
+        # to q = 7^5, near nu (where the window is narrowest) and at random
+        rng = random.Random(20261019)
+        deep = OracleBudget(max_e=8)
+        checked = 0
+        for p, e_max in [(2, 8), (3, 6), (5, 5), (7, 5), (11, 3)]:
+            for _ in range(5):
+                arr = rand_arrangement(rng, primes=(p,), max_mult=4)
+                g = frobenius._dehomogenized(arr)
+                deg_g, d = len(g) - 1, arr.degree
+                for e in range(1, e_max + 1):
+                    q = p**e
+                    v = nu(arr, e, deep).nu
+                    top = 2 * (q - 1) // d + 1
+                    for n in {v - 1, v, v + 1, rng.randint(1, top), rng.randint(1, top)}:
+                        lo, hi = max(0, n * d - q + 1), min(q - 1, n * deg_g)
+                        if n < 1 or lo > hi:
+                            continue
+                        want = any(oracles.direct_power(g, n, p, hi + 1)[lo : hi + 1])
+                        assert frobenius._outside_ideal(arr, n, q) == want, (arr, n, q)
+                        checked += 1
+        assert checked > 400
+
+
+class TestProbeWork:
+    """One probe's multiplies follow the window it reads, not q."""
+
+    CASES = [
+        # four lines with nu = (q - 1)/2: a window of width 1
+        (LineArrangement(11, (0, 1, 3, INF), (1, 1, 1, 1)), 5),
+        # seven reduced lines: the window is 6 wide
+        (LineArrangement(7, (0, 1, 2, 3, 4, 5, INF), (1,) * 7), 5),
+        # all p + 1 lines: the window is most of [0, q)
+        (LineArrangement.all_rational_lines(7), 5),
+        (LineArrangement(5, (0, 1, 2, INF), (2, 2, 2, 1)), 5),
+        (LineArrangement(2, (0, INF), (1, 1)), 5),
+    ]
+
+    @pytest.mark.parametrize("arr,e", CASES)
+    def test_multiply_output_follows_the_window(self, arr, e, monkeypatch):
+        # each level of the digit recursion multiplies at most about
+        # W/p^k + p deg g coefficients, W the window width; computing the
+        # whole low power instead takes about q at the top level alone
+        # (177,317 coefficients for the four lines at q = 11^5)
+        v = nu(arr, e).nu
+        q, p = arr.p**e, arr.p
+        deg_g = len(frobenius._dehomogenized(arr)) - 1
+        width = min(q - 1, v * deg_g) - max(0, v * arr.degree - q + 1) + 1
+        route = pure.polymul_kronecker
+        outputs = []
+
+        def counting(*args, **kwargs):
+            out = route(*args, **kwargs)
+            outputs.append(len(out))
+            return out
+
+        monkeypatch.setattr(pure, "polymul_kronecker", counting)
+        assert frobenius._outside_ideal(arr, v, q)
+        assert outputs
+        assert sum(outputs) <= (e + 1) * (width + 2 * p * deg_g)
 
 
 class TestStructuralLaws:

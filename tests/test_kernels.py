@@ -33,6 +33,13 @@ class TestPureRoutes:
         with pytest.raises(ValueError):
             pure.polymul_kronecker([1], [], 5)
 
+    @pytest.mark.parametrize("route", [pure.polymul_schoolbook, pure.polymul_kronecker])
+    def test_negative_trunc_rejected(self, route):
+        # a negative trunc must not slice from the end
+        with pytest.raises(ValueError):
+            route([1, 2], [3, 4], 5, -1)
+        assert route([1, 2], [3, 4], 5, 0) == []
+
     @pytest.mark.parametrize("p", PRIMES)
     def test_schoolbook_vs_kronecker(self, p):
         rng = random.Random(20260815 + p)
@@ -133,6 +140,21 @@ class TestTruncatedPower:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             truncated_power([1, 1], -1, 5)
+        # a negative bound must not slice from the end
+        with pytest.raises(ValueError):
+            truncated_power([1, 1, 1], 3, 5, trunc=-1)
+        with pytest.raises(ValueError):
+            truncated_power([1, 1, 1], 3, 5, lo=-1)
+
+    def test_empty_window_is_empty_for_every_n(self):
+        # even where a multiply would be asked for trunc=0
+        assert truncated_power([1, 1, 1], 2, 5, trunc=0) == []
+        for p in (2, 5, 7):
+            for n in range(0, 3 * p * p):
+                for lo, trunc in ((0, 0), (3, 3), (9, 4), (1, 1)):
+                    assert truncated_power([1, 2, 1], n, p, trunc, lo) == []
+                # a window past the full degree is empty too
+                assert truncated_power([1, 2, 1], n, p, lo=2 * n + 1) == []
 
     # n < p is square-and-multiply; larger n recurse on base-p digits, at
     # depth >= 2 for (2, 37), (3, 27), (5, 49), (7, 50), with the last digit
@@ -181,3 +203,76 @@ class TestTruncatedPower:
         for p in (2, 3, 5, 7):
             got = truncated_power([1, 1], p, p)
             assert got == [1] + [0] * (p - 1) + [1]
+
+
+def _window_of(base, n, p, trunc, lo):
+    full = oracles.naive_power([c % p for c in base], n, p)
+    return full[lo:trunc]
+
+
+class TestWindowedPower:
+    """`truncated_power(base, n, p, trunc, lo)` against the whole power."""
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_random_windows_match_naive_power(self, data):
+        p = data.draw(st.sampled_from([2, 3, 5, 7, 11]))
+        base = data.draw(
+            st.lists(st.integers(-30, 60), min_size=1, max_size=6), label="base"
+        )
+        n = data.draw(st.integers(0, 4 * p * p), label="n")
+        length = (len(base) - 1) * n + 1
+        lo = data.draw(st.integers(0, length + 2), label="lo")
+        trunc = data.draw(st.none() | st.integers(0, length + 2), label="trunc")
+        assert truncated_power(base, n, p, trunc, lo) == _window_of(
+            base, n, p, trunc, lo
+        )
+
+    # each row: (base, p, n, lo, trunc) for one branch of the recursion
+    CASES = [
+        ([1, 1, 1], 2, 12, 3, 20),  # p = 2, n = 1100 in base 2
+        ([1, 1, 1], 2, 13, 5, 19),  # p = 2, n = 1101 in base 2
+        ([2, 1, 3], 5, 25, 7, 43),  # r = 0 at every digit
+        ([2, 1, 3], 5, 4, 2, 7),  # n < p only
+        ([2, 1, 3], 5, 0, 0, 1),  # n = 0
+        ([2, 1, 3, 0], 5, 31, 40, 94),  # zero top coefficient, near the end
+        ([-3, 16, 4], 7, 50, 11, 60),  # unreduced base
+        ([4, 1], 7, 43, 12, 40),  # r * deg = 1 < p; 12 below the slot at 14
+    ]
+
+    @pytest.mark.parametrize("base,p,n,lo,trunc", CASES)
+    def test_named_branches(self, base, p, n, lo, trunc):
+        assert truncated_power(base, n, p, trunc, lo) == _window_of(
+            base, n, p, trunc, lo
+        )
+
+    def test_window_below_the_first_kept_slot(self):
+        # n = 7m + 1 with a linear base: the inner coefficient j lands on
+        # degrees 7j and 7j + 1, so a window opening at 7j + 2 .. 7j + 6
+        # starts below the spread's first kept slot 7(j + 1)
+        base, p = [3, 1], 7
+        for n in (8, 15, 50, 351):
+            full = oracles.naive_power(base, n, p)
+            for lo in range(2, 40):
+                trunc = lo + 1 + (lo * 5) % 13
+                assert truncated_power(base, n, p, trunc, lo) == full[lo:trunc]
+
+    @pytest.mark.parametrize("p,n", [(2, 200), (3, 242), (7, 2400), (11, 1330)])
+    def test_deep_windows_match_direct_power(self, p, n):
+        # exponents past naive_power's reach, against the digit split
+        rng = random.Random(p * n)
+        base = [rng.randrange(p) for _ in range(rng.randint(2, 6))]
+        base[-1] = 1
+        full = oracles.direct_power(base, n, p)
+        for _ in range(40):
+            lo = rng.randrange(len(full))
+            trunc = rng.randint(lo, len(full) + 3)
+            assert truncated_power(base, n, p, trunc, lo) == full[lo:trunc]
+
+    @pytest.mark.parametrize("p,n", [(2, 37), (5, 49), (7, 50), (3, 0)])
+    def test_direct_power_matches_naive_power(self, p, n):
+        base = [3, 0, 1, 4]
+        want = oracles.naive_power([c % p for c in base], n, p)
+        assert oracles.direct_power(base, n, p) == want
+        for trunc in (1, 9, 46, len(want) + 2):
+            assert oracles.direct_power(base, n, p, trunc) == want[:trunc]
