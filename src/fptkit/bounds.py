@@ -27,7 +27,7 @@ from fractions import Fraction
 
 from .coeffsets import CoeffSet, dset_below, largest_below, min_positive
 from .errors import DomainError
-from .rationals import as_fraction
+from .rationals import as_fraction, as_int
 
 
 @dataclass(frozen=True)
@@ -38,7 +38,6 @@ class SumCandidate:
 
 @dataclass(frozen=True)
 class QMaxResult:
-    coeffs: CoeffSet
     q: Fraction
     witness: tuple[Fraction, ...]
     candidates: tuple[SumCandidate, ...]
@@ -46,17 +45,15 @@ class QMaxResult:
 
 @dataclass(frozen=True)
 class BoundReport:
-    coeffs: CoeffSet
     epsilon: Fraction
     q: Fraction
     witness: tuple[Fraction, ...]
     p0_exact: Fraction
-    p0: int
     trace: tuple[SumCandidate, ...]
 
-    def __post_init__(self):
-        if self.p0 != math.floor(self.p0_exact):
-            raise AssertionError("p0 must be the floor of p0_exact")
+    @property
+    def p0(self) -> int:
+        return math.floor(self.p0_exact)
 
 
 def admissible_sum(parts) -> bool:
@@ -106,9 +103,7 @@ def q_max(coeffs: CoeffSet) -> QMaxResult:
     candidates.sort(key=lambda c: (c.total, c.parts))
     best = candidates[-1].total
     witness = min(c.parts for c in candidates if c.total == best)
-    return QMaxResult(
-        coeffs=coeffs, q=best, witness=witness, candidates=tuple(candidates)
-    )
+    return QMaxResult(q=best, witness=witness, candidates=tuple(candidates))
 
 
 def p0(coeffs: CoeffSet) -> BoundReport:
@@ -117,12 +112,10 @@ def p0(coeffs: CoeffSet) -> BoundReport:
     eps = min_positive(coeffs)
     exact = ((1 - eps) / eps) * (1 / (1 - res.q / 2))
     return BoundReport(
-        coeffs=coeffs,
         epsilon=eps,
         q=res.q,
         witness=res.witness,
         p0_exact=exact,
-        p0=math.floor(exact),
         trace=res.candidates,
     )
 
@@ -133,8 +126,11 @@ class GapBound:
 
     n: int
     gap: Fraction
-    bound: int
     per_d: tuple[tuple[int, Fraction, Fraction], ...]  # (d, lambda, gap)
+
+    @property
+    def bound(self) -> int:
+        return 2 * self.n * self.n - self.n
 
 
 def hyperstandard_simple_bound(n: int) -> GapBound:
@@ -145,7 +141,7 @@ def hyperstandard_simple_bound(n: int) -> GapBound:
     these pairs cannot sit closer than that to 2/d, and primes above
     2n^2 - n behave uniformly.
     """
-    n = int(n)
+    n = as_int(n)
     if n < 3:
         raise DomainError(f"n must be at least 3, got {n}")
     coeffs = CoeffSet((Fraction(1, n),))
@@ -156,15 +152,17 @@ def hyperstandard_simple_bound(n: int) -> GapBound:
     gap = min(r[2] for r in rows)
     if gap != Fraction(1, (2 * n - 1) * n):
         raise AssertionError(f"gap {gap} disagrees with 1/((2n-1)n) at n={n}")
-    return GapBound(n=n, gap=gap, bound=2 * n * n - n, per_d=tuple(rows))
+    return GapBound(n=n, gap=gap, per_d=tuple(rows))
 
 
 @dataclass(frozen=True)
 class PerturbationReport:
-    n: int
     x: Fraction
     intervals: tuple[tuple[Fraction, Fraction], ...]
-    endpoints: tuple[Fraction, ...]
+
+    @property
+    def endpoints(self) -> tuple[Fraction, ...]:
+        return tuple(sorted({v for pair in self.intervals for v in pair}))
 
 
 _PERTURBATION_K_CAP = 10**6
@@ -180,7 +178,7 @@ def safe_perturbation(coeffs: CoeffSet, n: int) -> PerturbationReport:
     Elements at or above (n-1)/n can never be inside: every interval tops
     out at p/q <= (n-1)/n, which is open.
     """
-    n = int(n)
+    n = as_int(n)
     if n < 2:
         raise DomainError(f"n must be at least 2, got {n}")
     elems = dset_below(coeffs, Fraction(n - 1, n)).positives
@@ -217,7 +215,4 @@ def safe_perturbation(coeffs: CoeffSet, n: int) -> PerturbationReport:
             raise AssertionError(
                 f"perturbation 1/{k} leaves {elems[i]} inside ({lo}, {hi})"
             )
-    endpoints = tuple(sorted({v for pair in intervals for v in pair}))
-    return PerturbationReport(
-        n=n, x=x, intervals=tuple(intervals), endpoints=endpoints
-    )
+    return PerturbationReport(x=x, intervals=tuple(intervals))

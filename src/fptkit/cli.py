@@ -77,13 +77,14 @@ def _arrangement(args) -> frobenius.LineArrangement:
 
 # ---------------------------------------------------------------- handlers
 # Each handler returns (inputs, outputs) holding library values; `run`
-# encodes them for the wire with `_encode`.
+# encodes them for the wire with `_encode`.  Reports carry no copy of their
+# inputs, so `inputs` comes from the parsed arguments.
 
 
 def _cmd_dset(args):
     coeffs = coeffsets.CoeffSet(args.set)
     sl = coeffsets.dset_below(coeffs, args.below)
-    inputs = {"set": coeffs.elements, "below": sl.cutoff}
+    inputs = {"set": coeffs.elements, "below": args.below}
     return inputs, {"elements": sl.elements, "count": len(sl.elements)}
 
 
@@ -92,11 +93,11 @@ def _cmd_t0(args):
         coeffs = coeffsets.CoeffSet(args.set)
         report = thresholds.t0_from_dset(coeffs)
         inputs = {"set": coeffs.elements}
-        source = "D({" + ", ".join(_encode(report.lambda_source.elements)) + "})"
+        source = f"D({coeffs})"
     else:
         report = thresholds.t0_from_lambdas(args.lambda_list)
         inputs = {"lambda_list": args.lambda_list}
-        source = "list:" + ",".join(_encode(report.lambda_source))
+        source = "list:" + ",".join(map(format_ratio, sorted(args.lambda_list)))
     outputs = {
         "t0": report.value,
         "witness_d": report.witness_d,
@@ -132,7 +133,7 @@ def _cmd_hsb(args):
             {"d": d, "lambda": lam, "gap": g} for d, lam, g in report.per_d
         ],
     }
-    return {"n": report.n}, outputs
+    return {"n": args.n}, outputs
 
 
 def _arrangement_inputs(args) -> dict:
@@ -163,7 +164,7 @@ def _cmd_fpure_at(args):
     outputs = {
         "holds": chk.holds,
         "witness_e": chk.witness_e,
-        "e_max": chk.e_max,
+        "e_max": args.emax,
         "checks": [
             {"e": rec.e, "q": rec.q, "nu": rec.nu, "required": need}
             for rec, need in zip(chk.records, chk.required)
@@ -195,7 +196,7 @@ def _cmd_perturb(args):
 def _cmd_classify_p1(args):
     pair = pairs.P1Pair(args.coeffs)
     cls = pairs.classify_p1(pair)
-    outputs = {"klt": cls.klt, "log_fano": cls.log_fano, "total": cls.total}
+    outputs = {"klt": cls.klt, "log_fano": cls.log_fano, "total": pair.total}
     return {"coeffs": pair.coeffs}, outputs
 
 

@@ -69,10 +69,8 @@ class CoeffSet:
 
 @dataclass(frozen=True)
 class DsetSlice:
-    """The elements of D(source) strictly below `cutoff`, sorted ascending."""
+    """The elements of one slice D(I) ∩ [0, cutoff), sorted ascending."""
 
-    source: CoeffSet
-    cutoff: Fraction
     elements: tuple[Fraction, ...]
 
     @property
@@ -133,11 +131,7 @@ def dset_below(coeffs: CoeffSet, cutoff: Fraction) -> DsetSlice:
     # orders them strictly
     width = 2 * max((d for _, d in pairs), default=1) ** 2
     ordered = sorted(pairs, key=lambda nd: nd[0] * width // nd[1])
-    return DsetSlice(
-        source=coeffs,
-        cutoff=cutoff,
-        elements=tuple(Fraction(n, d) for n, d in ordered),
-    )
+    return DsetSlice(elements=tuple(Fraction(n, d) for n, d in ordered))
 
 
 def dset_contains(coeffs: CoeffSet, value: Fraction) -> bool:
@@ -215,5 +209,5 @@ def ddi_check(coeffs: CoeffSet, cutoff: Fraction) -> bool:
     anything >= cutoff land at or above it.
     """
     base = dset_below(coeffs, cutoff)
-    again = dset_below(CoeffSet(base.positives), base.cutoff)
+    again = dset_below(CoeffSet(base.positives), cutoff)
     return again.elements == base.elements

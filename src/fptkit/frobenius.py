@@ -29,7 +29,7 @@ from functools import lru_cache
 
 from .errors import DomainError, OracleBudgetError
 from .kernels import polymul_mod, truncated_power
-from .rationals import as_fraction, is_prime
+from .rationals import as_fraction, as_int, is_prime
 from .thresholds import MultiplicityProfile, hara_monsky_lower
 from .slopes import INF, format_slope, normalize_slopes, slope_key
 
@@ -61,11 +61,11 @@ class LineArrangement:
     mults: tuple[int, ...]
 
     def __init__(self, p, slopes, mults):
-        p = int(p)
+        p = as_int(p)
         if not is_prime(p):
             raise DomainError(f"{p} is not prime")
         slopes = normalize_slopes(tuple(slopes), p)
-        mults = tuple(int(a) for a in mults)
+        mults = tuple(as_int(a) for a in mults)
         if len(slopes) != len(mults):
             raise DomainError(f"{len(slopes)} slopes for {len(mults)} mults")
         if len(slopes) == 0:
@@ -132,14 +132,17 @@ class FPurityCheck:
     `required[i]` is the ceil(lam*(q-1)) that `records[i].nu` was held to.
     """
 
-    holds: bool
     witness_e: int | None
-    e_max: int
     records: tuple[NuRecord, ...]
     required: tuple[int, ...]
 
+    @property
+    def holds(self) -> bool:
+        return self.witness_e is not None
+
 
 def _budgeted_q(arr: LineArrangement, e: int, budget: OracleBudget) -> int:
+    e = as_int(e)
     if e < 1:
         raise DomainError(f"e must be a positive integer, got {e}")
     # p*q >= 2^(e+1) and d >= 2^(bits(d)-1), so p*d*q >= 2^floor_bits; once
@@ -213,6 +216,7 @@ def power_in_frobenius_ideal(
     arr: LineArrangement, n: int, e: int, budget: OracleBudget = DEFAULT_BUDGET
 ) -> bool:
     """Is f^n in (x^q, y^q) for q = p^e?"""
+    n = as_int(n)
     if n < 0:
         raise DomainError("the exponent must be non-negative")
     q = _budgeted_q(arr, e, budget)
@@ -266,6 +270,7 @@ def sharply_fpure_at(
     lam = as_fraction(lam)
     if not 0 < lam <= 1:
         raise DomainError("the coefficient must lie in (0,1]")
+    e_max = as_int(e_max)
     if e_max < 1:
         raise DomainError("e_max must be at least 1")
     records, required = [], []
@@ -278,11 +283,7 @@ def sharply_fpure_at(
             witness = e
             break
     return FPurityCheck(
-        holds=witness is not None,
-        witness_e=witness,
-        e_max=e_max,
-        records=tuple(records),
-        required=tuple(required),
+        witness_e=witness, records=tuple(records), required=tuple(required)
     )
 
 
@@ -304,7 +305,7 @@ def apply_projective_change(arr: LineArrangement, matrix) -> LineArrangement:
     (x, y) -> (a x + b y, c x + d y) sends x^q, y^q to combinations of
     x^q, y^q, so nu is unchanged; tests lean on that invariance.
     """
-    a, b, c, d = (int(v) % arr.p for v in matrix)
+    a, b, c, d = (as_int(v) % arr.p for v in matrix)
     p = arr.p
     if (a * d - b * c) % p == 0:
         raise DomainError("matrix is singular mod p")

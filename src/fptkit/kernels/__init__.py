@@ -1,9 +1,9 @@
 """Polynomial arithmetic kernels over F_p.
 
 `polymul_mod` is the single entry point the rest of the package uses for a
-product.  It is `pure.polymul`, which sends every product through Kronecker
-substitution: one big-int multiply, which grows subquadratically, on
-operands packed in C.
+product.  It is `pure.polymul_kronecker`, which sends every product through
+Kronecker substitution: one big-int multiply, which grows subquadratically,
+on operands packed in C.
 
 `truncated_power` is the one power routine.  It returns a window
 [lo, trunc) of base**n mod p and recurses down the base-p digits of n so
@@ -27,7 +27,7 @@ def backend_name() -> str:
     return "pure"
 
 
-polymul_mod = pure.polymul
+polymul_mod = pure.polymul_kronecker
 
 
 def truncated_power(base, n, p, trunc=None, lo=0):

@@ -2,14 +2,15 @@
 
 Two routines with identical contracts:
 
-- `polymul_kronecker`, the route every product takes (`polymul`): it packs
-  each polynomial into one big integer of fixed-width little-endian digits,
-  wide enough that no convolution column overflows, and multiplies once, so
-  CPython's subquadratic big-int multiply does the work.  The digit width is
-  rounded up to 1, 2, 4 or 8 bytes, so the stdlib `array` module packs a
-  whole operand with one `tobytes()` and unpacks the product with one
-  `frombytes()`, both in C.  Wider digits (a huge p with long operands) take
-  a slower path of one `int.to_bytes` per coefficient.
+- `polymul_kronecker`, the route every product takes (it is
+  `kernels.polymul_mod`): it packs each polynomial into one big integer of
+  fixed-width little-endian digits, wide enough that no convolution column
+  overflows, and multiplies once, so CPython's subquadratic big-int
+  multiply does the work.  The digit width is rounded up to 1, 2, 4 or 8
+  bytes, so the stdlib `array` module packs a whole operand with one
+  `tobytes()` and unpacks the product with one `frombytes()`, both in C.
+  Wider digits (a huge p with long operands) take a slower path of one
+  `int.to_bytes` per coefficient.
 - `polymul_schoolbook`: the O(n*m) loop, kept as the in-library reference.
 
 Inputs are lists of ints reduced mod p, constant term first.  `trunc` keeps
@@ -64,6 +65,7 @@ def _pack_wide(coeffs, width):
 
 
 def polymul_kronecker(a, b, p, trunc=None):
+    """Multiply coefficient lists mod p, keeping degrees < trunc if given."""
     la, lb = len(a), len(b)
     if la == 0 or lb == 0:
         raise ValueError("empty polynomial")
@@ -86,10 +88,3 @@ def polymul_kronecker(a, b, p, trunc=None):
     if _BIG_ENDIAN:
         digits.byteswap()
     return [c % p for c in digits]
-
-
-def polymul(a, b, p, trunc=None):
-    """Multiply coefficient lists mod p, keeping degrees < trunc if given."""
-    # a global lookup at call time, so a rebinding of polymul_kronecker
-    # (perfbench's tracer does this) sees every product
-    return polymul_kronecker(a, b, p, trunc)

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .errors import DomainError, OracleBudgetError
 from .frobenius import DEFAULT_BUDGET, LineArrangement, OracleBudget, nu
-from .rationals import as_fraction, is_prime
+from .rationals import as_fraction, as_int, is_prime
 from .slopes import normalize_slopes
 from .thresholds import (
     MultiplicityProfile,
@@ -56,15 +56,12 @@ class P1Pair:
 class P1Classification:
     klt: bool
     log_fano: bool
-    total: Fraction
 
 
 def classify_p1(pair: P1Pair) -> P1Classification:
     """klt iff all coefficients < 1; log Fano iff klt and total < 2."""
     klt = all(c < 1 for c in pair.coeffs)
-    return P1Classification(
-        klt=klt, log_fano=klt and pair.total < 2, total=pair.total
-    )
+    return P1Classification(klt=klt, log_fano=klt and pair.total < 2)
 
 
 def sharply_fpure_A1(coeffs) -> bool:
@@ -88,10 +85,18 @@ def cone_transfer(pair: P1Pair) -> WeightedArrangement:
 
 @dataclass(frozen=True)
 class Certificate:
-    verdict: str
+    """The rule that decided, with the data to recheck it by hand."""
+
     reason: str
-    p: int
     details: dict
+
+    @property
+    def verdict(self) -> str:
+        """not_klt and inconclusive are their own verdicts; every other rule
+        certifies strong F-regularity."""
+        if self.reason in (NOT_KLT, INCONCLUSIVE):
+            return self.reason
+        return STRONGLY_F_REGULAR
 
 
 def certify_sfr(
@@ -119,6 +124,7 @@ def certify_sfr(
     """
     if not is_prime(p):
         raise DomainError(f"{p} is not prime")
+    e_max = as_int(e_max)
     if e_max < 0:
         raise DomainError("e_max must be >= 0")
     if e_max > 0 and arr.slopes is None:
@@ -134,21 +140,14 @@ def certify_sfr(
             details["violation"] = "a weight is >= 1"
         else:
             details["violation"] = "total is >= 2"
-        return Certificate(
-            verdict=NOT_KLT, reason=NOT_KLT, p=p, details=details
-        )
+        return Certificate(NOT_KLT, details)
 
     heaviest = max(arr.weights)
     rest = total - heaviest
     if rest <= 1:
         details["dropped_weight"] = heaviest
         details["remaining_total"] = rest
-        return Certificate(
-            verdict=STRONGLY_F_REGULAR,
-            reason="boundary_reduction",
-            p=p,
-            details=details,
-        )
+        return Certificate("boundary_reduction", details)
 
     c = arr.common_denominator()
     mults = tuple(int(w * c) for w in arr.weights)
@@ -167,12 +166,7 @@ def certify_sfr(
     hm = hara_monsky_lower(profile, p)
     details["hm_lower_bound"] = hm
     if lam < hm:
-        return Certificate(
-            verdict=STRONGLY_F_REGULAR,
-            reason="hara_monsky_rule",
-            p=p,
-            details=details,
-        )
+        return Certificate("hara_monsky_rule", details)
 
     if e_max > 0:
         line_arr = LineArrangement(p, arr.slopes, mults)
@@ -181,26 +175,14 @@ def certify_sfr(
                 rec = nu(line_arr, e, budget)
             except OracleBudgetError as exc:
                 details["note"] = f"oracle budget exhausted at e={e}: {exc}"
-                return Certificate(
-                    verdict=INCONCLUSIVE,
-                    reason=INCONCLUSIVE,
-                    p=p,
-                    details=details,
-                )
+                return Certificate(INCONCLUSIVE, details)
             if rec.lower > lam:
                 details["e"] = e
                 details["q"] = rec.q
                 details["nu"] = rec.nu
                 details["nu_over_q"] = rec.lower
-                return Certificate(
-                    verdict=STRONGLY_F_REGULAR,
-                    reason="oracle_escalation",
-                    p=p,
-                    details=details,
-                )
+                return Certificate("oracle_escalation", details)
         details["note"] = f"no Frobenius witness up to e_max={e_max}"
     else:
         details["note"] = "all closed-form rules exhausted"
-    return Certificate(
-        verdict=INCONCLUSIVE, reason=INCONCLUSIVE, p=p, details=details
-    )
+    return Certificate(INCONCLUSIVE, details)

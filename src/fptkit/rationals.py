@@ -7,6 +7,7 @@ this package is exact and floats would silently poison that.
 
 from __future__ import annotations
 
+import operator
 import re
 from fractions import Fraction
 
@@ -54,6 +55,17 @@ def as_fraction(x) -> Fraction:
     return Fraction(x)
 
 
+def as_int(x) -> int:
+    """A caller's integer as an int; a float or Fraction is refused, not truncated.
+
+    Library entry points convert their integer arguments here.
+    """
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise DomainError(f"not an integer: {x!r}") from None
+
+
 def format_ratio(x: Fraction) -> str:
     """Render a rational as "a/b" in lowest terms, denominator always shown."""
     x = as_fraction(x)
@@ -68,6 +80,7 @@ PRIME_TEST_LIMIT = 3317044064679887385961981
 
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin; DomainError at or above PRIME_TEST_LIMIT."""
+    n = as_int(n)
     if n >= PRIME_TEST_LIMIT:
         raise DomainError(
             f"primality of {n} is not decided: exact only below "

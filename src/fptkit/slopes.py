@@ -8,6 +8,7 @@ fixed) plus the INF sentinel.
 from __future__ import annotations
 
 from .errors import DomainError
+from .rationals import as_int
 
 
 class _Infinity:
@@ -46,7 +47,7 @@ def slope_key(token):
 
 def normalize_slopes(tokens, p: int) -> tuple:
     """Reduce finite slopes mod p and check pairwise distinctness."""
-    reduced = tuple(t if t is INF else t % p for t in tokens)
+    reduced = tuple(t if t is INF else as_int(t) % p for t in tokens)
     if len(set(map(format_slope, reduced))) != len(reduced):
         raise DomainError("slopes coincide mod p; lines must be distinct")
     return reduced

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .coeffsets import CoeffSet, largest_below, min_positive
 from .errors import DomainError
-from .rationals import as_fraction, is_prime
+from .rationals import as_fraction, as_int, is_prime
 from .slopes import INF
 
 
@@ -27,7 +27,7 @@ class MultiplicityProfile:
     mults: tuple[int, ...]
 
     def __init__(self, mults):
-        mults = tuple(int(a) for a in mults)
+        mults = tuple(as_int(a) for a in mults)
         if len(mults) == 0:
             raise DomainError("a profile needs at least one line")
         if any(a <= 0 for a in mults):
@@ -97,8 +97,11 @@ class T0Report:
     value: Fraction | None
     witness_d: int | None
     witness_lambda: Fraction | None
-    vacuous: bool
-    lambda_source: tuple[Fraction, ...] | CoeffSet  # sorted list, or I of D(I)
+
+    @property
+    def vacuous(self) -> bool:
+        """No positive gap exists, so any p is admissible."""
+        return self.value is None
 
 
 def lct_line_arrangement(profile: MultiplicityProfile) -> Fraction:
@@ -144,7 +147,7 @@ def klt_scaled(profile: MultiplicityProfile, lam: Fraction) -> bool:
     return lam * profile.max_mult < 1 and lam * profile.degree < 2
 
 
-def _t0_search(candidate_for_d, d_max: int, source) -> T0Report:
+def _t0_search(candidate_for_d, d_max: int) -> T0Report:
     best = None
     for d in range(3, d_max + 1):
         lam = candidate_for_d(d)
@@ -154,21 +157,9 @@ def _t0_search(candidate_for_d, d_max: int, source) -> T0Report:
         if best is None or gap < best[0]:
             best = (gap, d, lam)
     if best is None:
-        return T0Report(
-            value=None,
-            witness_d=None,
-            witness_lambda=None,
-            vacuous=True,
-            lambda_source=source,
-        )
+        return T0Report(value=None, witness_d=None, witness_lambda=None)
     gap, d, lam = best
-    return T0Report(
-        value=gap,
-        witness_d=d,
-        witness_lambda=lam,
-        vacuous=False,
-        lambda_source=source,
-    )
+    return T0Report(value=gap, witness_d=d, witness_lambda=lam)
 
 
 def t0_from_lambdas(lams) -> T0Report:
@@ -184,7 +175,7 @@ def t0_from_lambdas(lams) -> T0Report:
         below = [x for x in lams if x < Fraction(2, d)]
         return max(below) if below else None
 
-    return _t0_search(candidate, d_max, tuple(sorted(lams)))
+    return _t0_search(candidate, d_max)
 
 
 def t0_from_dset(coeffs: CoeffSet) -> T0Report:
@@ -201,4 +192,4 @@ def t0_from_dset(coeffs: CoeffSet) -> T0Report:
         # every positive element is >= eps, so the floor excludes only 0
         return largest_below(coeffs, Fraction(2, d), floor=eps)
 
-    return _t0_search(candidate, d_max, coeffs)
+    return _t0_search(candidate, d_max)

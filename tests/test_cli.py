@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -106,6 +107,9 @@ class TestSubcommands:
             "vacuous": False,
             "lambda_source": "list:1/3,1/2",
         }
+        # the source is the sorted list as given, repeats kept
+        _, doc = invoke_json(["t0", "--lambda-list", "1/2,1/3,1/2"])
+        assert doc["outputs"]["lambda_source"] == "list:1/3,1/2,1/2"
 
     def test_t0_lambda_list_vacuous_note(self):
         # the bare integer 1 parses as 1/1; 2/d <= 2/3 < 1 leaves no gap
@@ -494,3 +498,39 @@ class TestConsoleScript:
         assert proc.returncode == 0
         doc = json.loads(proc.stdout)
         assert doc["outputs"]["t0"] == "1/6"
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_examples():
+    """(environment, argv) of every `fptkit ...` line in README's fenced blocks."""
+    examples, fenced = [], False
+    for line in README.read_text().splitlines():
+        if line.startswith("```"):
+            fenced = not fenced
+            continue
+        words = shlex.split(line) if fenced else []
+        env = {}
+        while words and "=" in words[0]:
+            name, value = words.pop(0).split("=", 1)
+            env[name] = value
+        if words[:1] == ["fptkit"]:
+            examples.append((line, env, words[1:]))
+    return examples
+
+
+class TestReadmeExamples:
+    EXAMPLES = readme_examples()
+
+    def test_examples_are_found(self):
+        assert len(self.EXAMPLES) >= 14
+        assert any(env for _, env, _ in self.EXAMPLES)
+
+    @pytest.mark.parametrize(
+        "env,argv", [ex[1:] for ex in EXAMPLES], ids=[ex[0] for ex in EXAMPLES]
+    )
+    def test_example_exits_0(self, env, argv, monkeypatch):
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        assert invoke(argv)[0] == 0

@@ -18,8 +18,7 @@ from fptkit import (
     sharply_fpure_at,
     verify_hm_bound,
 )
-from fptkit import frobenius
-from fptkit.kernels import pure
+from fptkit import frobenius, kernels
 from fptkit.slopes import INF
 
 F = Fraction
@@ -199,7 +198,7 @@ class TestProbeWork:
         q, p = arr.p**e, arr.p
         deg_g = len(frobenius._dehomogenized(arr)) - 1
         width = min(q - 1, v * deg_g) - max(0, v * arr.degree - q + 1) + 1
-        route = pure.polymul_kronecker
+        route = kernels.polymul_mod
         outputs = []
 
         def counting(*args, **kwargs):
@@ -207,7 +206,7 @@ class TestProbeWork:
             outputs.append(len(out))
             return out
 
-        monkeypatch.setattr(pure, "polymul_kronecker", counting)
+        monkeypatch.setattr(kernels, "polymul_mod", counting)
         assert frobenius._outside_ideal(arr, v, q)
         assert outputs
         assert sum(outputs) <= (e + 1) * (width + 2 * p * deg_g)

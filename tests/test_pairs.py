@@ -28,9 +28,10 @@ F = Fraction
 
 class TestP1:
     def test_classify(self):
-        res = classify_p1(P1Pair((F(1, 2), F(2, 3), F(4, 5))))
+        pair = P1Pair((F(1, 2), F(2, 3), F(4, 5)))
+        res = classify_p1(pair)
         assert res.klt and res.log_fano
-        assert res.total == F(59, 30)
+        assert pair.total == F(59, 30)
 
     def test_klt_but_not_fano(self):
         res = classify_p1(P1Pair((F(2, 3), F(2, 3), F(2, 3))))

@@ -13,11 +13,18 @@ from fptkit import (
     P1Pair,
     WeightedArrangement,
     admissible_sum,
+    apply_projective_change,
+    certify_sfr,
     dset_below,
     dset_contains,
     format_ratio,
+    hara_monsky_lower,
+    hyperstandard_simple_bound,
     klt_scaled,
     largest_below,
+    nu,
+    power_in_frobenius_ideal,
+    safe_perturbation,
     sharply_fpure_A1,
     sharply_fpure_at,
     t0_from_lambdas,
@@ -84,6 +91,37 @@ FLOAT_ENTRY_POINTS = {
 @pytest.mark.parametrize("call", FLOAT_ENTRY_POINTS.values(), ids=FLOAT_ENTRY_POINTS)
 def test_entry_points_refuse_floats(call):
     with pytest.raises(DomainError, match="float coefficient"):
+        call()
+
+
+X3Y = LineArrangement(3, (0, INF), (3, 1))
+THIRDS = WeightedArrangement((F(2, 3),) * 3)
+
+# every library entry point that takes a caller's integer, fed one value
+# that int() would truncate or that a float would carry into the kernels
+INT_ENTRY_POINTS = {
+    "is_prime": lambda: is_prime(7.5),
+    "LineArrangement.p": lambda: LineArrangement(7.9, (0, INF), (1, 1)),
+    "LineArrangement.p.fraction": lambda: LineArrangement(F(7), (0, INF), (1, 1)),
+    "LineArrangement.mults": lambda: LineArrangement(7, (0, INF), (1.6, 1)),
+    "LineArrangement.slopes": lambda: LineArrangement(7, (1.5, INF), (1, 1)),
+    "MultiplicityProfile": lambda: MultiplicityProfile((1, 1.5, 1)),
+    "hara_monsky_lower": lambda: hara_monsky_lower(MultiplicityProfile((1, 1, 1)), 7.0),
+    "hyperstandard_simple_bound": lambda: hyperstandard_simple_bound(3.9),
+    "safe_perturbation": lambda: safe_perturbation(EMPTY, 4.0),
+    "apply_projective_change": lambda: apply_projective_change(X3Y, (1, 0, 0, 1.0)),
+    "nu": lambda: nu(X3Y, 2.0),
+    "power_in_frobenius_ideal.n": lambda: power_in_frobenius_ideal(X3Y, 2.5, 1),
+    "power_in_frobenius_ideal.e": lambda: power_in_frobenius_ideal(X3Y, 1, F(2)),
+    "sharply_fpure_at": lambda: sharply_fpure_at(X3Y, F(1, 2), 2.0),
+    "certify_sfr.p": lambda: certify_sfr(THIRDS, 7.5),
+    "certify_sfr.e_max": lambda: certify_sfr(THIRDS, 7, 1.0),
+}
+
+
+@pytest.mark.parametrize("call", INT_ENTRY_POINTS.values(), ids=INT_ENTRY_POINTS)
+def test_entry_points_refuse_non_integers(call):
+    with pytest.raises(DomainError, match="not an integer"):
         call()
 
 

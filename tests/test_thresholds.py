@@ -151,14 +151,6 @@ class TestT0:
         r = t0_from_lambdas([F(1, 2), F(1, 3)])
         assert (r.value, r.witness_d, r.witness_lambda) == (F(1, 15), 5, F(1, 3))
 
-    def test_source_is_exact(self):
-        # the report keeps the sorted list or the CoeffSet; the CLI formats it
-        assert t0_from_lambdas([F(1, 2), F(1, 3), F(1, 2)]).lambda_source == (
-            F(1, 3), F(1, 2), F(1, 2),
-        )
-        coeffs = CoeffSet((F(1, 3),))
-        assert t0_from_dset(coeffs).lambda_source == coeffs
-
     def test_vacuous_when_no_positive_gap(self):
         # 2/d <= 2/3 < 5/6 for every d >= 3
         r = t0_from_lambdas([F(5, 6)])
