@@ -10,12 +10,22 @@ characteristic p > p0 certifiably strongly F-regular.
 The search is one depth-first walk, not brute force.  Sort a candidate
 (q_1 <= ... <= q_l).  Its prefix (q_1, ..., q_{l-1}) comes from the one
 slice D(I) ∩ (0, 1 - eps/2): q_{l-1} and q_l are the two largest entries
-and the others sum to at least eps, so 2*q_{l-1} + eps < 2.  One pruning
-rule bounds the walk: appending x to a prefix with sum `partial` needs
-partial + 2*x < 2, because the completion is at least x.  At every prefix
-of length >= 2 whose sum exceeds 1, only the largest completion can be
-maximal.  Every emitted candidate is re-verified against the raw
-constraints.
+and the others sum to at least eps, so 2*q_{l-1} + eps < 2.  The walk
+runs on integers, like the D(I) layer in `coeffsets`: the slice's
+elements become numerators a over w, the lcm of their denominators, and a
+prefix carries its sum as one numerator `partial` over w.  One pruning
+rule bounds the walk: appending a to a prefix needs partial + 2a < 2w,
+because the completion is at least a/w.  At every prefix of length >= 2
+whose sum exceeds 1, only the largest completion can be maximal;
+`largest_below` gives it, below (2w - partial)/w.  Every emitted candidate
+is re-verified against the raw constraints by `admissible_sum`, which
+recomputes its total from the parts.  The trace is sorted by integer keys
+over one common denominator, and Fractions are built only for what the
+reports return: each candidate's total and parts.
+
+Safe perturbations compare slice elements, walls and interval ends by
+the strict integer keys floor(n * 2*dmax^2 / d) that `coeffsets` sorts
+slices by, and caps by cross-multiplying.
 """
 
 from __future__ import annotations
@@ -25,7 +35,13 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coeffsets import CoeffSet, dset_below, largest_below, min_positive
+from .coeffsets import (
+    CoeffSet,
+    _order_width,
+    dset_below,
+    largest_below,
+    min_positive,
+)
 from .errors import DomainError
 from .rationals import as_fraction, as_int
 
@@ -61,15 +77,20 @@ def admissible_sum(parts) -> bool:
     every drop-one subtotal > 1.
 
     The smallest drop-one subtotal drops the largest part, so the last rule
-    is total - max(parts) > 1.  Membership of the parts in D(I) is the
-    caller's business; this is the re-verification used on every
-    structured-search candidate.
+    is total - max(parts) > 1.  The rules are checked on the parts'
+    numerators over their common denominator.  Membership of the parts in
+    D(I) is the caller's business; this is the re-verification used on
+    every structured-search candidate, independent of the walk's totals.
     """
-    parts = tuple(as_fraction(x) for x in parts)
-    if len(parts) < 3 or any(not 0 < x < 1 for x in parts):
+    parts = [as_fraction(x).as_integer_ratio() for x in parts]
+    if len(parts) < 3:
         return False
-    total = sum(parts)
-    return total < 2 and total - max(parts) > 1
+    w = math.lcm(*[d for _, d in parts])
+    nums = [n * (w // d) for n, d in parts]
+    if any(not 0 < a < w for a in nums):
+        return False
+    total = sum(nums)
+    return total < 2 * w and total - max(nums) > w
 
 
 def q_max(coeffs: CoeffSet) -> QMaxResult:
@@ -80,30 +101,51 @@ def q_max(coeffs: CoeffSet) -> QMaxResult:
     """
     eps = min_positive(coeffs)
     pool = dset_below(coeffs, 1 - eps / 2).positives
-    candidates: list[SumCandidate] = []
+    w = math.lcm(*(x.denominator for x in pool))
+    nums = [x.numerator * (w // x.denominator) for x in pool]
+    two_w = 2 * w
+    found: list[tuple[tuple[int, ...], int, tuple[Fraction, ...]]] = []
 
-    def extend(start: int, chosen: tuple[Fraction, ...], partial: Fraction):
-        if len(chosen) >= 2 and partial > 1:
-            last = largest_below(coeffs, 2 - partial, floor=chosen[-1])
+    def extend(start: int, chosen: tuple[int, ...], partial: int):
+        # chosen holds pool indices; partial is their sum's numerator over w
+        if len(chosen) >= 2 and partial > w:
+            last = largest_below(
+                coeffs, Fraction(two_w - partial, w), floor=pool[chosen[-1]]
+            )
             if last is not None:
-                parts = chosen + (last,)
+                parts = (*(pool[i] for i in chosen), last)
                 if admissible_sum(parts):
-                    candidates.append(SumCandidate(total=partial + last, parts=parts))
-        for i in range(start, len(pool)):
-            x = pool[i]
-            # pool is ascending, so once x busts the rule every later pick does
-            if partial + 2 * x >= 2:
+                    found.append((chosen, partial, parts))
+        for i in range(start, len(nums)):
+            # pool is ascending, so once a busts the rule every later pick does
+            if partial + 2 * nums[i] >= two_w:
                 break
-            extend(i, chosen + (x,), partial + x)
+            extend(i, chosen + (i,), partial + nums[i])
 
-    extend(0, (), Fraction(0))
+    extend(0, (), 0)
 
-    if not candidates:
+    if not found:
         raise DomainError("constrained sum search found no admissible sums")
-    candidates.sort(key=lambda c: (c.total, c.parts))
-    best = candidates[-1].total
-    witness = min(c.parts for c in candidates if c.total == best)
-    return QMaxResult(q=best, witness=witness, candidates=tuple(candidates))
+    # sort by (total, parts) as numerators over one common denominator
+    den = math.lcm(w, *(parts[-1].denominator for _, _, parts in found))
+    unit = den // w
+    keyed = []
+    for chosen, partial, parts in found:
+        ln, ld = parts[-1].as_integer_ratio()
+        tail = ln * (den // ld)
+        key = (partial * unit + tail, *(nums[i] * unit for i in chosen), tail)
+        total = Fraction(partial * ld + ln * w, w * ld)
+        keyed.append((key, SumCandidate(total=total, parts=parts)))
+    keyed.sort(key=lambda entry: entry[0])
+    # the first candidate at the top total has the least parts
+    top = keyed[-1][0][0]
+    first = next(i for i, (key, _) in enumerate(keyed) if key[0] == top)
+    candidates = tuple(c for _, c in keyed)
+    return QMaxResult(
+        q=candidates[-1].total,
+        witness=candidates[first].parts,
+        candidates=candidates,
+    )
 
 
 def p0(coeffs: CoeffSet) -> BoundReport:
@@ -162,7 +204,10 @@ class PerturbationReport:
 
     @property
     def endpoints(self) -> tuple[Fraction, ...]:
-        return tuple(sorted({v for pair in self.intervals for v in pair}))
+        ends = {v.as_integer_ratio(): v for pair in self.intervals for v in pair}
+        width = _order_width(max((d for _, d in ends), default=1))
+        order = sorted(ends, key=lambda nd: nd[0] * width // nd[1])
+        return tuple(ends[nd] for nd in order)
 
 
 _PERTURBATION_K_CAP = 10**6
@@ -177,42 +222,56 @@ def safe_perturbation(coeffs: CoeffSet, n: int) -> PerturbationReport:
     shrinks every interval, hence any unit fraction below the cap works.
     Elements at or above (n-1)/n can never be inside: every interval tops
     out at p/q <= (n-1)/n, which is open.
+
+    Elements, walls and interval ends are compared by their strict
+    integer keys floor(n * 2*dmax^2 / d), and caps by cross-multiplying.
+    With x = 1/k the interval is ((pk-1)/(qk-1), p/q), and no two walls
+    share one.
     """
     n = as_int(n)
     if n < 2:
         raise DomainError(f"n must be at least 2, got {n}")
     elems = dset_below(coeffs, Fraction(n - 1, n)).positives
-    cap: Fraction | None = None
+    pairs = [a.as_integer_ratio() for a in elems]
+    dmax = max([n, *(t for _, t in pairs)])
+    width = _order_width(dmax)
+    keys = [s * width // t for s, t in pairs]
+    # the least cap so far is cap_u/cap_v; there is none while cap_v is 0
+    cap_u, cap_v = 0, 0
     for q in range(2, n + 1):
         for p in range(1, q):
             # the cap falls as a rises, so the largest element below p/q binds
-            i = bisect_left(elems, Fraction(p, q))
+            i = bisect_left(keys, p * width // q)
             if i:
-                a = elems[i - 1]
-                c = (p - a * q) / (1 - a)
-                if cap is None or c < cap:
-                    cap = c
-    if cap is None:
-        k = 2
-    else:
-        k = max(2, math.ceil(1 / cap))
+                s, t = pairs[i - 1]
+                # (p - a*q)/(1 - a) at a = s/t
+                u, v = p * t - s * q, t - s
+                if not cap_v or u * cap_v < cap_u * v:
+                    cap_u, cap_v = u, v
+    k = max(2, -(-cap_v // cap_u)) if cap_v else 2
     if k > _PERTURBATION_K_CAP:
         raise DomainError(
             f"no safe unit fraction with denominator <= {_PERTURBATION_K_CAP}"
         )
-    x = Fraction(1, k)
-    intervals = sorted(
-        {
-            ((p - x) / (q - x), Fraction(p, q))
-            for q in range(2, n + 1)
-            for p in range(1, q)
-        }
+    # interval ends have denominators <= n*k - 1
+    width = _order_width(max(dmax, n * k))
+    keys = [s * width // t for s, t in pairs]
+    walls = sorted(
+        ((p * k - 1) * width // (q * k - 1), p * width // q, p, q)
+        for q in range(2, n + 1)
+        for p in range(1, q)
     )
-    for lo, hi in intervals:
+    for lo, hi, p, q in walls:
         # the first element above lo is the only candidate inside (lo, hi)
-        i = bisect_right(elems, lo)
-        if i < len(elems) and elems[i] < hi:
+        i = bisect_right(keys, lo)
+        if i < len(keys) and keys[i] < hi:
             raise AssertionError(
-                f"perturbation 1/{k} leaves {elems[i]} inside ({lo}, {hi})"
+                f"perturbation 1/{k} leaves {elems[i]} inside "
+                f"({Fraction(p * k - 1, q * k - 1)}, {Fraction(p, q)})"
             )
-    return PerturbationReport(x=x, intervals=tuple(intervals))
+    return PerturbationReport(
+        x=Fraction(1, k),
+        intervals=tuple(
+            (Fraction(p * k - 1, q * k - 1), Fraction(p, q)) for _, _, p, q in walls
+        ),
+    )

@@ -127,11 +127,16 @@ def dset_below(coeffs: CoeffSet, cutoff: Fraction) -> DsetSlice:
         for den in range(scale, ((r * c - 1) // step + 1) * scale, scale):
             g = gcd(r, den)
             pairs.add(((den - r) // g, den // g))
-    # distinct n/d with d <= dmax differ by >= 1/dmax^2, so floor(x*2*dmax^2)
-    # orders them strictly
-    width = 2 * max((d for _, d in pairs), default=1) ** 2
+    width = _order_width(max((d for _, d in pairs), default=1))
     ordered = sorted(pairs, key=lambda nd: nd[0] * width // nd[1])
     return DsetSlice(elements=tuple(Fraction(n, d) for n, d in ordered))
+
+
+def _order_width(dmax: int) -> int:
+    """A width w such that floor(n * w / d) orders the fractions n/d with
+    d <= dmax strictly: two distinct ones differ by at least 1/dmax^2, so
+    with w = 2*dmax^2 their keys differ by at least 2."""
+    return 2 * dmax * dmax
 
 
 def dset_contains(coeffs: CoeffSet, value: Fraction) -> bool:
@@ -165,12 +170,12 @@ def largest_below(
     bound must lie in (0,1); the slice above any bound >= 1 is infinite.
     """
     bound = as_fraction(bound)
-    floor = as_fraction(floor)
-    if not 0 < bound < 1:
+    b, c = bound.as_integer_ratio()
+    fn, fd = as_fraction(floor).as_integer_ratio()
+    if not 0 < b < c:
         raise DomainError(
             f"bound {format_ratio(bound)} outside (0,1)"
         )
-    b, c = bound.numerator, bound.denominator
     scale, nums = _plus_closure_cached(coeffs.elements)
     step = scale * (c - b)
     # (m-1+f)/m = 1 - r/(m*scale) with r = scale - a grows with m, so per f
@@ -185,8 +190,10 @@ def largest_below(
     if best_m == 0:
         return None
     den = best_m * scale
-    v = Fraction(den - best_r, den)
-    return v if v >= floor else None
+    # the answer (den - best_r)/den lies below floor
+    if (den - best_r) * fd < fn * den:
+        return None
+    return Fraction(den - best_r, den)
 
 
 def min_positive(coeffs: CoeffSet) -> Fraction:

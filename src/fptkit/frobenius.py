@@ -41,6 +41,11 @@ class OracleBudget:
     max_e: int = 5
     max_ops: int = 10**8
 
+    def __post_init__(self):
+        # a float or Fraction limit is refused, not truncated
+        object.__setattr__(self, "max_e", as_int(self.max_e))
+        object.__setattr__(self, "max_ops", as_int(self.max_ops))
+
 
 DEFAULT_BUDGET = OracleBudget()
 # a raised budget admits estimates whose decimal form can pass Python's

@@ -5,8 +5,10 @@ rounds of addition, set membership by scanning all reduced fractions with
 bounded denominator, maxima by exhaustive multiset recursion, polynomial
 powers by naive repeated multiplication with no truncation.  Slow on
 purpose; the point is that none of the library's shortcuts appear here.
-The one exception is `direct_power`, for levels too deep for
-`naive_power`: it shares the library's multiply, but not its windows.
+Two exceptions share library code: `direct_power`, for levels too deep
+for `naive_power`, shares the library's multiply but not its windows; and
+`qmax_walk` shares the D(I) slice and completions but keeps the old
+Fraction walk over them.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from fptkit.coeffsets import dset_below, largest_below, min_positive
 from fptkit.kernels import polymul_mod
 
 F = Fraction
@@ -137,6 +140,37 @@ def qmax_brute(elements, max_den: int):
     return best_total, best_parts
 
 
+def qmax_walk(coeffs):
+    """`bounds.q_max`'s depth-first walk kept in Fraction arithmetic, as it
+    was before the walk moved to integer numerators: the same pool, pruning
+    rule and `largest_below` completions, totals as Fraction sums, the raw
+    rules re-checked by `admissible`, and the trace sorted by
+    (total, parts).  Returns (q, witness, [(total, parts), ...]).
+    """
+    eps = min_positive(coeffs)
+    pool = dset_below(coeffs, 1 - eps / 2).positives
+    candidates = []
+
+    def extend(start, chosen, partial):
+        if len(chosen) >= 2 and partial > 1:
+            last = largest_below(coeffs, 2 - partial, floor=chosen[-1])
+            if last is not None:
+                parts = chosen + (last,)
+                if admissible(parts, partial + last):
+                    candidates.append((partial + last, parts))
+        for i in range(start, len(pool)):
+            x = pool[i]
+            if partial + 2 * x >= 2:
+                break
+            extend(i, chosen + (x,), partial + x)
+
+    extend(0, (), F(0))
+    candidates.sort()
+    best = candidates[-1][0]
+    witness = min(parts for total, parts in candidates if total == best)
+    return best, witness, candidates
+
+
 def t0_brute(lams):
     """Double loop over d and lambda; smallest positive gap with witness."""
     lams = [F(x) for x in lams]
@@ -170,6 +204,15 @@ def perturbation_denominator(elements, n: int) -> int:
                     if cap is None or c < cap:
                         cap = c
     return 2 if cap is None else max(2, math.ceil(1 / cap))
+
+
+def perturbation_intervals(n: int, x: Fraction):
+    """The intervals ((p-x)/(q-x), p/q), 1 <= p < q <= n, as a sorted list
+    of distinct Fraction pairs, and their sorted distinct endpoints."""
+    intervals = sorted(
+        {((p - x) / (q - x), F(p, q)) for q in range(2, n + 1) for p in range(1, q)}
+    )
+    return intervals, sorted({v for pair in intervals for v in pair})
 
 
 def perturbation_violation(elements, n: int, x: Fraction) -> bool:

@@ -62,6 +62,37 @@ class TestAdmissibleSum:
     def test_empty_never_admissible(self):
         assert admissible_sum(()) is False
 
+    def test_total_exactly_two_over_a_common_denominator(self):
+        # 3/6 + 4/6 + 5/6 = 2, and every drop-one subtotal is above 1
+        assert not admissible_sum((F(1, 2), F(2, 3), F(5, 6)))
+
+    def test_drop_one_subtotal_exactly_one(self):
+        # dropping 9/10 leaves 1/3 + 2/3 = 1; a larger second part passes
+        assert not admissible_sum((F(1, 3), F(2, 3), F(9, 10)))
+        assert admissible_sum((F(1, 3), F(7, 10), F(9, 10)))
+
+    @pytest.mark.parametrize("end", [0, 1, F(0), F(1)])
+    def test_part_at_either_end_rejected(self, end):
+        # 1/2 + 2/3 + 2/3 passes; an extra 0 leaves total and drop-one
+        # subtotals as they are, so only the range rule refuses it
+        assert admissible_sum((F(1, 2), F(2, 3), F(2, 3)))
+        assert not admissible_sum((end, F(1, 2), F(2, 3), F(2, 3)))
+
+    def test_coprime_denominators(self):
+        # 3/7 + 7/11 + 12/13 = 1990/1001; dropping 12/13 leaves 82/77
+        parts = (F(3, 7), F(7, 11), F(12, 13))
+        assert admissible_sum(parts)
+        assert admissible_sum(parts) == oracles.admissible(parts, sum(parts))
+        # 3/7 + 4/7 = 1 exactly once 12/13 is dropped
+        assert not admissible_sum((F(3, 7), F(4, 7), F(12, 13)))
+
+    @pytest.mark.parametrize(
+        "parts", [(0.5, F(2, 3), F(4, 5)), (F(1, 2), F(2, 3), 0.8), (0.5,)]
+    )
+    def test_float_part_refused(self, parts):
+        with pytest.raises(DomainError, match="float"):
+            admissible_sum(parts)
+
     @given(
         st.lists(
             st.fractions(min_value=0, max_value=1, max_denominator=12), max_size=5
@@ -123,6 +154,31 @@ class TestQMax:
         res = q_max(EMPTY)
         tops = [c.parts for c in res.candidates if c.total == res.q]
         assert res.witness == min(tops)
+
+    def test_witness_among_tied_maxima(self):
+        # four candidates reach Q here, and the trace ends on the largest
+        res = q_max(CoeffSet((F(2, 5), F(3, 7))))
+        tops = [c.parts for c in res.candidates if c.total == res.q]
+        assert res.q == F(419, 210) and len(tops) == 4
+        assert res.witness == min(tops) == (F(2, 5), F(3, 7), F(1, 2), F(2, 3))
+        assert res.witness != res.candidates[-1].parts
+
+    @given(
+        st.lists(
+            st.fractions(min_value=F(1, 5), max_value=F(6, 7), max_denominator=7),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_integer_walk_matches_fraction_walk(self, gens):
+        # totals, parts, order and witness, against the walk in Fractions
+        coeffs = CoeffSet(gens)
+        want_q, want_witness, want = oracles.qmax_walk(coeffs)
+        res = q_max(coeffs)
+        assert [(c.total, c.parts) for c in res.candidates] == want
+        assert res.q == want_q
+        assert res.witness == want_witness
 
 
 class TestP0:
@@ -251,6 +307,24 @@ class TestSafePerturbation:
                 safe_perturbation(coeffs, n)
         else:
             assert safe_perturbation(coeffs, n).x == F(1, k)
+
+    @given(
+        st.lists(
+            st.fractions(min_value=F(1, 10), max_value=F(9, 10), max_denominator=10),
+            max_size=2,
+        ),
+        st.integers(min_value=2, max_value=25),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_report_matches_fraction_reference(self, xs, n):
+        # every interval and endpoint, in order, against Fraction arithmetic
+        try:
+            rep = safe_perturbation(CoeffSet(xs), n)
+        except DomainError:
+            return  # cap ran away; test_x_matches_brute_force covers it
+        intervals, endpoints = oracles.perturbation_intervals(n, rep.x)
+        assert list(rep.intervals) == intervals
+        assert list(rep.endpoints) == endpoints
 
     def test_final_check_is_exhaustive(self, monkeypatch):
         # with no cap found, x = 1/2; the final check must then refuse

@@ -382,6 +382,16 @@ class TestBudget:
         )
         assert exc.value.q == 3**3000 and exc.value.estimate == 3**3001
 
+    def test_float_ops_limit_refused(self):
+        # used to pass and die with an AttributeError inside the first nu
+        with pytest.raises(DomainError, match="not an integer"):
+            OracleBudget(max_ops=1e8)
+
+    def test_fractional_e_limit_refused(self):
+        # used to be accepted as a cap between e = 5 and e = 6
+        with pytest.raises(DomainError, match="not an integer"):
+            OracleBudget(max_e=5.5)
+
     def test_e_must_be_positive(self):
         arr = LineArrangement(2, (0,), (1,))
         with pytest.raises(DomainError):
