@@ -24,8 +24,8 @@ over one common denominator, and Fractions are built only for what the
 reports return: each candidate's total and parts.
 
 Safe perturbations compare slice elements, walls and interval ends by
-the strict integer keys floor(n * 2*dmax^2 / d) that `coeffsets` sorts
-slices by, and caps by cross-multiplying.
+the strict integer keys floor(n * 2*dmax^2 / d) (`rationals.order_width`)
+that `coeffsets` sorts slices by, and caps by cross-multiplying.
 """
 
 from __future__ import annotations
@@ -35,15 +35,9 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coeffsets import (
-    CoeffSet,
-    _order_width,
-    dset_below,
-    largest_below,
-    min_positive,
-)
+from .coeffsets import CoeffSet, dset_below, largest_below, min_positive
 from .errors import DomainError
-from .rationals import as_fraction, as_int
+from .rationals import as_fraction, as_int, order_width
 
 
 @dataclass(frozen=True)
@@ -205,7 +199,7 @@ class PerturbationReport:
     @property
     def endpoints(self) -> tuple[Fraction, ...]:
         ends = {v.as_integer_ratio(): v for pair in self.intervals for v in pair}
-        width = _order_width(max((d for _, d in ends), default=1))
+        width = order_width(max((d for _, d in ends), default=1))
         order = sorted(ends, key=lambda nd: nd[0] * width // nd[1])
         return tuple(ends[nd] for nd in order)
 
@@ -234,7 +228,7 @@ def safe_perturbation(coeffs: CoeffSet, n: int) -> PerturbationReport:
     elems = dset_below(coeffs, Fraction(n - 1, n)).positives
     pairs = [a.as_integer_ratio() for a in elems]
     dmax = max([n, *(t for _, t in pairs)])
-    width = _order_width(dmax)
+    width = order_width(dmax)
     keys = [s * width // t for s, t in pairs]
     # the least cap so far is cap_u/cap_v; there is none while cap_v is 0
     cap_u, cap_v = 0, 0
@@ -254,7 +248,7 @@ def safe_perturbation(coeffs: CoeffSet, n: int) -> PerturbationReport:
             f"no safe unit fraction with denominator <= {_PERTURBATION_K_CAP}"
         )
     # interval ends have denominators <= n*k - 1
-    width = _order_width(max(dmax, n * k))
+    width = order_width(max(dmax, n * k))
     keys = [s * width // t for s, t in pairs]
     walls = sorted(
         ((p * k - 1) * width // (q * k - 1), p * width // q, p, q)

@@ -16,9 +16,10 @@ over L), L the lcm of the generators' denominators.  With r = L - a, an
 element of D(I) is (m*L - r)/(m*L), so a slice collects reduced integer
 pairs (n, d) and `largest_below` compares the gaps r/m by cross-multiplying.
 A slice is sorted by the integer key floor(n * 2*dmax^2 / d), dmax its
-largest denominator: distinct fractions with denominators <= dmax differ
-by at least 1/dmax^2, so their keys differ by at least 2 and the order is
-strict.  One Fraction is built per returned element.
+largest denominator (`rationals.order_width`): distinct fractions with
+denominators <= dmax differ by at least 1/dmax^2, so their keys differ by
+at least 2 and the order is strict.  One Fraction is built per returned
+element.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from functools import lru_cache
 from math import gcd, lcm
 
 from .errors import DomainError
-from .rationals import as_fraction, format_ratio, parse_ratio_list
+from .rationals import as_fraction, format_ratio, order_width
 
 HALF = Fraction(1, 2)
 
@@ -51,11 +52,6 @@ class CoeffSet:
                 )
             elems.append(x)
         object.__setattr__(self, "elements", tuple(sorted(set(elems))))
-
-    @classmethod
-    def from_text(cls, text: str) -> "CoeffSet":
-        """Build from a comma-separated list; "" is the empty set."""
-        return cls(parse_ratio_list(text))
 
     def __iter__(self):
         return iter(self.elements)
@@ -127,16 +123,9 @@ def dset_below(coeffs: CoeffSet, cutoff: Fraction) -> DsetSlice:
         for den in range(scale, ((r * c - 1) // step + 1) * scale, scale):
             g = gcd(r, den)
             pairs.add(((den - r) // g, den // g))
-    width = _order_width(max((d for _, d in pairs), default=1))
+    width = order_width(max((d for _, d in pairs), default=1))
     ordered = sorted(pairs, key=lambda nd: nd[0] * width // nd[1])
     return DsetSlice(elements=tuple(Fraction(n, d) for n, d in ordered))
-
-
-def _order_width(dmax: int) -> int:
-    """A width w such that floor(n * w / d) orders the fractions n/d with
-    d <= dmax strictly: two distinct ones differ by at least 1/dmax^2, so
-    with w = 2*dmax^2 their keys differ by at least 2."""
-    return 2 * dmax * dmax
 
 
 def dset_contains(coeffs: CoeffSet, value: Fraction) -> bool:
@@ -168,6 +157,7 @@ def largest_below(
     """max( D(coeffs) ∩ [floor, bound) ), or None when that set is empty.
 
     bound must lie in (0,1); the slice above any bound >= 1 is infinite.
+    D(coeffs) ∩ [0, bound) is never empty, so None comes only from floor.
     """
     bound = as_fraction(bound)
     b, c = bound.as_integer_ratio()
@@ -180,15 +170,13 @@ def largest_below(
     step = scale * (c - b)
     # (m-1+f)/m = 1 - r/(m*scale) with r = scale - a grows with m, so per f
     # only the largest m below r*c/step matters, and the best f has the
-    # least r/m
+    # least r/m; m = 0 never wins, and a = 0 always gives m >= 1
     best_r, best_m = 1, 0
     for a in nums[: bisect_right(nums, (b * scale - 1) // c)]:
         r = scale - a
         m = (r * c - 1) // step
-        if m >= 1 and r * best_m < best_r * m:
+        if r * best_m < best_r * m:
             best_r, best_m = r, m
-    if best_m == 0:
-        return None
     den = best_m * scale
     # the answer (den - best_r)/den lies below floor
     if (den - best_r) * fd < fn * den:

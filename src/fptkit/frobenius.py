@@ -29,7 +29,7 @@ from functools import lru_cache
 
 from .errors import DomainError, OracleBudgetError
 from .kernels import polymul_mod, truncated_power
-from .rationals import as_fraction, as_int, is_prime
+from .rationals import as_fraction, as_int, as_prime
 from .thresholds import MultiplicityProfile, hara_monsky_lower
 from .slopes import INF, format_slope, normalize_slopes, slope_key
 
@@ -66,34 +66,25 @@ class LineArrangement:
     mults: tuple[int, ...]
 
     def __init__(self, p, slopes, mults):
-        p = as_int(p)
-        if not is_prime(p):
-            raise DomainError(f"{p} is not prime")
+        p = as_prime(p)
         slopes = normalize_slopes(tuple(slopes), p)
-        mults = tuple(as_int(a) for a in mults)
+        mults = tuple(mults)
         if len(slopes) != len(mults):
             raise DomainError(f"{len(slopes)} slopes for {len(mults)} mults")
-        if len(slopes) == 0:
-            raise DomainError("an arrangement needs at least one line")
-        if any(a <= 0 for a in mults):
-            raise DomainError(f"multiplicities must be positive: {mults}")
+        mults = MultiplicityProfile(mults).mults
         order = sorted(range(len(slopes)), key=lambda i: slope_key(slopes[i]))
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "slopes", tuple(slopes[i] for i in order))
         object.__setattr__(self, "mults", tuple(mults[i] for i in order))
 
     @classmethod
-    def all_rational_lines(cls, p: int, mult: int = 1) -> "LineArrangement":
-        """All p + 1 lines rational over F_p, each with the same weight."""
-        return cls(p, tuple(range(p)) + (INF,), (mult,) * (p + 1))
+    def all_rational_lines(cls, p: int) -> "LineArrangement":
+        """All p + 1 lines rational over F_p, each of multiplicity 1."""
+        return cls(p, tuple(range(p)) + (INF,), (1,) * (p + 1))
 
     @property
     def degree(self) -> int:
         return sum(self.mults)
-
-    @property
-    def line_count(self) -> int:
-        return len(self.mults)
 
     @property
     def inf_mult(self) -> int:
@@ -155,37 +146,27 @@ def _budgeted_q(arr: LineArrangement, e: int, budget: OracleBudget) -> int:
     # not computed
     floor_bits = e + arr.degree.bit_length()
     q = arr.p**e if floor_bits < budget.max_ops.bit_length() else None
+    estimate = None
     if e > budget.max_e:
-        raise OracleBudgetError(
-            f"e={e} exceeds the budget cap e<={budget.max_e} "
-            f"(limiting q={arr.p}^{e})",
-            q=q,
-            estimate=None,
-            limit=budget.max_e,
-        )
-    if q is None:
-        raise OracleBudgetError(
-            f"work estimate p*d*q >= 2^{floor_bits} exceeds {budget.max_ops} "
-            f"(limiting q={arr.p}^{e})",
-            q=None,
-            estimate=None,
-            limit=budget.max_ops,
-        )
-    estimate = arr.p * arr.degree * q
-    if estimate > budget.max_ops:
+        limit = budget.max_e
+        refusal = f"e={e} exceeds the budget cap e<={limit}"
+    elif q is None:
+        limit = budget.max_ops
+        refusal = f"work estimate p*d*q >= 2^{floor_bits} exceeds {limit}"
+    else:
+        limit = budget.max_ops
+        estimate = arr.p * arr.degree * q
+        if estimate <= limit:
+            return q
         bits = estimate.bit_length()
-        if bits > _PRINTED_BITS:
-            shown, limiting = f">= 2^{bits - 1}", f"{arr.p}^{e}"
-        else:
-            shown, limiting = f"= {estimate}", q
-        raise OracleBudgetError(
-            f"work estimate p*d*q {shown} exceeds {budget.max_ops} "
-            f"(limiting q={limiting})",
-            q=q,
-            estimate=estimate,
-            limit=budget.max_ops,
-        )
-    return q
+        shown = f">= 2^{bits - 1}" if bits > _PRINTED_BITS else f"= {estimate}"
+        refusal = f"work estimate p*d*q {shown} exceeds {limit}"
+    # q is printed whole only beside an estimate that is printed whole
+    printed = estimate is not None and estimate.bit_length() <= _PRINTED_BITS
+    limiting = q if printed else f"{arr.p}^{e}"
+    raise OracleBudgetError(
+        f"{refusal} (limiting q={limiting})", q=q, estimate=estimate, limit=limit
+    )
 
 
 @lru_cache(maxsize=128)

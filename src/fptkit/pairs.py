@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .errors import DomainError, OracleBudgetError
 from .frobenius import DEFAULT_BUDGET, LineArrangement, OracleBudget, nu
-from .rationals import as_fraction, as_int, is_prime
+from .rationals import as_fraction, as_int, as_prime
 from .slopes import normalize_slopes
 from .thresholds import (
     MultiplicityProfile,
@@ -122,8 +122,7 @@ def certify_sfr(
     F-pure threshold, which is what strong F-regularity needs here.
     Given slopes must name distinct lines mod p, as in `nu`.
     """
-    if not is_prime(p):
-        raise DomainError(f"{p} is not prime")
+    p = as_prime(p)
     e_max = as_int(e_max)
     if e_max < 0:
         raise DomainError("e_max must be >= 0")

@@ -66,6 +66,13 @@ def as_int(x) -> int:
         raise DomainError(f"not an integer: {x!r}") from None
 
 
+def order_width(dmax: int) -> int:
+    """A width w such that floor(n * w / d) orders the fractions n/d with
+    d <= dmax strictly: two distinct ones differ by at least 1/dmax^2, so
+    with w = 2*dmax^2 their keys differ by at least 2."""
+    return 2 * dmax * dmax
+
+
 def format_ratio(x: Fraction) -> str:
     """Render a rational as "a/b" in lowest terms, denominator always shown."""
     x = as_fraction(x)
@@ -108,3 +115,11 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def as_prime(p) -> int:
+    """A caller's prime as an int; a non-integer or a composite is refused."""
+    p = as_int(p)
+    if not is_prime(p):
+        raise DomainError(f"{p} is not prime")
+    return p

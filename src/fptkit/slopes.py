@@ -48,6 +48,6 @@ def slope_key(token):
 def normalize_slopes(tokens, p: int) -> tuple:
     """Reduce finite slopes mod p and check pairwise distinctness."""
     reduced = tuple(t if t is INF else as_int(t) % p for t in tokens)
-    if len(set(map(format_slope, reduced))) != len(reduced):
+    if len(set(reduced)) != len(reduced):
         raise DomainError("slopes coincide mod p; lines must be distinct")
     return reduced

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .coeffsets import CoeffSet, largest_below, min_positive
 from .errors import DomainError
-from .rationals import as_fraction, as_int, is_prime
+from .rationals import as_fraction, as_int, as_prime
 from .slopes import INF
 
 
@@ -51,11 +51,6 @@ class MultiplicityProfile:
         """True when one line carries at least half the degree."""
         return 2 * self.max_mult >= self.degree
 
-    def scaled(self, k: int) -> "MultiplicityProfile":
-        if k <= 0:
-            raise DomainError("scale factor must be positive")
-        return MultiplicityProfile(tuple(k * a for a in self.mults))
-
 
 @dataclass(frozen=True)
 class WeightedArrangement:
@@ -76,9 +71,7 @@ class WeightedArrangement:
                 raise DomainError(
                     f"{len(slopes)} slopes for {len(weights)} weights"
                 )
-            for s in slopes:
-                if s is not INF and not isinstance(s, int):
-                    raise DomainError(f"bad slope token {s!r}")
+            slopes = tuple(s if s is INF else as_int(s) for s in slopes)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "slopes", slopes)
 
@@ -131,8 +124,7 @@ def hara_monsky_lower(profile: MultiplicityProfile, p: int) -> Fraction:
         raise DomainError(
             "lower bound needs a non-degenerate profile; use fpt_degenerate"
         )
-    if not is_prime(p):
-        raise DomainError(f"{p} is not prime")
+    p = as_prime(p)
     return Fraction(2 * p - profile.line_count + 2, profile.degree * p)
 
 

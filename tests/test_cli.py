@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import fptkit
+from fptkit import regressions
 from fptkit.cli import run
 
 
@@ -478,6 +479,23 @@ class TestPaperCheck:
         assert ok["status"] == "ok"
         assert ok["recorded"] is None
         assert ok["expected_provenance"] == "paper-example"
+
+    def test_mismatch_fails_the_run(self, monkeypatch):
+        monkeypatch.setattr(regressions, "_got_hm", lambda: "1/2")
+        code, text = invoke(["paper-check"])
+        assert code == 1
+        bad = [line for line in text.splitlines() if line.startswith("BAD")]
+        assert len(bad) == 1
+        assert "hm-three-lines-p7" in bad[0]
+        assert bad[0].endswith("1/2  [expected: 13/21]")
+        assert text.rstrip("\n").endswith(", 1 mismatches")
+
+        code, doc = invoke_json(["paper-check", "--json"])
+        assert code == 1
+        by_id = {r["id"]: r for r in doc["outputs"]["rows"]}
+        assert by_id["hm-three-lines-p7"]["status"] == "mismatch"
+        assert by_id["hm-three-lines-p7"]["got"] == "1/2"
+        assert doc["outputs"]["summary"]["mismatch"] == 1
 
     def test_provenance_tokens_only(self):
         _, doc = invoke_json(["paper-check", "--json"])

@@ -47,10 +47,6 @@ class TestCoeffSet:
         s = CoeffSet((F(1, 2), F(1, 3), F(1, 2)))
         assert s.elements == (F(1, 3), F(1, 2))
 
-    def test_from_text(self):
-        assert CoeffSet.from_text("1/2, 1/3").elements == (F(1, 3), F(1, 2))
-        assert CoeffSet.from_text("").elements == ()
-
     def test_str(self):
         assert str(HALF_THIRD) == "{1/3, 1/2}"
         assert str(STANDARD) == "{}"

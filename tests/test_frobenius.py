@@ -55,11 +55,14 @@ class TestConstruction:
             LineArrangement(6, (0,), (1,))
 
     def test_bad_mults_rejected(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="2 slopes for 1 mults"):
             LineArrangement(5, (0, 1), (1,))
-        with pytest.raises(DomainError):
+        # the length check comes before the profile's own checks
+        with pytest.raises(DomainError, match="2 slopes for 1 mults"):
+            LineArrangement(5, (0, 1), (0,))
+        with pytest.raises(DomainError, match="multiplicities must be positive"):
             LineArrangement(5, (0,), (0,))
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="a profile needs at least one line"):
             LineArrangement(5, (), ())
 
     def test_all_rational_lines(self):

@@ -1,8 +1,10 @@
-"""Rational parsing, and primality against the trial-division oracle."""
+"""Rational parsing, exact order keys, the refusals at library entry
+points, and primality against the trial-division oracle."""
 
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 import oracles
 from fptkit import (
@@ -23,6 +25,7 @@ from fptkit import (
     klt_scaled,
     largest_below,
     nu,
+    parse_ratio_list,
     power_in_frobenius_ideal,
     safe_perturbation,
     sharply_fpure_A1,
@@ -30,7 +33,14 @@ from fptkit import (
     t0_from_lambdas,
 )
 from fptkit.errors import DomainError
-from fptkit.rationals import PRIME_TEST_LIMIT, as_fraction, is_prime, parse_ratio
+from fptkit.rationals import (
+    PRIME_TEST_LIMIT,
+    as_fraction,
+    as_prime,
+    is_prime,
+    order_width,
+    parse_ratio,
+)
 
 F = Fraction
 EMPTY = CoeffSet(())
@@ -50,6 +60,35 @@ class TestParseRatio:
     def test_rejects(self, text):
         with pytest.raises(DomainError):
             parse_ratio(text)
+
+    def test_list(self):
+        assert parse_ratio_list("1/2, 1/3") == (F(1, 2), F(1, 3))
+        assert parse_ratio_list(" 2/4 ,3 ") == (F(1, 2), F(3))
+        assert parse_ratio_list("") == ()
+        assert parse_ratio_list("  ") == ()
+
+
+# (dmax, [(n, d), ...]) with 1 <= d <= dmax
+_bounded_pairs = st.integers(1, 60).flatmap(
+    lambda dmax: st.tuples(
+        st.just(dmax),
+        st.lists(
+            st.tuples(st.integers(-120, 120), st.integers(1, dmax)),
+            min_size=2,
+            max_size=12,
+        ),
+    )
+)
+
+
+@given(_bounded_pairs)
+def test_order_width_keys_order_strictly(case):
+    dmax, pairs = case
+    width = order_width(dmax)
+    ordered = sorted(pairs, key=lambda nd: F(*nd))
+    for (n1, d1), (n2, d2) in zip(ordered, ordered[1:]):
+        k1, k2 = n1 * width // d1, n2 * width // d2
+        assert k1 < k2 if F(n1, d1) < F(n2, d2) else k1 == k2
 
 
 class TestAsFraction:
@@ -101,6 +140,8 @@ THIRDS = WeightedArrangement((F(2, 3),) * 3)
 # that int() would truncate or that a float would carry into the kernels
 INT_ENTRY_POINTS = {
     "is_prime": lambda: is_prime(7.5),
+    "as_prime": lambda: as_prime(7.0),
+    "as_prime.fraction": lambda: as_prime(F(7)),
     "LineArrangement.p": lambda: LineArrangement(7.9, (0, INF), (1, 1)),
     "LineArrangement.p.fraction": lambda: LineArrangement(F(7), (0, INF), (1, 1)),
     "LineArrangement.mults": lambda: LineArrangement(7, (0, INF), (1.6, 1)),
@@ -123,6 +164,45 @@ INT_ENTRY_POINTS = {
 def test_entry_points_refuse_non_integers(call):
     with pytest.raises(DomainError, match="not an integer"):
         call()
+
+
+# library refusals that no other test reaches, with the message each gives
+REFUSALS = {
+    "WeightedArrangement.slope_count": (
+        lambda: WeightedArrangement((F(1, 2),) * 2, slopes=(0,)),
+        "1 slopes for 2 weights",
+    ),
+    "WeightedArrangement.slope_token": (
+        lambda: WeightedArrangement((F(1, 2),), slopes=("1",)),
+        "not an integer: '1'",
+    ),
+    "sharply_fpure_A1.empty": (lambda: sharply_fpure_A1(()), "empty coefficient list"),
+    "sharply_fpure_A1.nonpositive": (
+        lambda: sharply_fpure_A1((F(1, 2), F(0))),
+        "coefficients must be positive",
+    ),
+    "t0_from_lambdas.range": (
+        lambda: t0_from_lambdas((F(1, 2), F(3, 2))),
+        r"coefficients must lie in \(0,1\]",
+    ),
+}
+
+
+@pytest.mark.parametrize("call,message", REFUSALS.values(), ids=REFUSALS)
+def test_refusals(call, message):
+    with pytest.raises(DomainError, match=message):
+        call()
+
+
+class TestAsPrime:
+    def test_returns_an_int(self):
+        got = as_prime(7)
+        assert type(got) is int and got == 7
+
+    @pytest.mark.parametrize("p", [1, 0, -7, 91])
+    def test_refuses_non_primes(self, p):
+        with pytest.raises(DomainError, match=f"^{p} is not prime$"):
+            as_prime(p)
 
 
 class TestIsPrime:

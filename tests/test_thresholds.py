@@ -46,9 +46,6 @@ class TestProfile:
         with pytest.raises(DomainError):
             MultiplicityProfile((1, 0))
 
-    def test_scaled(self):
-        assert MultiplicityProfile((1, 2)).scaled(3).mults == (3, 6)
-
 
 class TestLct:
     def test_three_simple_lines(self):

@@ -1,5 +1,6 @@
-"""Repository hygiene: no tracked file is one `.gitignore` excludes, and
-the library holds no float arithmetic."""
+"""Repository hygiene: no tracked file is one `.gitignore` excludes, the
+library holds no float arithmetic, and no library module imports another
+one's private names."""
 
 import ast
 import shutil
@@ -60,3 +61,34 @@ def test_float_scan_catches_each_kind():
         "x = 0.5\ny = float(3)\nz = math.log(2)\nok = isinstance(x, float)\n"
     )
     assert sorted(line for line, _ in _float_uses(ast.parse(src))) == [2, 3, 4, 5]
+
+
+def _private_imports(tree):
+    """(line, what) for each underscore name imported from an fptkit module."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        module = "." * node.level + (node.module or "")
+        if node.level == 0 and module.split(".")[0] != "fptkit":
+            continue
+        for alias in node.names:
+            if alias.name.startswith("_"):
+                yield node.lineno, f"from {module} import {alias.name}"
+
+
+def test_library_imports_no_private_names():
+    found = [
+        f"{path.relative_to(ROOT)}:{line}: {what}"
+        for path in sorted((ROOT / "src" / "fptkit").rglob("*.py"))
+        for line, what in _private_imports(ast.parse(path.read_text(), str(path)))
+    ]
+    assert found == []
+
+
+def test_private_import_scan_catches_each_kind():
+    src = (
+        "from __future__ import annotations\nfrom .coeffsets import CoeffSet, _x\n"
+        "from fptkit.frobenius import _budgeted_q\nfrom . import pure\n"
+        "from ._private import name\nfrom os import _exit\n"
+    )
+    assert sorted(line for line, _ in _private_imports(ast.parse(src))) == [2, 3]
