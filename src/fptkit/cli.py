@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from . import bounds, coeffsets, frobenius, pairs, regressions, thresholds
 from .errors import DomainError
-from .rationals import format_ratio, parse_ratio, parse_ratio_list
+from .rationals import format_ratio, parse_int, parse_ratio, parse_ratio_list
 from .slopes import format_slope, parse_slope
 
 BUDGET_ENV = "FPTKIT_ORACLE_BUDGET"
@@ -38,6 +38,7 @@ def _usage_type(name: str, parse):
     return convert
 
 
+_int_arg = _usage_type("_int_arg", parse_int)
 _ratio_arg = _usage_type("_ratio_arg", parse_ratio)
 _ratio_list_arg = _usage_type("_ratio_list_arg", parse_ratio_list)
 _slopes_arg = _usage_type(
@@ -47,8 +48,8 @@ _slopes_arg = _usage_type(
 
 def _ints_arg(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(tok.strip()) for tok in text.split(","))
-    except ValueError:
+        return tuple(parse_int(tok) for tok in text.split(","))
+    except DomainError:
         raise argparse.ArgumentTypeError(f"not an integer list: {text!r}")
 
 
@@ -59,12 +60,12 @@ def _budget() -> frobenius.OracleBudget:
     parts = raw.split(",")
     try:
         if len(parts) == 1:
-            return frobenius.OracleBudget(max_ops=int(parts[0]))
+            return frobenius.OracleBudget(max_ops=parse_int(parts[0]))
         if len(parts) == 2:
             return frobenius.OracleBudget(
-                max_ops=int(parts[0]), max_e=int(parts[1])
+                max_ops=parse_int(parts[0]), max_e=parse_int(parts[1])
             )
-    except ValueError:
+    except (DomainError, ValueError):
         pass
     raise DomainError(
         f"{BUDGET_ENV} must be '<max_ops>' or '<max_ops>,<max_e>', got {raw!r}"
@@ -300,7 +301,7 @@ def _build_parser() -> argparse.ArgumentParser:
         return p
 
     def add_arrangement(p):
-        p.add_argument("--p", type=int, required=True)
+        p.add_argument("--p", type=_int_arg, required=True)
         p.add_argument("--slopes", type=_slopes_arg, required=True)
         p.add_argument("--mults", type=_ints_arg, required=True)
 
@@ -326,7 +327,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "hsb", _cmd_hsb,
         help="uniform gap bound 2n^2 - n for the set {1/n}",
     )
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_arg, required=True)
 
     for name, handler, text in (
         ("nu", _cmd_nu, "Frobenius nu invariant and its threshold bracket"),
@@ -334,7 +335,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ):
         p = add(name, handler, help=text)
         add_arrangement(p)
-        p.add_argument("--e", type=int, required=True)
+        p.add_argument("--e", type=_int_arg, required=True)
 
     p = add(
         "fpure-at", _cmd_fpure_at,
@@ -342,23 +343,23 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     add_arrangement(p)
     p.add_argument("--lambda", dest="lam", type=_ratio_arg, required=True)
-    p.add_argument("--emax", type=int, required=True)
+    p.add_argument("--emax", type=_int_arg, required=True)
 
     p = add(
         "certify", _cmd_certify,
         help="strong F-regularity certificate cascade",
     )
     p.add_argument("--weights", type=_ratio_list_arg, required=True)
-    p.add_argument("--p", type=int, required=True)
+    p.add_argument("--p", type=_int_arg, required=True)
     p.add_argument("--slopes", type=_slopes_arg, default=None)
-    p.add_argument("--emax", type=int, default=0)
+    p.add_argument("--emax", type=_int_arg, default=0)
 
     p = add(
         "perturb", _cmd_perturb,
         help="safe unit-fraction perturbation of 1/q walls",
     )
     p.add_argument("--set", type=_ratio_list_arg, required=True)
-    p.add_argument("--N", type=int, required=True)
+    p.add_argument("--N", type=_int_arg, required=True)
 
     p = add(
         "classify-p1", _cmd_classify_p1,

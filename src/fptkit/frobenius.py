@@ -12,9 +12,10 @@ N = 0 always stays outside, the window is empty once N d > 2(q - 1), and
 the property is monotone in N (the ideal is integrally stable under the
 partial order here), so each level is a binary search.  Frobenius is flat
 on k[x, y], so p nu(q) <= nu(pq) <= p nu(q) + p - 1 (Mustata-Takagi-
-Watanabe): nu climbs from q = p one level at a time, searching only the p
-candidates the ladder allows, and is re-verified at the top by direct
-probes at nu and nu + 1.  A probe builds only the window [lo, hi] of g^N
+Watanabe): nu climbs one level at a time from nu(1) = 0, or from a caller's
+record one level below, searching only the candidates the ladder allows.
+Every level ends with nu outside and nu + 1 inside, each shown by a probe.
+A probe builds only the window [lo, hi] of g^N
 (`kernels.truncated_power` with `lo`), by a recursion down the base-p digits
 of N whose cost follows the window's width; near nu that width is a small
 share of q for few lines and large p.
@@ -210,36 +211,48 @@ def power_in_frobenius_ideal(
 
 
 def nu(
-    arr: LineArrangement, e: int, budget: OracleBudget = DEFAULT_BUDGET
+    arr: LineArrangement,
+    e: int,
+    budget: OracleBudget = DEFAULT_BUDGET,
+    below: NuRecord | None = None,
 ) -> NuRecord:
     """nu(q) = max{N : f^N not in (x^q, y^q)}, q = p^e, up the Frobenius ladder.
 
-    Each level p^k is a binary search with lo outside and hi inside the
-    ideal: at k = 1 over [0, 2(p - 1)/d + 1], and above it over
-    [p*nu, p*nu + p], nu the level below.  The ladder is a loop here, not
-    recursion through `nu`, so a caller scanning e = 1..E makes exactly one
-    `nu` call per level.
+    The climb starts from `below`, the record of the same arrangement at
+    e - 1, or from nu(1) = 0.  Each level is a binary search with lo outside
+    and hi inside the ideal, over [p*nu, min(p*nu + p, 2(q - 1)//d + 1)]
+    for nu the level below; an end the search took on trust and never
+    probed is probed afterwards, so every level's nu is outside and nu + 1
+    inside by a probe.  A caller scanning e = 1..E passes each record on and
+    walks the ladder once, one `nu` call per level.
     """
     q = _budgeted_q(arr, e, budget)
     p = arr.p
-    level = p
-    lo, hi = 0, 2 * (p - 1) // arr.degree + 1  # hi has an empty window
-    while True:
+    if below is None:
+        level, v = 1, 0
+    elif (below.p, below.e, below.q * p) != (p, e - 1, q):
+        raise DomainError(f"below must be the record at p={p}, e={e - 1}; got {below}")
+    else:
+        level, v = below.q, below.nu
+    while level < q:
+        level *= p
+        lo = first_lo = p * v
+        hi = first_hi = min(lo + p, 2 * (level - 1) // arr.degree + 1)
         while hi - lo > 1:
             mid = (lo + hi) // 2
             if _outside_ideal(arr, mid, level):
                 lo = mid
             else:
                 hi = mid
-        if level == q:
-            break
-        level *= p
-        lo, hi = p * lo, p * lo + p
-    if not _outside_ideal(arr, lo, q) or _outside_ideal(arr, lo + 1, q):
-        raise AssertionError(
-            f"membership probes contradict nu={lo} for {arr.describe()}"
-        )
-    return NuRecord(p=arr.p, e=e, q=q, nu=lo)
+        if (lo == first_lo and not _outside_ideal(arr, lo, level)) or (
+            hi == first_hi and _outside_ideal(arr, hi, level)
+        ):
+            raise AssertionError(
+                f"membership probes contradict nu={lo} at q={level} "
+                f"for {arr.describe()}"
+            )
+        v = lo
+    return NuRecord(p=p, e=e, q=q, nu=v)
 
 
 def sharply_fpure_at(
@@ -260,9 +273,9 @@ def sharply_fpure_at(
     if e_max < 1:
         raise DomainError("e_max must be at least 1")
     records, required = [], []
-    witness = None
+    witness = rec = None
     for e in range(1, e_max + 1):
-        rec = nu(arr, e, budget)
+        rec = nu(arr, e, budget, below=rec)
         records.append(rec)
         required.append(math.ceil(lam * (rec.q - 1)))
         if required[-1] <= rec.nu:

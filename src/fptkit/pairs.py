@@ -169,9 +169,10 @@ def certify_sfr(
 
     if e_max > 0:
         line_arr = LineArrangement(p, arr.slopes, mults)
+        rec = None
         for e in range(1, e_max + 1):
             try:
-                rec = nu(line_arr, e, budget)
+                rec = nu(line_arr, e, budget, below=rec)
             except OracleBudgetError as exc:
                 details["note"] = f"oracle budget exhausted at e={e}: {exc}"
                 return Certificate(INCONCLUSIVE, details)

@@ -13,7 +13,23 @@ from fractions import Fraction
 
 from .errors import DomainError
 
-_RATIO_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
+# int() alone would also take "1_1" as 11; every integer token is matched here
+_INT = r"[+-]?\d+"
+_INT_RE = re.compile(rf"^{_INT}$")
+_RATIO_RE = re.compile(rf"^{_INT}(?:/\d+)?$")
+
+
+def parse_int(text: str) -> int:
+    """Parse an integer token: an optional sign and decimal digits.
+
+    Every integer a user types (CLI arguments, slope tokens, integer lists)
+    is read here; underscores, decimals and whitespace inside the token
+    raise DomainError.
+    """
+    token = text.strip()
+    if not _INT_RE.match(token):
+        raise DomainError(f"not an integer: {text!r}")
+    return int(token)
 
 
 def parse_ratio(text: str) -> Fraction:

@@ -90,7 +90,11 @@ def _got_case_sums():
 
 def _got_nu_all_lines(p, e_top):
     arr = frobenius.LineArrangement.all_rational_lines(p)
-    return ",".join(str(frobenius.nu(arr, e).nu) for e in range(1, e_top + 1))
+    nus, rec = [], None
+    for e in range(1, e_top + 1):
+        rec = frobenius.nu(arr, e, below=rec)
+        nus.append(str(rec.nu))
+    return ",".join(nus)
 
 
 def _got_brackets_all_lines():

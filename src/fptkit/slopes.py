@@ -8,7 +8,7 @@ fixed) plus the INF sentinel.
 from __future__ import annotations
 
 from .errors import DomainError
-from .rationals import as_int
+from .rationals import as_int, parse_int
 
 
 class _Infinity:
@@ -31,8 +31,8 @@ def parse_slope(text: str):
     if token.lower() == "inf":
         return INF
     try:
-        return int(token)
-    except ValueError:
+        return parse_int(token)
+    except DomainError:
         raise DomainError(f"not a slope: {text!r} (expected an integer or 'inf')")
 
 

@@ -221,6 +221,31 @@ class TestExitCodes:
         assert code == 2
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ["nu", "--p", "1_1", "--slopes", "0", "--mults", "1", "--e", "1"],
+            ["bracket", "--p", "11", "--slopes", "0", "--mults", "1", "--e", "0_2"],
+            ["nu", "--p", "11", "--slopes", "1_0", "--mults", "1", "--e", "1"],
+            ["nu", "--p", "11", "--slopes", "0", "--mults", "1_1", "--e", "1"],
+            ["fpure-at", "--p", "11", "--slopes", "0", "--mults", "1",
+             "--lambda", "1", "--emax", "0_2"],
+            ["certify", "--weights", "1/2", "--p", "1_1"],
+            ["certify", "--weights", "1/2", "--p", "11", "--slopes", "0",
+             "--emax", "0_2"],
+            ["hsb", "--n", "1_0"],
+            ["perturb", "--set", "1/3", "--N", "1_0"],
+        ],
+        ids=["p", "e", "slopes", "mults", "fpure-emax", "certify-p", "certify-emax",
+             "n", "N"],
+    )
+    def test_underscored_integers_are_two(self, capsys, argv):
+        # int() alone reads "1_1" as 11; the same token without "_" runs
+        code, text = invoke(argv)
+        assert (code, text) == (2, "")
+        assert "_" in capsys.readouterr().err.splitlines()[-1]
+        assert invoke([tok.replace("_", "") for tok in argv])[0] == 0
+
+    @pytest.mark.parametrize(
         "argv,message",
         [
             (
@@ -345,12 +370,14 @@ class TestBudgetEnv:
         )
 
     def test_malformed_env_is_domain_error(self, monkeypatch):
-        monkeypatch.setenv("FPTKIT_ORACLE_BUDGET", "plenty")
-        code, doc = invoke_json(
-            ["nu", "--p", "2", "--slopes", "0", "--mults", "1", "--e", "1"]
-        )
-        assert code == 1
-        assert doc["error"]["type"] == "DomainError"
+        # an underscored limit is refused like any other malformed one
+        for env in ("plenty", "100_000_000"):
+            monkeypatch.setenv("FPTKIT_ORACLE_BUDGET", env)
+            code, doc = invoke_json(
+                ["nu", "--p", "2", "--slopes", "0", "--mults", "1", "--e", "1"]
+            )
+            assert code == 1
+            assert doc["error"]["type"] == "DomainError"
 
     def test_unset_env_uses_default(self, monkeypatch):
         monkeypatch.delenv("FPTKIT_ORACLE_BUDGET", raising=False)

@@ -11,7 +11,9 @@ from fptkit import (
     LineArrangement,
     OracleBudget,
     OracleBudgetError,
+    WeightedArrangement,
     apply_projective_change,
+    certify_sfr,
     lct_line_arrangement,
     nu,
     power_in_frobenius_ideal,
@@ -213,6 +215,87 @@ class TestProbeWork:
         assert frobenius._outside_ideal(arr, v, q)
         assert outputs
         assert sum(outputs) <= (e + 1) * (width + 2 * p * deg_g)
+
+
+def count_probes(monkeypatch) -> list:
+    """Record the level q of every membership probe from here on."""
+    probe = frobenius._outside_ideal
+    levels = []
+
+    def counting(arr, n, q):
+        levels.append(q)
+        return probe(arr, n, q)
+
+    monkeypatch.setattr(frobenius, "_outside_ideal", counting)
+    return levels
+
+
+class TestLadderWalk:
+    """A caller scanning e = 1..E climbs the ladder once, passing each record
+    on as `below`; each level's nu and nu + 1 are still shown by probes."""
+
+    SEVEN_LINES = LineArrangement(7, (0, 1, 2, 3, 4, 5, INF), (1,) * 7)
+
+    def test_resumed_records_equal_fresh_ones(self):
+        rng = random.Random(16)
+        for _ in range(40):
+            arr = rand_arrangement(rng, primes=(2, 3, 5, 7, 11), max_mult=4)
+            rec = None
+            for e in range(1, 6):
+                rec = nu(arr, e, below=rec)
+                assert rec == nu(arr, e), (arr, e)
+
+    @pytest.mark.parametrize(
+        "arr", [SEVEN_LINES, LineArrangement(5, (0, 1, 2, INF), (2, 2, 2, 3))]
+    )
+    def test_fpure_scan_probes_no_more_than_the_top_level(self, arr, monkeypatch):
+        # lam = 1 lies above the threshold, so the scan runs all five levels;
+        # climbing from q = p at every level took 45 probes against 15 for
+        # the seven lines
+        probes = count_probes(monkeypatch)
+        nu(arr, 5)
+        alone = len(probes)
+        probes.clear()
+        chk = sharply_fpure_at(arr, F(1), 5)
+        assert len(chk.records) == 5 and not chk.holds
+        assert len(probes) <= alone
+
+    def test_certify_escalation_probes_no_more_than_the_top_level(self, monkeypatch):
+        # weights 2/5, 2/5, 2/5, 3/5 at p = 5 pass every closed-form rule and
+        # have no witness up to e = 5, so certify escalates through each level
+        slopes = (0, 1, 2, INF)
+        probes = count_probes(monkeypatch)
+        nu(LineArrangement(5, slopes, (2, 2, 2, 3)), 5)
+        alone = len(probes)
+        probes.clear()
+        weights = (F(2, 5), F(2, 5), F(2, 5), F(3, 5))
+        cert = certify_sfr(WeightedArrangement(weights, slopes), 5, e_max=5)
+        assert cert.details["note"] == "no Frobenius witness up to e_max=5"
+        assert len(probes) <= alone
+
+    def test_contradicting_probes_raise(self, monkeypatch):
+        # above level 1 every power reads as outside, so the search never
+        # probes its upper end, and the end-of-level probe finds f^N outside
+        # past the ladder bound
+        arr = LineArrangement(5, (0, 1, INF), (1, 1, 1))
+        below = nu(arr, 2)
+        probe = frobenius._outside_ideal
+        monkeypatch.setattr(
+            frobenius, "_outside_ideal", lambda a, n, q: q > a.p or probe(a, n, q)
+        )
+        with pytest.raises(AssertionError, match="contradict nu=.* at q=25 "):
+            nu(arr, 2)
+        with pytest.raises(AssertionError, match="contradict nu=.* at q=125 "):
+            nu(arr, 3, below=below)
+
+    def test_below_must_be_the_level_below(self):
+        arr = LineArrangement(5, (0, 1, INF), (1, 1, 1))
+        first = nu(arr, 1)
+        with pytest.raises(DomainError, match=r"at p=5, e=2; got NuRecord\(p=5, e=1,"):
+            nu(arr, 3, below=first)
+        other_p = nu(LineArrangement(3, (0, 1, INF), (1, 1, 1)), 1)
+        with pytest.raises(DomainError, match=r"got NuRecord\(p=3,"):
+            nu(arr, 2, below=other_p)
 
 
 class TestStructuralLaws:

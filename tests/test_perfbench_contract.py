@@ -8,7 +8,9 @@ writing bytecode there.
 """
 
 import io
+import json
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 from fptkit import cli, frobenius
@@ -16,13 +18,15 @@ from fptkit import cli, frobenius
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 # one request per callback that reads a report: nu's level, certify's
-# reason, q_max's candidates and dset_below's elements
+# reason, q_max's candidates and dset_below's elements; plus a scan and an
+# escalation, whose every reported nu level must be one traced nu call
 REQUESTS = [
     ["nu", "--p", "5", "--slopes", "0,1,inf", "--mults", "1,1,1", "--e", "2"],
     ["certify", "--weights", "1/2,1/2,1/2", "--p", "7"],
     ["p0", "--set", "1/3"],
     ["dset", "--set", "1/3", "--below", "5/6"],
 ]
+LINES = [(0, 2), (1, 2), (2, 2), ("inf", 3)]
 
 
 def test_tracer_installs_on_every_target(monkeypatch):
@@ -30,23 +34,44 @@ def test_tracer_installs_on_every_target(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import layers
     import tracer as tracing
+    import workloads
 
+    # lambda = 1 has no witness, so the scan reports all three levels;
+    # weights 2/5, 2/5, 2/5, 3/5 pass every closed-form rule and escalate
+    # to e = 3: (request, nu levels its output reports)
+    scans = [
+        (workloads.fpure_request(5, LINES, Fraction(1), 3), 3),
+        (workloads.certify_request([Fraction(m, 5) for _, m in LINES], 5, LINES, 3), 3),
+    ]
     tracer = tracing.Tracer()
+    outs, codes = [], []
     try:
         # raises if a target is missing or was not rebound
         tracer.install(layers.targets(tracer))
-        codes = [cli.run(argv, out=io.StringIO()) for argv in REQUESTS]
+        for n, argv in enumerate(REQUESTS + [list(req.argv) for req, _ in scans]):
+            tracer.request_id = n
+            outs.append(io.StringIO())
+            codes.append(cli.run(argv, out=outs[-1]))
     finally:
         tracer.uninstall()
     assert not hasattr(frobenius.nu, "__wrapped__")
-    assert codes == [0] * len(REQUESTS)
+    assert codes == [0] * len(outs)
 
     s = tracer.summary()
     rules = {k: v for k, v in tracer.counts.items() if k.startswith("pairs.certify.rule.")}
-    assert rules == {"pairs.certify.rule.boundary_reduction": 1}
+    assert rules == {
+        "pairs.certify.rule.boundary_reduction": 1,
+        "pairs.certify.rule.inconclusive": 1,
+    }
     assert s.attr_sum("bounds.q_max") > 0
     assert s.attr_sum("coeffsets.dset_below") > 0
-    assert s.calls("frobenius.nu") == 1
+    # the nu request's one level, then one traced call per reported level
+    assert s.calls("frobenius.nu") == 1 + sum(levels for _, levels in scans)
+    nu_seen = s.per_request("frobenius.nu")
+    for n, (req, levels) in enumerate(scans, start=len(REQUESTS)):
+        out = outs[n].getvalue()
+        assert layers.expected_nu_calls(req, 0, out) == levels
+        assert nu_seen[n] == levels, json.loads(out)["outputs"]
     assert s.prefixed("kernels.polymul.kronecker.")
 
     stats = tracing.cache_stats()

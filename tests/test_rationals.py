@@ -39,6 +39,7 @@ from fptkit.rationals import (
     as_prime,
     is_prime,
     order_width,
+    parse_int,
     parse_ratio,
 )
 
@@ -60,6 +61,18 @@ class TestParseRatio:
     def test_rejects(self, text):
         with pytest.raises(DomainError):
             parse_ratio(text)
+
+    @pytest.mark.parametrize("text,want", [("3", 3), ("-2", -2), ("+4", 4), (" 07 ", 7)])
+    def test_integers(self, text, want):
+        assert parse_int(text) == want
+
+    @pytest.mark.parametrize("text", ["", "1_1", "1/2", "0.5", "1e3", "inf", "- 1"])
+    def test_integer_rejects(self, text):
+        with pytest.raises(DomainError, match="not an integer"):
+            parse_int(text)
+        if text:
+            with pytest.raises(DomainError):
+                parse_ratio(text + "/3")
 
     def test_list(self):
         assert parse_ratio_list("1/2, 1/3") == (F(1, 2), F(1, 3))
