@@ -17,11 +17,16 @@ prefix carries its sum as one numerator `partial` over w.  One pruning
 rule bounds the walk: appending a to a prefix needs partial + 2a < 2w,
 because the completion is at least a/w.  At every prefix of length >= 2
 whose sum exceeds 1, only the largest completion can be maximal;
-`largest_below` gives it, below (2w - partial)/w.  Every emitted candidate
-is re-verified against the raw constraints by `admissible_sum`, which
-recomputes its total from the parts.  The trace is sorted by integer keys
-over one common denominator, and Fractions are built only for what the
-reports return: each candidate's total and parts.
+`largest_below` gives it, below (2w - partial)/w.  That completion depends
+only on `partial`, so the walk asks for it once per distinct prefix sum.
+It needs no floor: the pruning rule put the prefix's last part a/w below
+(2w - partial)/w, so the completion is at least a/w and the parts stay
+sorted.  Every emitted candidate is re-verified against the raw
+constraints by the integer core of `admissible_sum`, which recomputes its
+total from the parts' numerators over one common denominator, the same
+denominator whose integer keys sort the trace.  Fractions are built only
+for what the reports return: one total per prefix sum, shared by every
+candidate with that sum, and the parts.
 
 Safe perturbations compare slice elements, walls and interval ends by
 the strict integer keys floor(n * 2*dmax^2 / d) (`rationals.order_width`)
@@ -77,11 +82,13 @@ def admissible_sum(parts) -> bool:
     every structured-search candidate, independent of the walk's totals.
     """
     parts = [as_fraction(x).as_integer_ratio() for x in parts]
-    if len(parts) < 3:
-        return False
     w = math.lcm(*[d for _, d in parts])
-    nums = [n * (w // d) for n, d in parts]
-    if any(not 0 < a < w for a in nums):
+    return _admissible(tuple(n * (w // d) for n, d in parts), w)
+
+
+def _admissible(nums: tuple[int, ...], w: int) -> bool:
+    """`admissible_sum`'s rules on the parts' numerators over w."""
+    if len(nums) < 3 or any(not 0 < a < w for a in nums):
         return False
     total = sum(nums)
     return total < 2 * w and total - max(nums) > w
@@ -98,18 +105,18 @@ def q_max(coeffs: CoeffSet) -> QMaxResult:
     w = math.lcm(*(x.denominator for x in pool))
     nums = [x.numerator * (w // x.denominator) for x in pool]
     two_w = 2 * w
-    found: list[tuple[tuple[int, ...], int, tuple[Fraction, ...]]] = []
+    # partial -> the largest element of D(I) below (2w - partial)/w
+    completion: dict[int, Fraction] = {}
+    found: list[tuple[tuple[int, ...], int]] = []
 
     def extend(start: int, chosen: tuple[int, ...], partial: int):
         # chosen holds pool indices; partial is their sum's numerator over w
         if len(chosen) >= 2 and partial > w:
-            last = largest_below(
-                coeffs, Fraction(two_w - partial, w), floor=pool[chosen[-1]]
-            )
-            if last is not None:
-                parts = (*(pool[i] for i in chosen), last)
-                if admissible_sum(parts):
-                    found.append((chosen, partial, parts))
+            if partial not in completion:
+                completion[partial] = largest_below(
+                    coeffs, Fraction(two_w - partial, w)
+                )
+            found.append((chosen, partial))
         for i in range(start, len(nums)):
             # pool is ascending, so once a busts the rule every later pick does
             if partial + 2 * nums[i] >= two_w:
@@ -118,18 +125,25 @@ def q_max(coeffs: CoeffSet) -> QMaxResult:
 
     extend(0, (), 0)
 
-    if not found:
-        raise DomainError("constrained sum search found no admissible sums")
     # sort by (total, parts) as numerators over one common denominator
-    den = math.lcm(w, *(parts[-1].denominator for _, _, parts in found))
+    den = math.lcm(w, *(last.denominator for last in completion.values()))
     unit = den // w
-    keyed = []
-    for chosen, partial, parts in found:
-        ln, ld = parts[-1].as_integer_ratio()
-        tail = ln * (den // ld)
-        key = (partial * unit + tail, *(nums[i] * unit for i in chosen), tail)
+    # partial -> (total's numerator over den, total, last part, its numerator)
+    tails = {}
+    for partial, last in completion.items():
+        ln, ld = last.as_integer_ratio()
         total = Fraction(partial * ld + ln * w, w * ld)
-        keyed.append((key, SumCandidate(total=total, parts=parts)))
+        tail = ln * (den // ld)
+        tails[partial] = (partial * unit + tail, total, last, tail)
+    keyed = []
+    for chosen, partial in found:
+        total_num, total, last, tail = tails[partial]
+        scaled = (*(nums[i] * unit for i in chosen), tail)
+        if _admissible(scaled, den):
+            parts = (*(pool[i] for i in chosen), last)
+            keyed.append(((total_num, *scaled), SumCandidate(total=total, parts=parts)))
+    if not keyed:
+        raise DomainError("constrained sum search found no admissible sums")
     keyed.sort(key=lambda entry: entry[0])
     # the first candidate at the top total has the least parts
     top = keyed[-1][0][0]

@@ -205,14 +205,29 @@ def _cmd_classify_p1(args):
 
 
 def _encode(value):
-    """Wire form of a library value: Fractions as "a/b", tuples as lists."""
-    if isinstance(value, Fraction):
-        return format_ratio(value)
-    if isinstance(value, dict):
-        return {key: _encode(v) for key, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_encode(v) for v in value]
-    return value
+    """Wire form of a library value: Fractions as "a/b", tuples as lists.
+
+    Reports share Fraction objects (a `p0` trace repeats its pool elements
+    and totals), so each object is formatted once per call.  The memo keys
+    by `id`, not by value, because `Fraction.__hash__` runs in Python and
+    costs more than the formatting; `value` keeps every object of its tree
+    alive for the call, so no two of them share an id.
+    """
+    texts: dict[int, str] = {}
+
+    def walk(v):
+        if isinstance(v, Fraction):
+            text = texts.get(id(v))
+            if text is None:
+                text = texts[id(v)] = format_ratio(v)
+            return text
+        if isinstance(v, dict):
+            return {key: walk(x) for key, x in v.items()}
+        if isinstance(v, (list, tuple)):
+            return [walk(x) for x in v]
+        return v
+
+    return walk(value)
 
 
 def _print_json(payload: dict, out) -> None:

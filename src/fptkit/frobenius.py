@@ -44,8 +44,12 @@ class OracleBudget:
 
     def __post_init__(self):
         # a float or Fraction limit is refused, not truncated
-        object.__setattr__(self, "max_e", as_int(self.max_e))
-        object.__setattr__(self, "max_ops", as_int(self.max_ops))
+        for name in ("max_e", "max_ops"):
+            limit = as_int(getattr(self, name))
+            # a limit below 1 would refuse every nu
+            if limit < 1:
+                raise DomainError(f"{name} must be at least 1, got {limit}")
+            object.__setattr__(self, name, limit)
 
 
 DEFAULT_BUDGET = OracleBudget()

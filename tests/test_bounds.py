@@ -15,6 +15,7 @@ from fptkit import (
     dset_below,
     dset_contains,
     hyperstandard_simple_bound,
+    largest_below,
     p0,
     q_max,
     safe_perturbation,
@@ -172,13 +173,50 @@ class TestQMax:
     )
     @settings(max_examples=25, deadline=None)
     def test_integer_walk_matches_fraction_walk(self, gens):
-        # totals, parts, order and witness, against the walk in Fractions
+        # totals, parts, order and witness, against the walk in Fractions;
+        # every candidate also passes the raw rules on its own parts
         coeffs = CoeffSet(gens)
         want_q, want_witness, want = oracles.qmax_walk(coeffs)
         res = q_max(coeffs)
+        for cand in res.candidates:
+            assert admissible_sum(cand.parts)
         assert [(c.total, c.parts) for c in res.candidates] == want
         assert res.q == want_q
         assert res.witness == want_witness
+
+
+class TestCompletionMemo:
+    def test_one_completion_per_distinct_prefix_sum(self, monkeypatch):
+        # 576 candidates over {1/10} share 63 distinct prefix sums
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return largest_below(*args, **kwargs)
+
+        monkeypatch.setattr(bounds, "largest_below", counting)
+        res = q_max(CoeffSet((F(1, 10),)))
+        assert len(res.candidates) == 576
+        assert len(calls) == 63
+
+    @pytest.mark.parametrize(
+        "src",
+        [(), (F(1, 10),), (F(2, 5), F(3, 7))],
+        ids=["empty", "one-tenth", "two-fifths-three-sevenths"],
+    )
+    def test_last_part_is_the_floored_completion(self, src):
+        coeffs = CoeffSet(src)
+        for cand in q_max(coeffs).candidates:
+            *others, last = cand.parts
+            assert last == largest_below(coeffs, 2 - sum(others), floor=max(others))
+
+    def test_candidates_with_one_prefix_sum_share_their_total(self):
+        res = q_max(CoeffSet((F(1, 10),)))
+        totals = {}
+        for cand in res.candidates:
+            totals.setdefault(sum(cand.parts[:-1]), []).append(cand.total)
+        for shared in totals.values():
+            assert all(t is shared[0] for t in shared)
 
 
 class TestP0:

@@ -1,5 +1,6 @@
 """Command-line surface: envelopes, determinism, exit codes, tables."""
 
+import hashlib
 import io
 import json
 import os
@@ -7,13 +8,15 @@ import shlex
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import fptkit
-from fptkit import regressions
+from fptkit import cli, regressions
 from fptkit.cli import run
+from fptkit.rationals import format_ratio
 
 
 def invoke(argv):
@@ -379,12 +382,73 @@ class TestBudgetEnv:
             assert code == 1
             assert doc["error"]["type"] == "DomainError"
 
+    @pytest.mark.parametrize("env", ["-1", "0", "10,0", "10,-3"])
+    def test_limit_below_one_is_domain_error(self, monkeypatch, env):
+        # such a limit would refuse every nu; it is a malformed variable
+        monkeypatch.setenv("FPTKIT_ORACLE_BUDGET", env)
+        code, doc = invoke_json(
+            ["nu", "--p", "2", "--slopes", "0", "--mults", "1", "--e", "1"]
+        )
+        assert code == 1
+        assert doc["error"] == {
+            "type": "DomainError",
+            "message": "FPTKIT_ORACLE_BUDGET must be '<max_ops>' or "
+            f"'<max_ops>,<max_e>', got {env!r}",
+        }
+
     def test_unset_env_uses_default(self, monkeypatch):
         monkeypatch.delenv("FPTKIT_ORACLE_BUDGET", raising=False)
         code, _ = invoke(
             ["nu", "--p", "2", "--slopes", "0", "--mults", "1", "--e", "1"]
         )
         assert code == 0
+
+
+def _encode_per_value(value):
+    """`cli._encode` without its memo: format_ratio on every Fraction."""
+    if isinstance(value, Fraction):
+        return format_ratio(value)
+    if isinstance(value, dict):
+        return {key: _encode_per_value(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_encode_per_value(v) for v in value]
+    return value
+
+
+class TestEncode:
+    def test_shared_and_equal_fractions(self):
+        half = Fraction(1, 2)
+        twin = Fraction(2, 4)  # equal to half, another object
+        assert twin == half and twin is not half
+        third = Fraction(-1, 3)
+        tree = (
+            {"a": half, "b": (half, twin, [third, half]), "c": None},
+            {"t": ({"total": half, "parts": (twin, half)},), "n": 7, "s": "1/2"},
+        )
+        assert cli._encode(tree) == _encode_per_value(tree) == [
+            {"a": "1/2", "b": ["1/2", "1/2", ["-1/3", "1/2"]], "c": None},
+            {"t": [{"total": "1/2", "parts": ["1/2", "1/2"]}], "n": 7, "s": "1/2"},
+        ]
+
+    @pytest.mark.parametrize(
+        "argv,digest",
+        [
+            (
+                ["p0", "--set", "1/13"],
+                "46ce8ad9c5dfc994900bb5cfeb1a444d57928329a03139518952f6fed2ea4200",
+            ),
+            (
+                ["perturb", "--set", "1/7", "--N", "200"],
+                "44ee56d28b186eed552043a7799d12b87f9f0efb4e9b53edea52b0e86b520f5d",
+            ),
+        ],
+        ids=["p0-1/13", "perturb-1/7-200"],
+    )
+    def test_pinned_stdout(self, argv, digest):
+        # sha256 of stdout as printed with one format_ratio call per value
+        code, text = invoke(argv)
+        assert code == 0
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestTables:

@@ -478,6 +478,17 @@ class TestBudget:
         with pytest.raises(DomainError, match="not an integer"):
             OracleBudget(max_e=5.5)
 
+    @pytest.mark.parametrize(
+        "limits", [{"max_e": 0}, {"max_e": -3}, {"max_ops": 0}, {"max_ops": -1}]
+    )
+    def test_limit_below_one_refused(self, limits):
+        # such a budget would refuse every nu
+        (name, value), = limits.items()
+        message = f"{name} must be at least 1, got {value}"
+        with pytest.raises(DomainError, match=message):
+            OracleBudget(**limits)
+        OracleBudget(**{name: 1})
+
     def test_e_must_be_positive(self):
         arr = LineArrangement(2, (0,), (1,))
         with pytest.raises(DomainError):
