@@ -35,7 +35,6 @@ from .frobenius import (
     LineArrangement,
     NuRecord,
     OracleBudget,
-    apply_projective_change,
     nu,
     power_in_frobenius_ideal,
     sharply_fpure_at,
@@ -96,7 +95,6 @@ __all__ = [
     "T0Report",
     "WeightedArrangement",
     "admissible_sum",
-    "apply_projective_change",
     "certify_sfr",
     "classify_p1",
     "cone_transfer",

@@ -151,17 +151,15 @@ def _has(nums: tuple[int, ...], a: int) -> bool:
     return i < len(nums) and nums[i] == a
 
 
-def largest_below(
-    coeffs: CoeffSet, bound: Fraction, floor: Fraction = Fraction(0)
-) -> Fraction | None:
-    """max( D(coeffs) ∩ [floor, bound) ), or None when that set is empty.
+def largest_below(coeffs: CoeffSet, bound: Fraction) -> Fraction:
+    """max( D(coeffs) ∩ [0, bound) ).
 
     bound must lie in (0,1); the slice above any bound >= 1 is infinite.
-    D(coeffs) ∩ [0, bound) is never empty, so None comes only from floor.
+    The slice always holds 0 (m = 1, empty sum), so the maximum exists;
+    a caller that needs a floor compares the result with it.
     """
     bound = as_fraction(bound)
     b, c = bound.as_integer_ratio()
-    fn, fd = as_fraction(floor).as_integer_ratio()
     if not 0 < b < c:
         raise DomainError(
             f"bound {format_ratio(bound)} outside (0,1)"
@@ -178,9 +176,6 @@ def largest_below(
         if r * best_m < best_r * m:
             best_r, best_m = r, m
     den = best_m * scale
-    # the answer (den - best_r)/den lies below floor
-    if (den - best_r) * fd < fn * den:
-        return None
     return Fraction(den - best_r, den)
 
 

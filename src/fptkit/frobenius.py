@@ -91,13 +91,6 @@ class LineArrangement:
     def degree(self) -> int:
         return sum(self.mults)
 
-    @property
-    def inf_mult(self) -> int:
-        for s, a in zip(self.slopes, self.mults):
-            if s is INF:
-                return a
-        return 0
-
     def profile(self) -> MultiplicityProfile:
         return MultiplicityProfile(self.mults)
 
@@ -300,26 +293,3 @@ def verify_hm_bound(
     """
     bound = hara_monsky_lower(arr.profile(), arr.p)
     return nu(arr, e, budget).upper >= bound
-
-
-def apply_projective_change(arr: LineArrangement, matrix) -> LineArrangement:
-    """Relabel slopes by an invertible matrix acting on P^1(F_p).
-
-    (x, y) -> (a x + b y, c x + d y) sends x^q, y^q to combinations of
-    x^q, y^q, so nu is unchanged; tests lean on that invariance.
-    """
-    a, b, c, d = (as_int(v) % arr.p for v in matrix)
-    p = arr.p
-    if (a * d - b * c) % p == 0:
-        raise DomainError("matrix is singular mod p")
-    new_slopes = []
-    for s in arr.slopes:
-        if s is INF:
-            new_slopes.append(INF if c == 0 else (a * pow(c, -1, p)) % p)
-        else:
-            den = (c * s + d) % p
-            if den == 0:
-                new_slopes.append(INF)
-            else:
-                new_slopes.append(((a * s + b) * pow(den, -1, p)) % p)
-    return LineArrangement(p, tuple(new_slopes), arr.mults)

@@ -50,8 +50,8 @@ def _got_dset(coeffs, cutoff):
 
 
 def _got_largest(coeffs, bound, floor=F(0)):
-    v = coeffsets.largest_below(coeffs, bound, floor)
-    return "none" if v is None else format_ratio(v)
+    v = coeffsets.largest_below(coeffs, bound)
+    return "none" if v < floor else format_ratio(v)
 
 
 def _got_t0(coeffs):

@@ -6,6 +6,16 @@ lam*a_i < 1 and lam*d < 2, where d = sum a_i.  The log canonical threshold
 is min(2/d, 1/max a_i), attained without Frobenius input; the F-pure
 threshold sits between the characteristic-p lower bound implemented in
 `hara_monsky_lower` and the lct.
+
+t0 measures how close a family of coefficients comes to the thresholds
+2/d of d >= 3 lines: the least gap 2/d - lam, lam the largest member below
+2/d.  For lam = a/b only d_lam = (2b - 1) // a, the largest d with
+lam < 2/d, can give the least gap to lam, since a smaller d only widens
+it.  So the search is one walk over the candidates from largest to
+smallest: d_lam grows as lam falls, the first candidate met at each d is
+the largest one below 2/d, and a strict < keeps the least d on ties.
+Candidates at or above 2/3 have d_lam <= 2 and are passed over, and the
+work follows the number of candidates, not 1/min lam.
 """
 
 from __future__ import annotations
@@ -14,7 +24,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coeffsets import CoeffSet, largest_below, min_positive
+from .coeffsets import CoeffSet, dset_below
 from .errors import DomainError
 from .rationals import as_fraction, as_int, as_prime
 from .slopes import INF
@@ -139,15 +149,18 @@ def klt_scaled(profile: MultiplicityProfile, lam: Fraction) -> bool:
     return lam * profile.max_mult < 1 and lam * profile.degree < 2
 
 
-def _t0_search(candidate_for_d, d_max: int) -> T0Report:
+def _t0_search(descending) -> T0Report:
+    """The least gap, least d on ties, from candidates sorted largest first."""
     best = None
-    for d in range(3, d_max + 1):
-        lam = candidate_for_d(d)
-        if lam is None:
-            continue
-        gap = Fraction(2, d) - lam
-        if best is None or gap < best[0]:
-            best = (gap, d, lam)
+    last_d = 2
+    for lam in descending:
+        d = (2 * lam.denominator - 1) // lam.numerator
+        # the first, so largest, candidate at this d; d <= 2 never passes
+        if d > last_d:
+            last_d = d
+            gap = Fraction(2, d) - lam
+            if best is None or gap < best[0]:
+                best = (gap, d, lam)
     if best is None:
         return T0Report(value=None, witness_d=None, witness_lambda=None)
     gap, d, lam = best
@@ -161,27 +174,13 @@ def t0_from_lambdas(lams) -> T0Report:
         raise DomainError("empty coefficient list")
     if any(not 0 < x <= 1 for x in lams):
         raise DomainError("coefficients must lie in (0,1]")
-    d_max = math.floor(Fraction(2) / min(lams))
-
-    def candidate(d):
-        below = [x for x in lams if x < Fraction(2, d)]
-        return max(below) if below else None
-
-    return _t0_search(candidate, d_max)
+    return _t0_search(sorted(lams, reverse=True))
 
 
 def t0_from_dset(coeffs: CoeffSet) -> T0Report:
     """t0 with coefficients drawn from the full derived set D(coeffs).
 
-    For each d only the largest element of D(coeffs) below 2/d matters,
-    and d cannot exceed 2/min_positive(coeffs) or the gap would need a
-    positive lambda below the smallest one there is.
+    Every 2/d with d >= 3 is at most 2/3, so the candidates are the
+    positive elements of D(coeffs) below 2/3.
     """
-    eps = min_positive(coeffs)
-    d_max = math.floor(Fraction(2) / eps)
-
-    def candidate(d):
-        # every positive element is >= eps, so the floor excludes only 0
-        return largest_below(coeffs, Fraction(2, d), floor=eps)
-
-    return _t0_search(candidate, d_max)
+    return _t0_search(reversed(dset_below(coeffs, Fraction(2, 3)).positives))

@@ -8,7 +8,8 @@ purpose; the point is that none of the library's shortcuts appear here.
 Two exceptions share library code: `direct_power`, for levels too deep
 for `naive_power`, shares the library's multiply but not its windows; and
 `qmax_walk` shares the D(I) slice and completions but keeps the old
-Fraction walk over them.
+Fraction walk over them.  `apply_projective_change` recomputes nothing: it
+builds the moved arrangements that the invariance laws compare.
 """
 
 from __future__ import annotations
@@ -17,7 +18,10 @@ import math
 from fractions import Fraction
 
 from fptkit.coeffsets import dset_below, largest_below, min_positive
+from fptkit.errors import DomainError
+from fptkit.frobenius import LineArrangement
 from fptkit.kernels import polymul_mod
+from fptkit.slopes import INF
 
 F = Fraction
 
@@ -153,8 +157,8 @@ def qmax_walk(coeffs):
 
     def extend(start, chosen, partial):
         if len(chosen) >= 2 and partial > 1:
-            last = largest_below(coeffs, 2 - partial, floor=chosen[-1])
-            if last is not None:
+            last = largest_below(coeffs, 2 - partial)
+            if last >= chosen[-1]:
                 parts = chosen + (last,)
                 if admissible(parts, partial + last):
                     candidates.append((partial + last, parts))
@@ -266,6 +270,29 @@ def direct_power(base, n, p, trunc=None):
         if bit == "1":
             result = polymul_mod(result, base, p, trunc)
     return result
+
+
+def apply_projective_change(arr: LineArrangement, matrix) -> LineArrangement:
+    """Relabel slopes by an invertible matrix acting on P^1(F_p).
+
+    (x, y) -> (a x + b y, c x + d y) sends x^q, y^q to combinations of
+    x^q, y^q, so nu is unchanged.
+    """
+    a, b, c, d = (v % arr.p for v in matrix)
+    p = arr.p
+    if (a * d - b * c) % p == 0:
+        raise DomainError("matrix is singular mod p")
+    new_slopes = []
+    for s in arr.slopes:
+        if s is INF:
+            new_slopes.append(INF if c == 0 else (a * pow(c, -1, p)) % p)
+        else:
+            den = (c * s + d) % p
+            if den == 0:
+                new_slopes.append(INF)
+            else:
+                new_slopes.append(((a * s + b) * pow(den, -1, p)) % p)
+    return LineArrangement(p, tuple(new_slopes), arr.mults)
 
 
 def naive_outside_frobenius(finite_slopes_mults, inf_mult, p, n, q) -> bool:

@@ -22,7 +22,6 @@ from fptkit import (
     CoeffSet,
     LineArrangement,
     WeightedArrangement,
-    apply_projective_change,
     certify_sfr,
     ddi_check,
     dset_below,
@@ -196,7 +195,7 @@ def test_criterion_07_property_suite():
                 mat = [rng.randrange(p) for _ in range(4)]
                 if (mat[0] * mat[3] - mat[1] * mat[2]) % p:
                     break
-            assert nu(apply_projective_change(arr, mat), e).nu == v
+            assert nu(oracles.apply_projective_change(arr, mat), e).nu == v
             instances += 1
 
             k = rng.randint(2, 4)

@@ -208,7 +208,7 @@ class TestCompletionMemo:
         coeffs = CoeffSet(src)
         for cand in q_max(coeffs).candidates:
             *others, last = cand.parts
-            assert last == largest_below(coeffs, 2 - sum(others), floor=max(others))
+            assert max(others) <= last == largest_below(coeffs, 2 - sum(others))
 
     def test_candidates_with_one_prefix_sum_share_their_total(self):
         res = q_max(CoeffSet((F(1, 10),)))

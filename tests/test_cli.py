@@ -115,6 +115,15 @@ class TestSubcommands:
         _, doc = invoke_json(["t0", "--lambda-list", "1/2,1/3,1/2"])
         assert doc["outputs"]["lambda_source"] == "list:1/3,1/2,1/2"
 
+    def test_t0_lambda_list_far_below_two_thirds(self):
+        # the gap 1/(N(2N - 1)) at d = 2N - 1, N = 10^9, without a per-d scan
+        code, doc = invoke_json(["t0", "--lambda-list", "1/1000000000"])
+        assert code == 0
+        out = doc["outputs"]
+        assert out["t0"] == "1/1999999999000000000"
+        assert out["witness_d"] == 1999999999
+        assert out["witness_lambda"] == "1/1000000000"
+
     def test_t0_lambda_list_vacuous_note(self):
         # the bare integer 1 parses as 1/1; 2/d <= 2/3 < 1 leaves no gap
         code, doc = invoke_json(["t0", "--lambda-list", "1"])

@@ -195,12 +195,14 @@ class TestDsetContains:
 
 class TestLargestBelow:
     def test_pinned_trio(self):
-        assert largest_below(ONE_THIRD, F(13, 15), floor=F(4, 5)) == F(6, 7)
+        assert largest_below(ONE_THIRD, F(13, 15)) == F(6, 7)
         assert largest_below(ONE_THIRD, F(8, 9)) == F(7, 8)
         assert largest_below(ONE_THIRD, F(11, 12)) == F(10, 11)
 
-    def test_floor_can_empty_the_range(self):
-        assert largest_below(STANDARD, F(1, 3), floor=F(1, 4)) is None
+    def test_zero_when_nothing_positive_lies_below(self):
+        # D of the standard family starts 0, 1/2, 2/3, ...
+        got = largest_below(STANDARD, F(1, 3))
+        assert got == 0 and type(got) is F
 
     def test_bound_validation(self):
         with pytest.raises(DomainError):
@@ -208,16 +210,12 @@ class TestLargestBelow:
         with pytest.raises(DomainError):
             largest_below(STANDARD, F(1))
 
-    @given(
-        st.fractions(min_value=F(1, 40), max_value=F(39, 40), max_denominator=40),
-        st.fractions(min_value=0, max_value=F(1, 2), max_denominator=6),
-    )
+    @given(st.fractions(min_value=F(1, 40), max_value=F(39, 40), max_denominator=40))
     @settings(max_examples=60, deadline=None)
-    def test_is_the_max_of_the_slice(self, bound, floor):
-        # max of D(I) in [floor, bound), zero included when floor is zero
-        got = largest_below(ONE_THIRD, bound, floor=floor)
-        slice_ = [v for v in dset_below(ONE_THIRD, bound).elements if v >= floor]
-        assert got == (max(slice_) if slice_ else None)
+    def test_is_the_max_of_the_slice(self, bound):
+        # max of D(I) in [0, bound), zero included
+        got = largest_below(ONE_THIRD, bound)
+        assert got == max(dset_below(ONE_THIRD, bound).elements)
 
 
 PRIMES_TO_97 = oracles.primes_between(1, 98)
@@ -267,13 +265,12 @@ class TestIntegerLayer:
             assert dset_contains(coeffs, F(k, den)) == oracles.dset_member(plus, F(k, den))
         assert all(dset_contains(coeffs, v) for v in members)
 
-    @given(coprime_sets(), LOW_CUTOFFS, st.fractions(min_value=0, max_value=F(3, 4)))
+    @given(coprime_sets(), LOW_CUTOFFS)
     @settings(max_examples=40, deadline=None)
-    def test_largest_below_with_floor(self, coeffs, bound, floor):
-        got = largest_below(coeffs, bound, floor=floor)
-        slice_ = [v for v in oracles.dset_by_definition(coeffs.elements, bound) if v >= floor]
-        assert got == (max(slice_) if slice_ else None)
-        assert got is None or type(got) is F
+    def test_largest_below(self, coeffs, bound):
+        got = largest_below(coeffs, bound)
+        assert got == max(oracles.dset_by_definition(coeffs.elements, bound))
+        assert type(got) is F
 
     @pytest.mark.parametrize("cutoff", [F(1, 2), F(3, 5)])
     def test_wide_pair_matches_grid_scan(self, cutoff):

@@ -15,7 +15,6 @@ from fptkit import (
     P1Pair,
     WeightedArrangement,
     admissible_sum,
-    apply_projective_change,
     certify_sfr,
     dset_below,
     dset_contains,
@@ -127,7 +126,6 @@ FLOAT_ENTRY_POINTS = {
     "dset_below": lambda: dset_below(EMPTY, 0.5),
     "dset_contains": lambda: dset_contains(EMPTY, 0.5),
     "largest_below.bound": lambda: largest_below(EMPTY, 0.5),
-    "largest_below.floor": lambda: largest_below(EMPTY, F(1, 2), floor=0.25),
     "sharply_fpure_at": lambda: sharply_fpure_at(
         LineArrangement(3, (0, INF), (3, 1)), 0.5, 1
     ),
@@ -163,7 +161,6 @@ INT_ENTRY_POINTS = {
     "hara_monsky_lower": lambda: hara_monsky_lower(MultiplicityProfile((1, 1, 1)), 7.0),
     "hyperstandard_simple_bound": lambda: hyperstandard_simple_bound(3.9),
     "safe_perturbation": lambda: safe_perturbation(EMPTY, 4.0),
-    "apply_projective_change": lambda: apply_projective_change(X3Y, (1, 0, 0, 1.0)),
     "nu": lambda: nu(X3Y, 2.0),
     "power_in_frobenius_ideal.n": lambda: power_in_frobenius_ideal(X3Y, 2.5, 1),
     "power_in_frobenius_ideal.e": lambda: power_in_frobenius_ideal(X3Y, 1, F(2)),

@@ -183,6 +183,22 @@ class TestT0:
         with pytest.raises(DomainError):
             t0_from_lambdas([])
 
+    def test_work_does_not_grow_with_one_over_lambda(self):
+        # d = 2N - 1 is the last d with 1/N < 2/d; a scan over every d up
+        # to 2N would take 2 * 10^12 steps
+        n = 10**12
+        r = t0_from_lambdas([F(1, n)])
+        assert (r.value, r.witness_d, r.witness_lambda) == (
+            F(1, n * (2 * n - 1)), 2 * n - 1, F(1, n)
+        )
+
+    @pytest.mark.parametrize("lams", [(F(19, 30), F(7, 15)), (F(7, 15), F(19, 30))])
+    def test_tie_names_the_least_d(self, lams):
+        # 2/3 - 19/30 = 2/4 - 7/15 = 1/30
+        r = t0_from_lambdas(lams)
+        assert (r.value, r.witness_d, r.witness_lambda) == (F(1, 30), 3, F(19, 30))
+        assert (r.value, r.witness_d, r.witness_lambda) == oracles.t0_brute(lams)
+
     @given(
         st.lists(
             st.fractions(
