@@ -37,34 +37,50 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .coeffsets import CoeffSet, dset_below, largest_below, min_positive
 from .errors import DomainError
 from .rationals import as_fraction, as_int, order_width
+from .values import Value
 
 
-@dataclass(frozen=True)
-class SumCandidate:
+class SumCandidate(Value):
+    __slots__ = ("total", "parts")
     total: Fraction
     parts: tuple[Fraction, ...]
 
+    def __init__(self, total, parts):
+        object.__setattr__(self, "total", total)
+        object.__setattr__(self, "parts", parts)
 
-@dataclass(frozen=True)
-class QMaxResult:
+
+class QMaxResult(Value):
+    __slots__ = ("q", "witness", "candidates")
     q: Fraction
     witness: tuple[Fraction, ...]
     candidates: tuple[SumCandidate, ...]
 
+    def __init__(self, q, witness, candidates):
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "candidates", candidates)
 
-@dataclass(frozen=True)
-class BoundReport:
+
+class BoundReport(Value):
+    __slots__ = ("epsilon", "q", "witness", "p0_exact", "trace")
     epsilon: Fraction
     q: Fraction
     witness: tuple[Fraction, ...]
     p0_exact: Fraction
     trace: tuple[SumCandidate, ...]
+
+    def __init__(self, epsilon, q, witness, p0_exact, trace):
+        object.__setattr__(self, "epsilon", epsilon)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "p0_exact", p0_exact)
+        object.__setattr__(self, "trace", trace)
 
     @property
     def p0(self) -> int:
@@ -170,13 +186,18 @@ def p0(coeffs: CoeffSet) -> BoundReport:
     )
 
 
-@dataclass(frozen=True)
-class GapBound:
+class GapBound(Value):
     """Minimal positive gap 2/d - lambda over D({1/n}), d = 3 .. 2n-1."""
 
+    __slots__ = ("n", "gap", "per_d")
     n: int
     gap: Fraction
     per_d: tuple[tuple[int, Fraction, Fraction], ...]  # (d, lambda, gap)
+
+    def __init__(self, n, gap, per_d):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "gap", gap)
+        object.__setattr__(self, "per_d", per_d)
 
     @property
     def bound(self) -> int:
@@ -205,10 +226,14 @@ def hyperstandard_simple_bound(n: int) -> GapBound:
     return GapBound(n=n, gap=gap, per_d=tuple(rows))
 
 
-@dataclass(frozen=True)
-class PerturbationReport:
+class PerturbationReport(Value):
+    __slots__ = ("x", "intervals")
     x: Fraction
     intervals: tuple[tuple[Fraction, Fraction], ...]
+
+    def __init__(self, x, intervals):
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "intervals", intervals)
 
     @property
     def endpoints(self) -> tuple[Fraction, ...]:

@@ -25,21 +25,21 @@ element.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
 from .errors import DomainError
 from .rationals import as_fraction, format_ratio, order_width
+from .values import Value
 
 HALF = Fraction(1, 2)
 
 
-@dataclass(frozen=True)
-class CoeffSet:
+class CoeffSet(Value):
     """An immutable finite set of rational coefficients in (0,1)."""
 
+    __slots__ = ("elements",)
     elements: tuple[Fraction, ...]
 
     def __init__(self, elements=()):
@@ -63,11 +63,14 @@ class CoeffSet:
         return "{" + ", ".join(format_ratio(x) for x in self.elements) + "}"
 
 
-@dataclass(frozen=True)
-class DsetSlice:
+class DsetSlice(Value):
     """The elements of one slice D(I) ∩ [0, cutoff), sorted ascending."""
 
+    __slots__ = ("elements",)
     elements: tuple[Fraction, ...]
+
+    def __init__(self, elements):
+        object.__setattr__(self, "elements", elements)
 
     @property
     def positives(self) -> tuple[Fraction, ...]:

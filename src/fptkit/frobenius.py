@@ -24,7 +24,6 @@ share of q for few lines and large p.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -33,19 +32,20 @@ from .kernels import polymul_mod, truncated_power
 from .rationals import as_fraction, as_int, as_prime
 from .thresholds import MultiplicityProfile, hara_monsky_lower
 from .slopes import INF, format_slope, normalize_slopes, slope_key
+from .values import Value
 
 
-@dataclass(frozen=True)
-class OracleBudget:
+class OracleBudget(Value):
     """Work cap for nu computations: e <= max_e and p * d * q <= max_ops."""
 
-    max_e: int = 5
-    max_ops: int = 10**8
+    __slots__ = ("max_e", "max_ops")
+    max_e: int
+    max_ops: int
 
-    def __post_init__(self):
+    def __init__(self, max_e=5, max_ops=10**8):
         # a float or Fraction limit is refused, not truncated
-        for name in ("max_e", "max_ops"):
-            limit = as_int(getattr(self, name))
+        for name, limit in (("max_e", max_e), ("max_ops", max_ops)):
+            limit = as_int(limit)
             # a limit below 1 would refuse every nu
             if limit < 1:
                 raise DomainError(f"{name} must be at least 1, got {limit}")
@@ -58,14 +58,14 @@ DEFAULT_BUDGET = OracleBudget()
 _PRINTED_BITS = 4096
 
 
-@dataclass(frozen=True)
-class LineArrangement:
+class LineArrangement(Value):
     """Distinct lines through the origin of A^2 over F_p, with multiplicities.
 
     Slopes are residues mod p or INF for the line y = 0; lines are stored
     sorted by slope so equal arrangements compare and hash equal.
     """
 
+    __slots__ = ("p", "slopes", "mults")
     p: int
     slopes: tuple
     mults: tuple[int, ...]
@@ -81,6 +81,16 @@ class LineArrangement:
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "slopes", tuple(slopes[i] for i in order))
         object.__setattr__(self, "mults", tuple(mults[i] for i in order))
+
+    # the `_dehomogenized` cache key, hashed on every probe: a plain tuple is
+    # cheaper than the base's field getter
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.p, self.slopes, self.mults) == (other.p, other.slopes, other.mults)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.p, self.slopes, self.mults))
 
     @classmethod
     def all_rational_lines(cls, p: int) -> "LineArrangement":
@@ -101,14 +111,20 @@ class LineArrangement:
         return f"p={self.p}: {lines}"
 
 
-@dataclass(frozen=True)
-class NuRecord:
+class NuRecord(Value):
     """nu(q) at q = p^e; the F-pure threshold lies in (lower, upper]."""
 
+    __slots__ = ("p", "e", "q", "nu")
     p: int
     e: int
     q: int
     nu: int
+
+    def __init__(self, p, e, q, nu):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "e", e)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "nu", nu)
 
     @property
     def lower(self) -> Fraction:
@@ -119,16 +135,21 @@ class NuRecord:
         return Fraction(self.nu + 1, self.q)
 
 
-@dataclass(frozen=True)
-class FPurityCheck:
+class FPurityCheck(Value):
     """Outcome of scanning e = 1..e_max for ceil(lam*(q-1)) <= nu(q).
 
     `required[i]` is the ceil(lam*(q-1)) that `records[i].nu` was held to.
     """
 
+    __slots__ = ("witness_e", "records", "required")
     witness_e: int | None
     records: tuple[NuRecord, ...]
     required: tuple[int, ...]
+
+    def __init__(self, witness_e, records, required):
+        object.__setattr__(self, "witness_e", witness_e)
+        object.__setattr__(self, "records", records)
+        object.__setattr__(self, "required", required)
 
     @property
     def holds(self) -> bool:

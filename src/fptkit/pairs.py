@@ -14,7 +14,6 @@ to recheck it by hand, as exact `Fraction`/`int` values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, OracleBudgetError
@@ -27,16 +26,17 @@ from .thresholds import (
     hara_monsky_lower,
     klt_weighted,
 )
+from .values import Value
 
 STRONGLY_F_REGULAR = "strongly_F_regular"
 NOT_KLT = "not_klt"
 INCONCLUSIVE = "inconclusive"
 
 
-@dataclass(frozen=True)
-class P1Pair:
+class P1Pair(Value):
     """Distinct marked points on P^1 with positive rational coefficients."""
 
+    __slots__ = ("coeffs",)
     coeffs: tuple[Fraction, ...]
 
     def __init__(self, coeffs):
@@ -52,10 +52,14 @@ class P1Pair:
         return sum(self.coeffs, Fraction(0))
 
 
-@dataclass(frozen=True)
-class P1Classification:
+class P1Classification(Value):
+    __slots__ = ("klt", "log_fano")
     klt: bool
     log_fano: bool
+
+    def __init__(self, klt, log_fano):
+        object.__setattr__(self, "klt", klt)
+        object.__setattr__(self, "log_fano", log_fano)
 
 
 def classify_p1(pair: P1Pair) -> P1Classification:
@@ -83,12 +87,16 @@ def cone_transfer(pair: P1Pair) -> WeightedArrangement:
     return WeightedArrangement(weights=pair.coeffs)
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(Value):
     """The rule that decided, with the data to recheck it by hand."""
 
+    __slots__ = ("reason", "details")
     reason: str
     details: dict
+
+    def __init__(self, reason, details):
+        object.__setattr__(self, "reason", reason)
+        object.__setattr__(self, "details", details)
 
     @property
     def verdict(self) -> str:

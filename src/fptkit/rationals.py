@@ -10,6 +10,7 @@ from __future__ import annotations
 import operator
 import re
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import DomainError
 
@@ -133,9 +134,22 @@ def is_prime(n: int) -> bool:
     return True
 
 
+@lru_cache(maxsize=1)
+def _tested_prime(p: int) -> bool:
+    """`is_prime` memoised on the last int: a request carries one p, and
+    hands it to several checked entry points (`certify_sfr`, then
+    `hara_monsky_lower` and `LineArrangement`), which run Miller-Rabin
+    on it once."""
+    return is_prime(p)
+
+
 def as_prime(p) -> int:
-    """A caller's prime as an int; a non-integer or a composite is refused."""
+    """A caller's prime as an int; a non-integer or a composite is refused.
+
+    `as_int` runs before the memo is read, so Fraction(7) and 7.0, which
+    equal 7 and hash like it, are refused and never find 7's entry.
+    """
     p = as_int(p)
-    if not is_prime(p):
+    if not _tested_prime(p):
         raise DomainError(f"{p} is not prime")
     return p

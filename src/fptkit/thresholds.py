@@ -21,19 +21,19 @@ work follows the number of candidates, not 1/min lam.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .coeffsets import CoeffSet, dset_below
 from .errors import DomainError
 from .rationals import as_fraction, as_int, as_prime
 from .slopes import INF
+from .values import Value
 
 
-@dataclass(frozen=True)
-class MultiplicityProfile:
+class MultiplicityProfile(Value):
     """Positive integer multiplicities of the lines, order preserved."""
 
+    __slots__ = ("mults",)
     mults: tuple[int, ...]
 
     def __init__(self, mults):
@@ -62,12 +62,12 @@ class MultiplicityProfile:
         return 2 * self.max_mult >= self.degree
 
 
-@dataclass(frozen=True)
-class WeightedArrangement:
+class WeightedArrangement(Value):
     """Lines with positive rational weights; slopes optional until needed."""
 
+    __slots__ = ("weights", "slopes")
     weights: tuple[Fraction, ...]
-    slopes: tuple | None = None
+    slopes: tuple | None
 
     def __init__(self, weights, slopes=None):
         weights = tuple(as_fraction(w) for w in weights)
@@ -93,13 +93,18 @@ class WeightedArrangement:
         return math.lcm(*(w.denominator for w in self.weights))
 
 
-@dataclass(frozen=True)
-class T0Report:
+class T0Report(Value):
     """Smallest positive gap 2/d - lambda, with its witness, if any exists."""
 
+    __slots__ = ("value", "witness_d", "witness_lambda")
     value: Fraction | None
     witness_d: int | None
     witness_lambda: Fraction | None
+
+    def __init__(self, value, witness_d, witness_lambda):
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "witness_d", witness_d)
+        object.__setattr__(self, "witness_lambda", witness_lambda)
 
     @property
     def vacuous(self) -> bool:

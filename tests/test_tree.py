@@ -1,10 +1,12 @@
 """Repository hygiene: no tracked file is one `.gitignore` excludes, the
-library holds no float arithmetic, and no library module imports another
-one's private names."""
+library holds no float arithmetic, no library module imports another
+one's private names, and the library does not import `dataclasses`, whose
+class generation (and its `inspect` import) each CLI process would pay."""
 
 import ast
 import shutil
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -92,3 +94,45 @@ def test_private_import_scan_catches_each_kind():
         "from ._private import name\nfrom os import _exit\n"
     )
     assert sorted(line for line, _ in _private_imports(ast.parse(src))) == [2, 3]
+
+
+def _dataclass_imports(tree):
+    """(line, what) for each import of the dataclasses module or from it."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "dataclasses":
+                    yield node.lineno, f"import {alias.name}"
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            if (node.module or "").split(".")[0] == "dataclasses":
+                yield node.lineno, f"from {node.module} import ..."
+
+
+def test_library_imports_no_dataclasses():
+    found = [
+        f"{path.relative_to(ROOT)}:{line}: {what}"
+        for path in sorted((ROOT / "src" / "fptkit").rglob("*.py"))
+        for line, what in _dataclass_imports(ast.parse(path.read_text(), str(path)))
+    ]
+    assert found == []
+
+
+def test_dataclass_import_scan_catches_each_kind():
+    src = (
+        "from dataclasses import dataclass\nimport os, dataclasses as dc\n"
+        "from .dataclasses import x\nimport dataclasses_json\n"
+        "def f():\n    import dataclasses\n"
+    )
+    assert sorted(line for line, _ in _dataclass_imports(ast.parse(src))) == [1, 2, 6]
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import fptkit.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-I", "-c", code, str(ROOT / "src")],
+        capture_output=True, text=True, check=True,
+    )
+    assert proc.stdout.strip() == "[]"
