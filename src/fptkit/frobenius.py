@@ -14,11 +14,17 @@ partial order here), so each level is a binary search.  Frobenius is flat
 on k[x, y], so p nu(q) <= nu(pq) <= p nu(q) + p - 1 (Mustata-Takagi-
 Watanabe): nu climbs one level at a time from nu(1) = 0, or from a caller's
 record one level below, searching only the candidates the ladder allows.
-Every level ends with nu outside and nu + 1 inside, each shown by a probe.
-A probe builds only the window [lo, hi] of g^N
-(`kernels.truncated_power` with `lo`), by a recursion down the base-p digits
-of N whose cost follows the window's width; near nu that width is a small
-share of q for few lines and large p.
+Every level ends with nu outside and nu + 1 inside, each shown by a probe
+unless N = 0 or N d > 2(q - 1) settles it.
+
+A probe builds only the window [lo, hi] of g^N (`kernels.truncated_power`
+with `lo`), by a recursion down the base-p digits of N whose cost follows
+the window's width; near nu that width is a small share of q for few lines
+and large p.  One walk keeps the windows it builds in a store (a dict that
+`truncated_power` fills): a probe at level pq reads N = p nu + s, whose
+window needs g^nu only inside the window the level below built when it
+showed nu outside, so above level 1 a probe is one multiply, that window
+spread by t -> t^p times the stored prefix of g^s.
 """
 
 from __future__ import annotations
@@ -201,6 +207,16 @@ def _dehomogenized(arr: LineArrangement) -> tuple[int, ...]:
     return tuple(g)
 
 
+# the last walk: its top record, its arrangement and the powers of g it
+# built; `nu` resumes from them only when given that record as `below`, so
+# one walk's store at most is alive and no two requests share one
+_last_walk = (None, None, None)
+# the store the running walk's probes read and fill; None outside `nu`.  It
+# is module state because `_outside_ideal` keeps its three arguments, the
+# seam that tests and perfbench's tracer replace
+_walk_store = None
+
+
 def _outside_ideal(arr: LineArrangement, n: int, q: int) -> bool:
     """True when f^n is not in (x^q, y^q); exact for any n >= 0."""
     if n == 0:
@@ -214,7 +230,7 @@ def _outside_ideal(arr: LineArrangement, n: int, q: int) -> bool:
     hi = min(q - 1, n * deg_g)
     if lo > hi:
         return False
-    return any(truncated_power(g, n, arr.p, trunc=hi + 1, lo=lo))
+    return any(truncated_power(g, n, arr.p, hi + 1, lo, _walk_store))
 
 
 def power_in_frobenius_ideal(
@@ -241,36 +257,52 @@ def nu(
     and hi inside the ideal, over [p*nu, min(p*nu + p, 2(q - 1)//d + 1)]
     for nu the level below; an end the search took on trust and never
     probed is probed afterwards, so every level's nu is outside and nu + 1
-    inside by a probe.  A caller scanning e = 1..E passes each record on and
-    walks the ladder once, one `nu` call per level.
+    inside by a probe (N = 0 and N d > 2(q - 1) need none).  A caller
+    scanning e = 1..E passes each record on and walks the ladder once, one
+    `nu` call per level; the walk's stored windows pass on with the record
+    this call returns, and only to a call given that very record.
     """
+    global _last_walk, _walk_store
     q = _budgeted_q(arr, e, budget)
-    p = arr.p
+    p, d = arr.p, arr.degree
     if below is None:
         level, v = 1, 0
     elif (below.p, below.e, below.q * p) != (p, e - 1, q):
         raise DomainError(f"below must be the record at p={p}, e={e - 1}; got {below}")
     else:
         level, v = below.q, below.nu
-    while level < q:
-        level *= p
-        lo = first_lo = p * v
-        hi = first_hi = min(lo + p, 2 * (level - 1) // arr.degree + 1)
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if _outside_ideal(arr, mid, level):
-                lo = mid
-            else:
-                hi = mid
-        if (lo == first_lo and not _outside_ideal(arr, lo, level)) or (
-            hi == first_hi and _outside_ideal(arr, hi, level)
-        ):
-            raise AssertionError(
-                f"membership probes contradict nu={lo} at q={level} "
-                f"for {arr.describe()}"
-            )
-        v = lo
-    return NuRecord(p=p, e=e, q=q, nu=v)
+    record, walked, store = _last_walk
+    if below is None or below is not record or walked != arr:
+        store = {}
+    _last_walk = (None, None, None)
+    _walk_store = store
+    try:
+        while level < q:
+            level *= p
+            lo = first_lo = p * v
+            hi = first_hi = min(lo + p, 2 * (level - 1) // d + 1)
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                if _outside_ideal(arr, mid, level):
+                    lo = mid
+                else:
+                    hi = mid
+            # N = 0 is outside and N d > 2(level - 1) inside with no probe
+            if (lo == first_lo and lo and not _outside_ideal(arr, lo, level)) or (
+                hi == first_hi
+                and hi * d <= 2 * (level - 1)
+                and _outside_ideal(arr, hi, level)
+            ):
+                raise AssertionError(
+                    f"membership probes contradict nu={lo} at q={level} "
+                    f"for {arr.describe()}"
+                )
+            v = lo
+    finally:
+        _walk_store = None
+    record = NuRecord(p=p, e=e, q=q, nu=v)
+    _last_walk = (record, arr, store)
+    return record
 
 
 def sharply_fpure_at(

@@ -1,5 +1,6 @@
 """The nu-oracle: pinned values, structural laws, budget discipline."""
 
+import io
 import random
 from fractions import Fraction
 
@@ -19,7 +20,7 @@ from fptkit import (
     sharply_fpure_at,
     verify_hm_bound,
 )
-from fptkit import frobenius, kernels
+from fptkit import cli, frobenius, kernels
 from fptkit.slopes import INF
 
 F = Fraction
@@ -297,6 +298,107 @@ class TestLadderWalk:
             nu(arr, 2, below=other_p)
 
 
+def count_multiplies(monkeypatch) -> list:
+    """Record the output length of every kernel multiply from here on."""
+    route = kernels.polymul_mod
+    outputs = []
+
+    def counting(*args, **kwargs):
+        out = route(*args, **kwargs)
+        outputs.append(len(out))
+        return out
+
+    monkeypatch.setattr(kernels, "polymul_mod", counting)
+    return outputs
+
+
+class TestWalkStore:
+    """One walk keeps the windows of g's powers it builds: a probe above level
+    1 reads g^nu from the level below and makes one multiply."""
+
+    SEVEN_LINES = TestLadderWalk.SEVEN_LINES
+
+    def test_multiply_ceiling(self, monkeypatch):
+        frobenius._dehomogenized(self.SEVEN_LINES)
+        mults = count_multiplies(monkeypatch)
+        assert nu(self.SEVEN_LINES, 5).nu == 4801
+        # 116 when every probe rebuilt g^N down all of N's digits
+        assert len(mults) <= 18
+
+    @pytest.mark.parametrize(
+        "arr", [SEVEN_LINES, LineArrangement(5, (0, 1, 2, INF), (2, 2, 2, 3))]
+    )
+    def test_fpure_scan_multiplies_no_more_than_the_top_level(self, arr, monkeypatch):
+        frobenius._dehomogenized(arr)
+        mults = count_multiplies(monkeypatch)
+        nu(arr, 5)
+        alone = len(mults)
+        mults.clear()
+        chk = sharply_fpure_at(arr, F(1), 5)
+        assert len(chk.records) == 5 and not chk.holds
+        assert 0 < len(mults) <= alone
+
+    def test_only_the_last_walks_record_resumes_its_store(self, monkeypatch):
+        arr = self.SEVEN_LINES
+        frobenius._dehomogenized(arr)
+        mults = count_multiplies(monkeypatch)
+        below = nu(arr, 4)
+        mults.clear()
+        nu(arr, 5, below=below)
+        resumed = len(mults)
+        # an equal record that the last walk did not return starts an empty
+        # store, and so does the last walk's record after another walk
+        below = nu(arr, 4)
+        twin = frobenius.NuRecord(below.p, below.e, below.q, below.nu)
+        mults.clear()
+        assert nu(arr, 5, below=twin).nu == 4801
+        assert len(mults) > resumed
+        below = nu(arr, 4)
+        nu(LineArrangement(7, (0, 1, INF), (1, 1, 1)), 2)
+        mults.clear()
+        assert nu(arr, 5, below=below).nu == 4801
+        assert len(mults) > resumed
+        # any seven of the eight lines over F_7 are projectively equivalent,
+        # so this walk's record is a valid `below`, but its store holds
+        # powers of another g
+        below = nu(LineArrangement(7, (0, 1, 2, 3, 4, 6, INF), (1,) * 7), 4)
+        mults.clear()
+        assert nu(arr, 5, below=below).nu == 4801
+        assert len(mults) > resumed
+
+    def test_back_to_back_requests_make_equal_counts(self, monkeypatch):
+        # no store outlives its request: the second request rebuilds all
+        argv = ["nu", "--p", "7", "--slopes", "0,1,2,3,4,5,inf",
+                "--mults", "1,1,1,1,1,1,1", "--e", "5"]
+        mults = count_multiplies(monkeypatch)
+        counts, outputs = [], []
+        for _ in range(2):
+            frobenius._dehomogenized.cache_clear()
+            mults.clear()
+            buf = io.StringIO()
+            assert cli.run(argv, buf) == 0
+            counts.append(len(mults))
+            outputs.append(buf.getvalue())
+        assert counts[0] == counts[1] > 0
+        assert outputs[0] == outputs[1]
+
+    def test_store_stays_under_its_cap(self, monkeypatch):
+        # at p = 10007 a prefix of g^r alone holds up to 3 * 10006 + 1
+        # coefficients, and this walk keeps more than half the cap
+        arr = LineArrangement(10007, (0, 1, 3, INF), (1, 1, 1, 1))
+        record = kernels._record
+        sizes = []
+
+        def checked(store, *window):
+            record(store, *window)
+            sizes.append(sum(len(kept[2]) for kept in store.values()))
+
+        monkeypatch.setattr(kernels, "_record", checked)
+        rec = nu(arr, 2, OracleBudget(max_e=2, max_ops=10**13))
+        assert rec.nu == (rec.q - 1) // 2
+        assert kernels.STORE_CAP // 2 < max(sizes) <= kernels.STORE_CAP
+
+
 class TestStructuralLaws:
     def test_threshold_at_nu(self):
         rng = random.Random(1)
@@ -432,6 +534,11 @@ class TestBudget:
                 for d in {1, 2, edge, edge + 1} - {0}:
                     arr = LineArrangement(p, (0,), (d,))
                     refused = e > 5 or p * d * q > 10**8
+                    if not refused and d > 2 * (q - 1):
+                        # N d > 2(q' - 1) for every N >= 1 at every level
+                        # q' <= q, so nu = 0 is settled with no probe
+                        assert nu(arr, e).nu == 0
+                        continue
                     with pytest.raises(OracleBudgetError if refused else Probed):
                         nu(arr, e)
 

@@ -276,3 +276,63 @@ class TestWindowedPower:
         assert oracles.direct_power(base, n, p) == want
         for trunc in (1, 9, 46, len(want) + 2):
             assert oracles.direct_power(base, n, p, trunc) == want[:trunc]
+
+
+def _store_requests(data, p, base, count):
+    """(n, trunc, lo) requests over a few exponents, so windows repeat and nest."""
+    pool = data.draw(st.lists(st.integers(0, 4 * p * p), min_size=1, max_size=3), label="pool")
+    out = []
+    for _ in range(count):
+        n = data.draw(st.sampled_from(pool), label="n")
+        length = (len(base) - 1) * n + 1
+        lo = data.draw(st.integers(0, length + 2), label="lo")
+        trunc = data.draw(st.none() | st.integers(0, length + 2), label="trunc")
+        out.append((n, trunc, lo))
+    return out
+
+
+class TestWindowStore:
+    """Requests served through one store equal the store-less ones."""
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_windows_in_random_order_match_storeless(self, data):
+        p = data.draw(st.sampled_from([2, 3, 5, 7, 11]))
+        base = data.draw(st.lists(st.integers(-30, 60), min_size=1, max_size=6), label="base")
+        # a cap a few windows wide makes the store drop what it read least recently
+        cap = data.draw(st.sampled_from([kernels.STORE_CAP, 40, 7]), label="cap")
+        default, kernels.STORE_CAP = kernels.STORE_CAP, cap
+        try:
+            store = {}
+            for n, trunc, lo in _store_requests(data, p, base, data.draw(st.integers(1, 12))):
+                want = truncated_power(base, n, p, trunc, lo)
+                assert truncated_power(base, n, p, trunc, lo, store) == want
+                assert sum(len(window) for _, _, window in store.values()) <= cap
+        finally:
+            kernels.STORE_CAP = default
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_mutating_an_answer_changes_no_later_one(self, data):
+        p = data.draw(st.sampled_from([2, 3, 5, 7]))
+        base = data.draw(st.lists(st.integers(0, p - 1), min_size=2, max_size=5), label="base")
+        store = {}
+        for n, trunc, lo in _store_requests(data, p, base, 10):
+            got = truncated_power(base, n, p, trunc, lo, store)
+            assert got == truncated_power(base, n, p, trunc, lo)
+            got[:] = [p + 1] * (len(got) + 1)
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_widened_prefix_matches_direct_power(self, data):
+        p = data.draw(st.sampled_from([5, 7, 11, 101]))
+        base = data.draw(st.lists(st.integers(0, p - 1), min_size=2, max_size=6), label="base")
+        r = data.draw(st.integers(2, p - 1), label="r")
+        full = r * (len(base) - 1) + 1
+        truncs = data.draw(st.lists(st.integers(1, full + 3), min_size=2, max_size=6))
+        store = {}
+        for trunc in truncs:
+            want = oracles.direct_power(base, r, p, trunc)
+            assert truncated_power(base, r, p, trunc, 0, store) == want
+        # the prefix kept for base**r is the widest asked for so far
+        assert store[r][:2] == (0, min(max(truncs), full) - 1)
