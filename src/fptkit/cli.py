@@ -12,10 +12,10 @@ FPTKIT_ORACLE_BUDGET, either "<max_ops>" or "<max_ops>,<max_e>".
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from . import bounds, coeffsets, frobenius, pairs, regressions, thresholds
 from .errors import DomainError
@@ -78,8 +78,9 @@ def _arrangement(args) -> frobenius.LineArrangement:
 
 # ---------------------------------------------------------------- handlers
 # Each handler returns (inputs, outputs) holding library values; `run`
-# encodes them for the wire with `_encode`.  Reports carry no copy of their
-# inputs, so `inputs` comes from the parsed arguments.
+# writes them as JSON with `_print_json`, or as a table through `_encode`.
+# Reports carry no copy of their inputs, so `inputs` comes from the parsed
+# arguments.
 
 
 def _cmd_dset(args):
@@ -205,7 +206,7 @@ def _cmd_classify_p1(args):
 
 
 def _encode(value):
-    """Wire form of a library value: Fractions as "a/b", tuples as lists.
+    """`--table`'s view of a library value: Fractions as "a/b", tuples as lists.
 
     Reports share Fraction objects (a `p0` trace repeats its pool elements
     and totals), so each object is formatted once per call.  The memo keys
@@ -230,8 +231,86 @@ def _encode(value):
     return walk(value)
 
 
-def _print_json(payload: dict, out) -> None:
-    out.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+def _print_json(value, out) -> None:
+    """Write `value`, a tree of library values, as indented JSON.
+
+    The text is `json.dumps(_encode(value), indent=2, sort_keys=True)`
+    plus a newline, written in one walk: Python 3.11 runs its C encoder
+    only without `indent`, and the pure-Python one cost more than the
+    computation on long `p0` and `dset` answers.  Dispatch is on exact
+    type: `str` (escaped by the stdlib's `encode_basestring_ascii`),
+    `Fraction` (as `"a/b"`, formatted once per object as in `_encode`),
+    `int`, `bool`, `None`, `dict` (str keys, sorted), `list` and `tuple`.  Any
+    other type, `float` included, raises `TypeError`, and `out` is written
+    only once the whole text is built.  Each separator is fused with the
+    leaf after it and an array of leaves is one string, so a long answer
+    makes few chunks.
+    """
+    texts: dict[int, str] = {}
+    chunks: list[str] = []
+    append = chunks.append
+
+    def leaf(v):
+        """JSON text of a scalar; None for a container."""
+        t = type(v)
+        if t is Fraction:
+            text = texts.get(id(v))
+            if text is None:
+                text = texts[id(v)] = f'"{format_ratio(v)}"'
+            return text
+        if t is str:
+            return encode_basestring_ascii(v)
+        if t is bool:
+            return "true" if v else "false"
+        if v is None:
+            return "null"
+        if t is int:
+            return int.__repr__(v)
+        if t is dict or t is list or t is tuple:
+            return None
+        raise TypeError(f"{t.__name__} is not a JSON value")
+
+    def walk(v, nl):
+        """Append container `v`, whose closing bracket follows `nl`."""
+        if not v:
+            append("{}" if type(v) is dict else "[]")
+            return
+        inner = nl + "  "
+        sep = "," + inner
+        if type(v) is dict:
+            head = "{" + inner
+            for key in sorted(v):
+                x = v[key]
+                text = leaf(x)
+                if text is None:
+                    append(f"{head}{encode_basestring_ascii(key)}: ")
+                    walk(x, inner)
+                else:
+                    append(f"{head}{encode_basestring_ascii(key)}: {text}")
+                head = sep
+            append(nl + "}")
+            return
+        items = [leaf(x) for x in v]
+        if None not in items:
+            append(f"[{inner}{sep.join(items)}{nl}]")
+            return
+        head = "[" + inner
+        for x, text in zip(v, items):
+            if text is None:
+                append(head)
+                walk(x, inner)
+            else:
+                append(head + text)
+            head = sep
+        append(nl + "]")
+
+    text = leaf(value)
+    if text is None:
+        walk(value, "\n")
+    else:
+        append(text)
+    append("\n")
+    out.write("".join(chunks))
 
 
 def _envelope(command: str, inputs: dict, outputs: dict) -> dict:
@@ -403,7 +482,7 @@ def run(argv, out=None) -> int:
         return args.handler(args, out)
 
     try:
-        inputs, outputs = _encode(args.handler(args))
+        inputs, outputs = args.handler(args)
     except DomainError as exc:
         envelope = {
             "command": args.command,
@@ -414,7 +493,7 @@ def run(argv, out=None) -> int:
         return 1
 
     if args.table:
-        _print_table(outputs, out)
+        _print_table(_encode(outputs), out)
     else:
         _print_json(_envelope(args.command, inputs, outputs), out)
     return 0

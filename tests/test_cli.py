@@ -12,6 +12,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import fptkit
 from fptkit import cli, regressions
@@ -458,6 +459,66 @@ class TestEncode:
         code, text = invoke(argv)
         assert code == 0
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# fixed Fraction objects, so trees share them; TWIN equals HALF but is
+# another object, and each is formatted on its own
+HALF, TWIN = Fraction(1, 2), Fraction(2, 4)
+_text = st.text(
+    st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\n\t é€😀'), st.characters())
+)
+_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.sampled_from([0, 1, -1]),
+    st.integers(min_value=-(10**40), max_value=10**40),
+    _text,
+    st.fractions(),
+    st.sampled_from([HALF, TWIN, Fraction(-7, 3)]),
+)
+_trees = st.recursive(
+    _leaves,
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=4),
+        st.lists(kids, max_size=4).map(tuple),
+        st.dictionaries(_text, kids, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+class TestPrintJson:
+    """`_print_json` writes what the indenting `json.dumps` wrote over `_encode`."""
+
+    @given(_trees)
+    @settings(max_examples=150, deadline=None)
+    def test_bytes_match_json_dumps(self, tree):
+        out = io.StringIO()
+        cli._print_json(tree, out)
+        want = json.dumps(cli._encode(tree), indent=2, sort_keys=True) + "\n"
+        assert out.getvalue() == want
+
+    def test_known_text(self):
+        # shared and equal Fractions, bools beside 0 and 1, empty containers
+        third = Fraction(-1, 3)
+        tree = {"b": [HALF, TWIN, (third, HALF), {}], "a": (), "c": [True, 1, False, 0]}
+        out = io.StringIO()
+        cli._print_json(tree, out)
+        assert out.getvalue() == (
+            '{\n  "a": [],\n  "b": [\n    "1/2",\n    "1/2",\n    [\n'
+            '      "-1/3",\n      "1/2"\n    ],\n    {}\n  ],\n'
+            '  "c": [\n    true,\n    1,\n    false,\n    0\n  ]\n}\n'
+        )
+
+    @given(_trees, st.sampled_from([1.5, float("nan"), set(), {1}, frozenset()]))
+    @settings(max_examples=50, deadline=None)
+    def test_other_types_raise_and_write_nothing(self, tree, bad):
+        # the bad value comes after the tree, so its text is built first
+        for wrapped in (bad, [tree, bad], {"a": tree, "b": [{"c": bad}]}):
+            out = io.StringIO()
+            with pytest.raises(TypeError):
+                cli._print_json(wrapped, out)
+            assert out.getvalue() == ""
 
 
 class TestTables:

@@ -462,6 +462,87 @@ class TestStructuralLaws:
             assert verify_hm_bound(arr, rng.randint(1, 2))
 
 
+class TestClosedFormFamilies:
+    """Families whose nu is known at every level, walked far past the reach
+    of the brute-force oracle.  f^N lies in (x^q, y^q) exactly when each of
+    its monomials x^a y^b has a >= q or b >= q; the ideal is (L^q, M^q) for
+    any basis L, M of the linear forms, since (ax + by)^q = a^q x^q + b^q y^q.
+
+    Diagonal: the d roots of t^d = -1, in F_p when p = 1 (mod 2d), give
+    f = x^d + y^d and nu(q) = 2(q - 1)/d.  Every monomial of f^N has degree
+    N d, so N d > 2(q - 1) puts it in the ideal.  At N = 2(q - 1)/d the
+    monomial x^{q-1} y^{q-1} has coefficient C(N, (q - 1)/d); each base-p
+    digit of (q - 1)/d is (p - 1)/d, doubling it makes no carry, so by
+    Lucas the coefficient is a product of C(2(p - 1)/d, (p - 1)/d) != 0.
+
+    Degenerate: a line L of multiplicity m >= d/2, so f = L^m h with h of
+    degree d - m <= m and not divisible by L; nu(q) = ceil(q/m) - 1.  For
+    N = ceil(q/m), L^{Nm} already lies in (L^q).  For N = ceil(q/m) - 1,
+    Nm <= q - 1; in a basis L, M the monomial M^{d-m} of h has a nonzero
+    coefficient c, so f^N holds L^{Nm} M^{N(d-m)} with coefficient c^N, and
+    N(d - m) <= Nm < q.
+
+    All p + 1 rational lines: f = x^p y - x y^p and nu(p^e) = p^(e-1) - 1.
+    With N = p^(e-1), f^N = x^q y^N - x^N y^q lies in the ideal.  With
+    N = p^(e-1) - 1, f^N = (xy)^N (x^(p-1) - y^(p-1))^N holds x^N y^(pN)
+    with coefficient +-1 (only the pure y^((p-1)N) term of the second
+    factor reaches it), and N < pN = q - p < q.
+    """
+
+    BIG = OracleBudget(max_e=60, max_ops=10**60)
+
+    def walk(self, arr, q_max):
+        """nu at e = 1, 2, ... until q passes q_max, climbing once."""
+        rec = nu(arr, 1, self.BIG)
+        yield rec
+        while rec.q <= q_max:
+            rec = nu(arr, rec.e + 1, self.BIG, below=rec)
+            yield rec
+
+    @pytest.mark.parametrize(
+        "d,p",
+        [(3, p) for p in (7, 13, 19, 31)]
+        + [(4, p) for p in (17, 41, 73, 89)]
+        + [(5, p) for p in (11, 31, 41, 61)]
+        + [(6, p) for p in (13, 37, 61, 73)]
+        + [(7, p) for p in (29, 43, 71, 113)],
+    )
+    def test_diagonal(self, d, p):
+        roots = tuple(t for t in range(p) if (pow(t, d, p) + 1) % p == 0)
+        assert len(roots) == d
+        arr = LineArrangement(p, roots, (1,) * d)
+        for rec in self.walk(arr, 10**12):
+            assert rec.nu == 2 * (rec.q - 1) // d, rec
+        # the top level again, from a walk of its own
+        assert nu(arr, rec.e, self.BIG) == rec
+
+    @pytest.mark.parametrize(
+        "p,mults",
+        [
+            (p, mults)
+            for p in (2, 3, 5, 7, 11)
+            for mults in ((1, 1), (2, 2), (3, 1), (2, 1, 1), (3, 2, 1),
+                          (4, 1, 1, 1), (5, 2, 2, 1))
+            if len(mults) <= p + 1
+        ],
+    )
+    @pytest.mark.parametrize("heavy", [INF, 1])
+    def test_degenerate(self, p, mults, heavy):
+        # the first multiplicity, on the line of slope `heavy`, is m
+        others = [s for s in (*range(p), INF) if s != heavy]
+        arr = LineArrangement(p, (heavy, *others[: len(mults) - 1]), mults)
+        m = mults[0]
+        assert arr.profile().degenerate and arr.profile().max_mult == m
+        for rec in self.walk(arr, 10**5 // p):
+            assert rec.nu == -(-rec.q // m) - 1, rec
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_all_rational_lines(self, p):
+        arr = LineArrangement.all_rational_lines(p)
+        for rec in self.walk(arr, 10**5 // p):
+            assert rec.nu == rec.q // p - 1, rec
+
+
 class TestSharplyFPure:
     def test_xy_at_one(self):
         arr = LineArrangement(5, (0, INF), (1, 1))
