@@ -78,7 +78,7 @@ def _arrangement(args) -> frobenius.LineArrangement:
 
 # ---------------------------------------------------------------- handlers
 # Each handler returns (inputs, outputs) holding library values; `run`
-# writes them as JSON with `_print_json`, or as a table through `_encode`.
+# writes them as JSON with `_print_json`, or as a table with `_print_table`.
 # Reports carry no copy of their inputs, so `inputs` comes from the parsed
 # arguments.
 
@@ -205,42 +205,19 @@ def _cmd_classify_p1(args):
 # ---------------------------------------------------------------- rendering
 
 
-def _encode(value):
-    """`--table`'s view of a library value: Fractions as "a/b", tuples as lists.
-
-    Reports share Fraction objects (a `p0` trace repeats its pool elements
-    and totals), so each object is formatted once per call.  The memo keys
-    by `id`, not by value, because `Fraction.__hash__` runs in Python and
-    costs more than the formatting; `value` keeps every object of its tree
-    alive for the call, so no two of them share an id.
-    """
-    texts: dict[int, str] = {}
-
-    def walk(v):
-        if isinstance(v, Fraction):
-            text = texts.get(id(v))
-            if text is None:
-                text = texts[id(v)] = format_ratio(v)
-            return text
-        if isinstance(v, dict):
-            return {key: walk(x) for key, x in v.items()}
-        if isinstance(v, (list, tuple)):
-            return [walk(x) for x in v]
-        return v
-
-    return walk(value)
-
-
 def _print_json(value, out) -> None:
     """Write `value`, a tree of library values, as indented JSON.
 
-    The text is `json.dumps(_encode(value), indent=2, sort_keys=True)`
-    plus a newline, written in one walk: Python 3.11 runs its C encoder
-    only without `indent`, and the pure-Python one cost more than the
-    computation on long `p0` and `dset` answers.  Dispatch is on exact
+    The text is what `json.dumps(indent=2, sort_keys=True)` writes, plus a
+    newline, for the tree with each Fraction as the string "a/b" and each
+    tuple as a list.  It is written in one walk: Python 3.11 runs its C
+    encoder only without `indent`, and the pure-Python one cost more than
+    the computation on long `p0` and `dset` answers.  Dispatch is on exact
     type: `str` (escaped by the stdlib's `encode_basestring_ascii`),
-    `Fraction` (as `"a/b"`, formatted once per object as in `_encode`),
-    `int`, `bool`, `None`, `dict` (str keys, sorted), `list` and `tuple`.  Any
+    `Fraction` (as `"a/b"`, formatted once per object: reports share
+    Fraction objects, and the memo keys by `id` because `Fraction.__hash__`
+    runs in Python; `value` keeps every object alive, so no two share an
+    id), `int`, `bool`, `None`, `dict` (str keys, sorted), `list` and `tuple`.  Any
     other type, `float` included, raises `TypeError`, and `out` is written
     only once the whole text is built.  Each separator is fused with the
     leaf after it and an array of leaves is one string, so a long answer
@@ -323,7 +300,24 @@ def _envelope(command: str, inputs: dict, outputs: dict) -> dict:
 
 
 def _table_scalar(value) -> str:
-    return "-" if value is None else str(value)
+    """A table cell: None as "-", a Fraction as a/b, and a list or tuple as
+    Python prints the list of its items' JSON values, e.g. ['1/2', '2/3']."""
+    if value is None:
+        return "-"
+    if isinstance(value, Fraction):
+        return format_ratio(value)
+    if isinstance(value, (list, tuple)):
+        return "[" + ", ".join(map(_table_item, value)) + "]"
+    return str(value)
+
+
+def _table_item(value) -> str:
+    """An item inside a listed cell: the repr of its JSON value."""
+    if isinstance(value, Fraction):
+        return repr(format_ratio(value))
+    if isinstance(value, (list, tuple)):
+        return _table_scalar(value)
+    return repr(value)
 
 
 def _cells(item: dict) -> str:
@@ -332,9 +326,9 @@ def _cells(item: dict) -> str:
 
 def _print_table(outputs: dict, out) -> None:
     for key, value in outputs.items():
-        if isinstance(value, list) and value and isinstance(value[0], dict):
+        if isinstance(value, (list, tuple)) and value and isinstance(value[0], dict):
             out.write(f"{key}:\n" + "".join(f"  {_cells(item)}\n" for item in value))
-        elif isinstance(value, list):
+        elif isinstance(value, (list, tuple)):
             out.write(f"{key}: {', '.join(map(_table_scalar, value))}\n")
         elif isinstance(value, dict):
             out.write(f"{key}: {_cells(value)}\n")
@@ -493,7 +487,7 @@ def run(argv, out=None) -> int:
         return 1
 
     if args.table:
-        _print_table(_encode(outputs), out)
+        _print_table(outputs, out)
     else:
         _print_json(_envelope(args.command, inputs, outputs), out)
     return 0

@@ -88,16 +88,6 @@ class LineArrangement(Value):
         object.__setattr__(self, "slopes", tuple(slopes[i] for i in order))
         object.__setattr__(self, "mults", tuple(mults[i] for i in order))
 
-    # the `_dehomogenized` cache key, hashed on every probe: a plain tuple is
-    # cheaper than the base's field getter
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.p, self.slopes, self.mults) == (other.p, other.slopes, other.mults)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.p, self.slopes, self.mults))
-
     @classmethod
     def all_rational_lines(cls, p: int) -> "LineArrangement":
         """All p + 1 lines rational over F_p, each of multiplicity 1."""

@@ -13,12 +13,13 @@ window of the left side needs the inner power only on a window about p
 times narrower (the middle-product idea of Hanrot-Quercia-Zimmermann, "The
 middle product algorithm I", 2004).
 
-A caller asking for many windows of one base's powers can pass a store, a
-dict it keeps: every window the recursion builds is recorded by exponent,
-and a later request inside a recorded window is sliced from it.  The
-Frobenius ladder asks for g^(p*nu + s) right after g^nu, so with a store
-each such request is one multiply, the spread window of g^nu times the
-prefix of g^s.
+Every call runs through a store, a dict that maps an exponent to the
+windows of its power built so far: a request inside a recorded window is
+sliced from it.  A caller asking for many windows of one base's powers
+passes a store it keeps; any other call gets a fresh one for its own
+duration.  The Frobenius ladder asks for g^(p*nu + s) right after g^nu, so
+through the walk's store each such request is one multiply, the spread
+window of g^nu times the prefix of g^s.
 """
 
 from __future__ import annotations
@@ -48,12 +49,13 @@ def truncated_power(base, n, p, trunc=None, lo=0, store=None):
     result has max(0, min(trunc, (len(base) - 1) * n + 1) - lo) entries and
     an empty window (trunc <= lo) gives [].  trunc=None keeps every degree.
     Coefficients of `base` may be any ints; they are reduced mod p first.
-    `store` is a dict kept by a caller that asks for many windows of one
-    base's powers mod one p, such as a walk up the Frobenius ladder: it maps
-    an exponent m to (lo, hi, coefficients of base**m on [lo, hi]) for the
-    windows built so far, a prefix (lo = 0) of a power m < p is replaced
-    only by a wider one, and a request inside a kept window is sliced from
-    it.  The list returned is the caller's own either way.
+    `store` maps an exponent m to (lo, hi, coefficients of base**m on
+    [lo, hi]) for the windows built so far: a prefix (lo = 0) of a power
+    m < p is replaced only by a wider one, and a request inside a kept
+    window is sliced from it.  A caller asking for many windows of one
+    base's powers mod one p, such as a walk up the Frobenius ladder, passes
+    a store it keeps; None gives the call a fresh one.  The list returned is
+    the caller's own.
     """
     if n < 0:
         raise ValueError("negative exponent")
@@ -63,8 +65,8 @@ def truncated_power(base, n, p, trunc=None, lo=0, store=None):
     hi = deg * n if trunc is None else min(trunc - 1, deg * n)
     if lo > hi:
         return []
-    out = _window([c % p for c in base], deg, n, p, lo, hi, store)
-    return out if store is None else out[:]
+    store = {} if store is None else store
+    return _window([c % p for c in base], deg, n, p, lo, hi, store)[:]
 
 
 def _recall(store, m, lo, hi):
@@ -95,10 +97,9 @@ def _window(base, deg, n, p, lo, hi, store):
     """Degrees lo .. hi of base**n, for 0 <= lo <= hi <= deg * n."""
     if n < p:
         return _small_power(base, n, p, hi + 1, store)[lo:]
-    if store is not None:
-        hit = _recall(store, n, lo, hi)
-        if hit is not None:
-            return hit
+    hit = _recall(store, n, lo, hi)
+    if hit is not None:
+        return hit
     m, r = divmod(n, p)
     # the inner coefficient j lands on degrees p*j .. p*j + r*deg
     jlo = max(0, -((r * deg - lo) // p))
@@ -121,8 +122,7 @@ def _window(base, deg, n, p, lo, hi, store):
         else:
             out[:0] = [0] * (first - lo)
         out += [0] * (hi - lo + 1 - len(out))
-    if store is not None:
-        _record(store, n, lo, hi, out)
+    _record(store, n, lo, hi, out)
     return out
 
 
@@ -131,14 +131,12 @@ def _small_power(base, n, p, trunc, store):
     if n < 2:
         return base[:trunc] if n else [1 % p]
     hi = min(trunc - 1, n * (len(base) - 1))
-    if store is not None:
-        hit = _recall(store, n, 0, hi)
-        if hit is not None:
-            return hit
+    hit = _recall(store, n, 0, hi)
+    if hit is not None:
+        return hit
     half = _small_power(base, n >> 1, p, trunc, store)
     out = polymul_mod(half, half, p, trunc)
     if n & 1:
         out = polymul_mod(out, base, p, trunc)
-    if store is not None:
-        _record(store, n, 0, hi, out)
+    _record(store, n, 0, hi, out)
     return out

@@ -49,9 +49,8 @@ def _got_dset(coeffs, cutoff):
     return _ratios(coeffsets.dset_below(coeffs, cutoff).elements)
 
 
-def _got_largest(coeffs, bound, floor=F(0)):
-    v = coeffsets.largest_below(coeffs, bound)
-    return "none" if v < floor else format_ratio(v)
+def _got_largest(coeffs, bound):
+    return format_ratio(coeffsets.largest_below(coeffs, bound))
 
 
 def _got_t0(coeffs):
@@ -186,7 +185,7 @@ def run_paper_checks() -> list[dict]:
             "largest-below-13/15-floor-4/5",
             "largest element of D({1/3}) in [4/5, 13/15)",
             "6/7",
-            _got_largest(ONE_THIRD, F(13, 15), F(4, 5)),
+            _got_largest(ONE_THIRD, F(13, 15)),
         ),
         _row(
             "largest-below-8/9",

@@ -5,9 +5,6 @@ its own `__init__` through `object.__setattr__`.  The base gives what a
 frozen dataclass gave, with no code generated at import: instances of one
 class with equal fields are equal and hash equal, the repr is
 `Name(field=value, ...)`, and assignment and deletion raise AttributeError.
-`LineArrangement`, the `_dehomogenized` cache key hashed on every probe,
-is the one subclass that defines its own `__eq__`/`__hash__` over the same
-fields, as a plain tuple.
 """
 
 from operator import attrgetter

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fptkit
-from fptkit import cli, regressions
+from fptkit import bounds, cli, coeffsets, regressions
 from fptkit.cli import run
 from fptkit.rationals import format_ratio
 
@@ -415,7 +415,8 @@ class TestBudgetEnv:
 
 
 def _encode_per_value(value):
-    """`cli._encode` without its memo: format_ratio on every Fraction."""
+    """The JSON value of a library value: format_ratio on every Fraction,
+    each tuple as a list."""
     if isinstance(value, Fraction):
         return format_ratio(value)
     if isinstance(value, dict):
@@ -426,19 +427,7 @@ def _encode_per_value(value):
 
 
 class TestEncode:
-    def test_shared_and_equal_fractions(self):
-        half = Fraction(1, 2)
-        twin = Fraction(2, 4)  # equal to half, another object
-        assert twin == half and twin is not half
-        third = Fraction(-1, 3)
-        tree = (
-            {"a": half, "b": (half, twin, [third, half]), "c": None},
-            {"t": ({"total": half, "parts": (twin, half)},), "n": 7, "s": "1/2"},
-        )
-        assert cli._encode(tree) == _encode_per_value(tree) == [
-            {"a": "1/2", "b": ["1/2", "1/2", ["-1/3", "1/2"]], "c": None},
-            {"t": [{"total": "1/2", "parts": ["1/2", "1/2"]}], "n": 7, "s": "1/2"},
-        ]
+    """Rationals as text: the bytes of answers whose reports share Fractions."""
 
     @pytest.mark.parametrize(
         "argv,digest",
@@ -488,14 +477,15 @@ _trees = st.recursive(
 
 
 class TestPrintJson:
-    """`_print_json` writes what the indenting `json.dumps` wrote over `_encode`."""
+    """`_print_json` writes what the indenting `json.dumps` writes for the
+    tree with each Fraction as "a/b" and each tuple as a list."""
 
     @given(_trees)
     @settings(max_examples=150, deadline=None)
     def test_bytes_match_json_dumps(self, tree):
         out = io.StringIO()
         cli._print_json(tree, out)
-        want = json.dumps(cli._encode(tree), indent=2, sort_keys=True) + "\n"
+        want = json.dumps(_encode_per_value(tree), indent=2, sort_keys=True) + "\n"
         assert out.getvalue() == want
 
     def test_known_text(self):
@@ -565,6 +555,29 @@ class TestTables:
             "note: vacuous: any p admissible\n"
         )
 
+    def test_shared_fractions_table(self):
+        # the trace's rows share Fraction objects, and each cell is
+        # formatted on its own
+        report = bounds.p0(coeffsets.CoeffSet([Fraction(1, 3)]))
+        parts = [x for c in report.trace for x in c.parts]
+        assert len({id(x) for x in parts}) < len(parts)
+        code, text = invoke(["p0", "--set", "1/3", "--table"])
+        assert code == 0
+        assert text == (
+            "epsilon: 1/3\n"
+            "Q: 263/132\n"
+            "witness: 1/3, 3/4, 10/11\n"
+            "p0_exact: 528/1\n"
+            "p0: 528\n"
+            "trace:\n"
+            "  total=11/6  parts=['1/3', '1/3', '1/3', '1/3', '1/2']\n"
+            "  total=11/6  parts=['1/3', '1/2', '1/2', '1/2']\n"
+            "  total=59/30  parts=['1/3', '1/3', '1/2', '4/5']\n"
+            "  total=59/30  parts=['1/2', '2/3', '4/5']\n"
+            "  total=143/72  parts=['1/3', '7/9', '7/8']\n"
+            "  total=209/105  parts=['1/3', '4/5', '6/7']\n"
+            "  total=263/132  parts=['1/3', '3/4', '10/11']\n"
+        )
 
     @pytest.mark.parametrize(
         "argv,table",

@@ -1,5 +1,6 @@
 """The nu-oracle: pinned values, structural laws, budget discipline."""
 
+import hashlib
 import io
 import random
 from fractions import Fraction
@@ -397,6 +398,29 @@ class TestWalkStore:
         rec = nu(arr, 2, OracleBudget(max_e=2, max_ops=10**13))
         assert rec.nu == (rec.q - 1) // 2
         assert kernels.STORE_CAP // 2 < max(sizes) <= kernels.STORE_CAP
+
+
+class TestNuDigest:
+    # deepest level walked at each prime
+    E_MAX = {2: 8, 3: 6, 5: 5, 7: 4, 11: 4, 13: 3}
+
+    def test_pinned_digest(self):
+        # sha256 over every level's nu of 400 seeded arrangements (1,974
+        # levels), each level by a resumed walk and by a fresh one; any
+        # change to a walk's answers moves the digest
+        deep = OracleBudget(max_e=max(self.E_MAX.values()))
+        rng = random.Random(20240)
+        digest = hashlib.sha256()
+        for _ in range(400):
+            arr = rand_arrangement(rng, primes=tuple(self.E_MAX))
+            rec = None
+            for e in range(1, self.E_MAX[arr.p] + 1):
+                rec = nu(arr, e, deep, below=rec)
+                assert nu(arr, e, deep) == rec
+                digest.update(f"{arr.describe()} e={e} nu={rec.nu}\n".encode())
+        assert digest.hexdigest() == (
+            "4f06941b6dc739d1c860913277e10c03192d290bc65e1130556822fd603aa5af"
+        )
 
 
 class TestStructuralLaws:

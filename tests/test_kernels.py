@@ -292,11 +292,11 @@ def _store_requests(data, p, base, count):
 
 
 class TestWindowStore:
-    """Requests served through one store equal the store-less ones."""
+    """Requests served through one kept store equal the digit-split power."""
 
     @given(st.data())
     @settings(max_examples=200, deadline=None)
-    def test_windows_in_random_order_match_storeless(self, data):
+    def test_windows_in_random_order_match_direct_power(self, data):
         p = data.draw(st.sampled_from([2, 3, 5, 7, 11]))
         base = data.draw(st.lists(st.integers(-30, 60), min_size=1, max_size=6), label="base")
         # a cap a few windows wide makes the store drop what it read least recently
@@ -305,7 +305,7 @@ class TestWindowStore:
         try:
             store = {}
             for n, trunc, lo in _store_requests(data, p, base, data.draw(st.integers(1, 12))):
-                want = truncated_power(base, n, p, trunc, lo)
+                want = oracles.direct_power(base, n, p)[lo:trunc]
                 assert truncated_power(base, n, p, trunc, lo, store) == want
                 assert sum(len(window) for _, _, window in store.values()) <= cap
         finally:
@@ -319,7 +319,7 @@ class TestWindowStore:
         store = {}
         for n, trunc, lo in _store_requests(data, p, base, 10):
             got = truncated_power(base, n, p, trunc, lo, store)
-            assert got == truncated_power(base, n, p, trunc, lo)
+            assert got == oracles.direct_power(base, n, p)[lo:trunc]
             got[:] = [p + 1] * (len(got) + 1)
 
     @given(st.data())
@@ -336,3 +336,23 @@ class TestWindowStore:
             assert truncated_power(base, r, p, trunc, 0, store) == want
         # the prefix kept for base**r is the widest asked for so far
         assert store[r][:2] == (0, min(max(truncs), full) - 1)
+
+    def test_call_without_a_store_keeps_nothing(self, monkeypatch):
+        # each such call gets a fresh store, so a repeat does the same work
+        calls = []
+
+        def counted(a, b, p, trunc=None):
+            calls.append(None)
+            return pure.polymul_kronecker(a, b, p, trunc)
+
+        monkeypatch.setattr(kernels, "polymul_mod", counted)
+        base, p = [3, 1, 4, 1], 7
+        for n, trunc, lo in ((6, None, 0), (50, None, 0), (2400, 3000, 2000)):
+            first = truncated_power(base, n, p, trunc, lo)
+            made = len(calls)
+            assert made > 0
+            assert truncated_power(base, n, p, trunc, lo) == first
+            assert len(calls) == 2 * made
+            calls.clear()
+        held = [name for name, value in vars(kernels).items() if isinstance(value, dict)]
+        assert held == ["__builtins__"]
