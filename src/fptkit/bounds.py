@@ -50,21 +50,12 @@ class SumCandidate(Value):
     total: Fraction
     parts: tuple[Fraction, ...]
 
-    def __init__(self, total, parts):
-        object.__setattr__(self, "total", total)
-        object.__setattr__(self, "parts", parts)
-
 
 class QMaxResult(Value):
     __slots__ = ("q", "witness", "candidates")
     q: Fraction
     witness: tuple[Fraction, ...]
     candidates: tuple[SumCandidate, ...]
-
-    def __init__(self, q, witness, candidates):
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "candidates", candidates)
 
 
 class BoundReport(Value):
@@ -74,13 +65,6 @@ class BoundReport(Value):
     witness: tuple[Fraction, ...]
     p0_exact: Fraction
     trace: tuple[SumCandidate, ...]
-
-    def __init__(self, epsilon, q, witness, p0_exact, trace):
-        object.__setattr__(self, "epsilon", epsilon)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "p0_exact", p0_exact)
-        object.__setattr__(self, "trace", trace)
 
     @property
     def p0(self) -> int:
@@ -157,7 +141,7 @@ def q_max(coeffs: CoeffSet) -> QMaxResult:
         scaled = (*(nums[i] * unit for i in chosen), tail)
         if _admissible(scaled, den):
             parts = (*(pool[i] for i in chosen), last)
-            keyed.append(((total_num, *scaled), SumCandidate(total=total, parts=parts)))
+            keyed.append(((total_num, *scaled), SumCandidate(total, parts)))
     if not keyed:
         raise DomainError("constrained sum search found no admissible sums")
     keyed.sort(key=lambda entry: entry[0])
@@ -165,11 +149,7 @@ def q_max(coeffs: CoeffSet) -> QMaxResult:
     top = keyed[-1][0][0]
     first = next(i for i, (key, _) in enumerate(keyed) if key[0] == top)
     candidates = tuple(c for _, c in keyed)
-    return QMaxResult(
-        q=candidates[-1].total,
-        witness=candidates[first].parts,
-        candidates=candidates,
-    )
+    return QMaxResult(candidates[-1].total, candidates[first].parts, candidates)
 
 
 def p0(coeffs: CoeffSet) -> BoundReport:
@@ -177,13 +157,7 @@ def p0(coeffs: CoeffSet) -> BoundReport:
     res = q_max(coeffs)
     eps = min_positive(coeffs)
     exact = ((1 - eps) / eps) * (1 / (1 - res.q / 2))
-    return BoundReport(
-        epsilon=eps,
-        q=res.q,
-        witness=res.witness,
-        p0_exact=exact,
-        trace=res.candidates,
-    )
+    return BoundReport(eps, res.q, res.witness, exact, res.candidates)
 
 
 class GapBound(Value):
@@ -193,11 +167,6 @@ class GapBound(Value):
     n: int
     gap: Fraction
     per_d: tuple[tuple[int, Fraction, Fraction], ...]  # (d, lambda, gap)
-
-    def __init__(self, n, gap, per_d):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "gap", gap)
-        object.__setattr__(self, "per_d", per_d)
 
     @property
     def bound(self) -> int:
@@ -230,10 +199,6 @@ class PerturbationReport(Value):
     __slots__ = ("x", "intervals")
     x: Fraction
     intervals: tuple[tuple[Fraction, Fraction], ...]
-
-    def __init__(self, x, intervals):
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "intervals", intervals)
 
     @property
     def endpoints(self) -> tuple[Fraction, ...]:
@@ -302,9 +267,7 @@ def safe_perturbation(coeffs: CoeffSet, n: int) -> PerturbationReport:
                 f"perturbation 1/{k} leaves {elems[i]} inside "
                 f"({Fraction(p * k - 1, q * k - 1)}, {Fraction(p, q)})"
             )
-    return PerturbationReport(
-        x=Fraction(1, k),
-        intervals=tuple(
-            (Fraction(p * k - 1, q * k - 1), Fraction(p, q)) for _, _, p, q in walls
-        ),
+    intervals = tuple(
+        (Fraction(p * k - 1, q * k - 1), Fraction(p, q)) for _, _, p, q in walls
     )
+    return PerturbationReport(Fraction(1, k), intervals)

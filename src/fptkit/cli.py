@@ -25,8 +25,8 @@ from .slopes import format_slope, parse_slope
 BUDGET_ENV = "FPTKIT_ORACLE_BUDGET"
 
 
-def _usage_type(name: str, parse):
-    """Argument type `name` running `parse`; a DomainError is a usage error."""
+def _usage_type(parse):
+    """Argument type running `parse`; a DomainError is a usage error."""
 
     def convert(text: str):
         try:
@@ -34,16 +34,13 @@ def _usage_type(name: str, parse):
         except DomainError as exc:
             raise argparse.ArgumentTypeError(str(exc))
 
-    convert.__name__ = name  # argparse prints it when `parse` fails otherwise
     return convert
 
 
-_int_arg = _usage_type("_int_arg", parse_int)
-_ratio_arg = _usage_type("_ratio_arg", parse_ratio)
-_ratio_list_arg = _usage_type("_ratio_list_arg", parse_ratio_list)
-_slopes_arg = _usage_type(
-    "_slopes_arg", lambda text: tuple(parse_slope(tok) for tok in text.split(","))
-)
+_int_arg = _usage_type(parse_int)
+_ratio_arg = _usage_type(parse_ratio)
+_ratio_list_arg = _usage_type(parse_ratio_list)
+_slopes_arg = _usage_type(lambda text: tuple(parse_slope(tok) for tok in text.split(",")))
 
 
 def _ints_arg(text: str) -> tuple[int, ...]:
@@ -65,7 +62,7 @@ def _budget() -> frobenius.OracleBudget:
             return frobenius.OracleBudget(
                 max_ops=parse_int(parts[0]), max_e=parse_int(parts[1])
             )
-    except (DomainError, ValueError):
+    except DomainError:
         pass
     raise DomainError(
         f"{BUDGET_ENV} must be '<max_ops>' or '<max_ops>,<max_e>', got {raw!r}"

@@ -51,7 +51,7 @@ class CoeffSet(Value):
                     f"coefficient {format_ratio(x)} outside (0,1)"
                 )
             elems.append(x)
-        object.__setattr__(self, "elements", tuple(sorted(set(elems))))
+        super().__init__(tuple(sorted(set(elems))))
 
     def __iter__(self):
         return iter(self.elements)
@@ -68,9 +68,6 @@ class DsetSlice(Value):
 
     __slots__ = ("elements",)
     elements: tuple[Fraction, ...]
-
-    def __init__(self, elements):
-        object.__setattr__(self, "elements", elements)
 
     @property
     def positives(self) -> tuple[Fraction, ...]:
@@ -128,7 +125,7 @@ def dset_below(coeffs: CoeffSet, cutoff: Fraction) -> DsetSlice:
             pairs.add(((den - r) // g, den // g))
     width = order_width(max((d for _, d in pairs), default=1))
     ordered = sorted(pairs, key=lambda nd: nd[0] * width // nd[1])
-    return DsetSlice(elements=tuple(Fraction(n, d) for n, d in ordered))
+    return DsetSlice(tuple(Fraction(n, d) for n, d in ordered))
 
 
 def dset_contains(coeffs: CoeffSet, value: Fraction) -> bool:

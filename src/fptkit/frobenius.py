@@ -50,12 +50,14 @@ class OracleBudget(Value):
 
     def __init__(self, max_e=5, max_ops=10**8):
         # a float or Fraction limit is refused, not truncated
+        limits = []
         for name, limit in (("max_e", max_e), ("max_ops", max_ops)):
             limit = as_int(limit)
             # a limit below 1 would refuse every nu
             if limit < 1:
                 raise DomainError(f"{name} must be at least 1, got {limit}")
-            object.__setattr__(self, name, limit)
+            limits.append(limit)
+        super().__init__(*limits)
 
 
 DEFAULT_BUDGET = OracleBudget()
@@ -84,9 +86,9 @@ class LineArrangement(Value):
             raise DomainError(f"{len(slopes)} slopes for {len(mults)} mults")
         mults = MultiplicityProfile(mults).mults
         order = sorted(range(len(slopes)), key=lambda i: slope_key(slopes[i]))
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "slopes", tuple(slopes[i] for i in order))
-        object.__setattr__(self, "mults", tuple(mults[i] for i in order))
+        super().__init__(
+            p, tuple(slopes[i] for i in order), tuple(mults[i] for i in order)
+        )
 
     @classmethod
     def all_rational_lines(cls, p: int) -> "LineArrangement":
@@ -116,12 +118,6 @@ class NuRecord(Value):
     q: int
     nu: int
 
-    def __init__(self, p, e, q, nu):
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "e", e)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "nu", nu)
-
     @property
     def lower(self) -> Fraction:
         return Fraction(self.nu, self.q)
@@ -141,11 +137,6 @@ class FPurityCheck(Value):
     witness_e: int | None
     records: tuple[NuRecord, ...]
     required: tuple[int, ...]
-
-    def __init__(self, witness_e, records, required):
-        object.__setattr__(self, "witness_e", witness_e)
-        object.__setattr__(self, "records", records)
-        object.__setattr__(self, "required", required)
 
     @property
     def holds(self) -> bool:
@@ -290,7 +281,7 @@ def nu(
             v = lo
     finally:
         _walk_store = None
-    record = NuRecord(p=p, e=e, q=q, nu=v)
+    record = NuRecord(p, e, q, v)
     _last_walk = (record, arr, store)
     return record
 
@@ -321,9 +312,7 @@ def sharply_fpure_at(
         if required[-1] <= rec.nu:
             witness = e
             break
-    return FPurityCheck(
-        witness_e=witness, records=tuple(records), required=tuple(required)
-    )
+    return FPurityCheck(witness, tuple(records), tuple(required))
 
 
 def verify_hm_bound(

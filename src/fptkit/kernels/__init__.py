@@ -66,7 +66,8 @@ def truncated_power(base, n, p, trunc=None, lo=0, store=None):
     if lo > hi:
         return []
     store = {} if store is None else store
-    return _window([c % p for c in base], deg, n, p, lo, hi, store)[:]
+    out = _window([c % p for c in base], deg, n, p, lo, hi, store)
+    return out if n < p else out[:]  # only n < p comes back as a fresh slice
 
 
 def _recall(store, m, lo, hi):

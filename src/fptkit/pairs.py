@@ -45,7 +45,7 @@ class P1Pair(Value):
             raise DomainError("a pair needs at least one marked point")
         if any(c <= 0 for c in coeffs):
             raise DomainError("coefficients must be positive")
-        object.__setattr__(self, "coeffs", coeffs)
+        super().__init__(coeffs)
 
     @property
     def total(self) -> Fraction:
@@ -56,10 +56,6 @@ class P1Classification(Value):
     __slots__ = ("klt", "log_fano")
     klt: bool
     log_fano: bool
-
-    def __init__(self, klt, log_fano):
-        object.__setattr__(self, "klt", klt)
-        object.__setattr__(self, "log_fano", log_fano)
 
 
 def classify_p1(pair: P1Pair) -> P1Classification:
@@ -93,10 +89,6 @@ class Certificate(Value):
     __slots__ = ("reason", "details")
     reason: str
     details: dict
-
-    def __init__(self, reason, details):
-        object.__setattr__(self, "reason", reason)
-        object.__setattr__(self, "details", details)
 
     @property
     def verdict(self) -> str:

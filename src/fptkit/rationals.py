@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import operator
 import re
+import sys
 from fractions import Fraction
 from functools import lru_cache
 
@@ -24,20 +25,24 @@ def parse_int(text: str) -> int:
     """Parse an integer token: an optional sign and decimal digits.
 
     Every integer a user types (CLI arguments, slope tokens, integer lists)
-    is read here; underscores, decimals and whitespace inside the token
-    raise DomainError.
+    is read here; underscores, decimals, whitespace inside the token and
+    more digits than Python reads into an int raise DomainError.
     """
     token = text.strip()
     if not _INT_RE.match(token):
         raise DomainError(f"not an integer: {text!r}")
-    return int(token)
+    try:
+        return int(token)
+    except ValueError:  # the token matched, so it passes Python's digit limit
+        limit = sys.get_int_max_str_digits()
+        raise DomainError(f"not an integer: more than {limit} digits") from None
 
 
 def parse_ratio(text: str) -> Fraction:
     """Parse "a/b" or a bare integer into a Fraction.
 
-    Anything else (decimals, whitespace inside the token, empty string)
-    raises DomainError.
+    Anything else (decimals, whitespace inside the token, empty string,
+    more digits than Python reads into an int) raises DomainError.
     """
     token = text.strip()
     if not _RATIO_RE.match(token):
@@ -46,11 +51,11 @@ def parse_ratio(text: str) -> Fraction:
             "decimals are not accepted)"
         )
     if "/" in token:
-        num, den = token.split("/")
-        if int(den) == 0:
+        num, den = map(parse_int, token.split("/"))
+        if den == 0:
             raise DomainError(f"zero denominator in {text!r}")
-        return Fraction(int(num), int(den))
-    return Fraction(int(token))
+        return Fraction(num, den)
+    return Fraction(parse_int(token))
 
 
 def parse_ratio_list(text: str) -> tuple[Fraction, ...]:

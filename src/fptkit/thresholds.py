@@ -42,7 +42,7 @@ class MultiplicityProfile(Value):
             raise DomainError("a profile needs at least one line")
         if any(a <= 0 for a in mults):
             raise DomainError(f"multiplicities must be positive: {mults}")
-        object.__setattr__(self, "mults", mults)
+        super().__init__(mults)
 
     @property
     def degree(self) -> int:
@@ -82,8 +82,7 @@ class WeightedArrangement(Value):
                     f"{len(slopes)} slopes for {len(weights)} weights"
                 )
             slopes = tuple(s if s is INF else as_int(s) for s in slopes)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "slopes", slopes)
+        super().__init__(weights, slopes)
 
     @property
     def total(self) -> Fraction:
@@ -100,11 +99,6 @@ class T0Report(Value):
     value: Fraction | None
     witness_d: int | None
     witness_lambda: Fraction | None
-
-    def __init__(self, value, witness_d, witness_lambda):
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "witness_d", witness_d)
-        object.__setattr__(self, "witness_lambda", witness_lambda)
 
     @property
     def vacuous(self) -> bool:

@@ -281,13 +281,18 @@ class TestExitCodes:
                 "(expected 'a/b' or an integer; decimals are not accepted)",
             ),
             (
-                # a failure other than DomainError is named by the type's name
+                # past Python's int-string limit the refusal names the limit
                 ["dset", "--set", "1/3", "--below", "1" * 5000],
-                "fptkit dset: error: argument --below: invalid _ratio_arg value: "
-                + repr("1" * 5000),
+                "fptkit dset: error: argument --below: not an integer: "
+                f"more than {sys.get_int_max_str_digits()} digits",
+            ),
+            (
+                ["hsb", "--n", "1" * 5000],
+                "fptkit hsb: error: argument --n: not an integer: "
+                f"more than {sys.get_int_max_str_digits()} digits",
             ),
         ],
-        ids=["mults", "slopes", "below", "set", "overlong-integer"],
+        ids=["mults", "slopes", "below", "set", "overlong-integer", "overlong-n"],
     )
     def test_argument_type_errors_are_two(self, capsys, argv, message):
         code, text = invoke(argv)
@@ -405,6 +410,17 @@ class TestBudgetEnv:
             "message": "FPTKIT_ORACLE_BUDGET must be '<max_ops>' or "
             f"'<max_ops>,<max_e>', got {env!r}",
         }
+
+    @pytest.mark.parametrize("env", ["1" * 5000, "10," + "1" * 5000], ids=["ops", "e"])
+    def test_limit_past_the_digit_limit_is_domain_error(self, monkeypatch, env):
+        monkeypatch.setenv("FPTKIT_ORACLE_BUDGET", env)
+        code, text = invoke(["nu", "--p", "2", "--slopes", "0", "--mults", "1", "--e", "1"])
+        assert code == 1
+        message = f"FPTKIT_ORACLE_BUDGET must be '<max_ops>' or '<max_ops>,<max_e>', got {env!r}"
+        assert text == (
+            '{\n  "command": "nu",\n  "error": {\n    "message": '
+            f'{json.dumps(message)},\n    "type": "DomainError"\n  }},\n  "inputs": {{}}\n}}\n'
+        )
 
     def test_unset_env_uses_default(self, monkeypatch):
         monkeypatch.delenv("FPTKIT_ORACLE_BUDGET", raising=False)

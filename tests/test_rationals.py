@@ -47,6 +47,8 @@ from fptkit.rationals import (
 
 F = Fraction
 EMPTY = CoeffSet(())
+# more digits than Python's default int-string limit (4300) lets int() read
+HUGE = "1" * 5000
 
 
 class TestParseRatio:
@@ -59,7 +61,11 @@ class TestParseRatio:
         assert type(got) is Fraction
         assert got == want
 
-    @pytest.mark.parametrize("text", ["", "0.5", "1/0", "1 /2", "inf", "1e3"])
+    @pytest.mark.parametrize(
+        "text",
+        ["", "0.5", "1/0", "1 /2", "inf", "1e3", pytest.param(HUGE, id="huge"),
+         pytest.param(f"1/{HUGE}", id="huge-den"), pytest.param(f"-{HUGE}/3", id="huge-num")],
+    )
     def test_rejects(self, text):
         with pytest.raises(DomainError):
             parse_ratio(text)
@@ -68,7 +74,11 @@ class TestParseRatio:
     def test_integers(self, text, want):
         assert parse_int(text) == want
 
-    @pytest.mark.parametrize("text", ["", "1_1", "1/2", "0.5", "1e3", "inf", "- 1"])
+    @pytest.mark.parametrize(
+        "text",
+        ["", "1_1", "1/2", "0.5", "1e3", "inf", "- 1", pytest.param(HUGE, id="huge"),
+         pytest.param(f"-{HUGE}", id="-huge")],
+    )
     def test_integer_rejects(self, text):
         with pytest.raises(DomainError, match="not an integer"):
             parse_int(text)

@@ -1,6 +1,7 @@
 """Repository hygiene: no tracked file is one `.gitignore` excludes, the
 library holds no float arithmetic, no library module imports another
-one's private names, and the library does not import `dataclasses`, whose
+one's private names, only `values.py` stores a value's fields past its
+refused assignment, and the library does not import `dataclasses`, whose
 class generation (and its `inspect` import) each CLI process would pay."""
 
 import ast
@@ -94,6 +95,44 @@ def test_private_import_scan_catches_each_kind():
         "from ._private import name\nfrom os import _exit\n"
     )
     assert sorted(line for line, _ in _private_imports(ast.parse(src))) == [2, 3]
+
+
+def _field_stores(tree):
+    """(line, what) for each `object.__setattr__` and each `__setstate__`,
+    defined or named: the ways to set a field the class refuses to assign."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            if node.attr == "__setattr__" and isinstance(node.value, ast.Name):
+                if node.value.id == "object":
+                    yield node.lineno, "object.__setattr__"
+            elif node.attr == "__setstate__":
+                yield node.lineno, "__setstate__"
+        elif isinstance(node, ast.FunctionDef) and node.name == "__setstate__":
+            yield node.lineno, "def __setstate__"
+        elif isinstance(node, ast.Name) and node.id == "__setstate__":
+            yield node.lineno, "__setstate__"
+
+
+def test_only_values_stores_fields():
+    # `Value.__init__` is the one constructor; every other class calls it
+    found = {
+        path.relative_to(ROOT).as_posix(): [
+            what for _, what in _field_stores(ast.parse(path.read_text(), str(path)))
+        ]
+        for path in sorted((ROOT / "src" / "fptkit").rglob("*.py"))
+    }
+    assert found.pop("src/fptkit/values.py") == ["object.__setattr__"]
+    assert {path: whats for path, whats in found.items() if whats} == {}
+
+
+def test_field_store_scan_catches_each_kind():
+    src = (
+        "class A:\n    def __init__(self, x):\n        object.__setattr__(self, 'x', x)\n"
+        "    def __setstate__(self, state):\n        pass\n"
+        "set_field = object.__setattr__\nA.__setstate__ = None\n__setstate__ = 1\n"
+        "setattr(A, 'x', 1)\nsuper().__setattr__('x', 1)\n"
+    )
+    assert sorted(line for line, _ in _field_stores(ast.parse(src))) == [3, 4, 6, 7, 8]
 
 
 def _dataclass_imports(tree):

@@ -1,6 +1,7 @@
 """Value semantics of the package's immutable report and input classes:
 equality and hashing by field, no equality across classes, no assignment or
-deletion, a fixed repr, and construction by keyword and default."""
+deletion, a fixed repr, and construction by position, keyword and default
+through the one base constructor."""
 
 import copy
 import importlib
@@ -17,6 +18,7 @@ from fptkit.frobenius import FPurityCheck, LineArrangement, NuRecord, OracleBudg
 from fptkit.pairs import Certificate, P1Classification, P1Pair
 from fptkit.slopes import INF
 from fptkit.thresholds import MultiplicityProfile, T0Report, WeightedArrangement
+from fptkit.values import Value
 
 F = Fraction
 PARTS = (F(1, 2), F(2, 3), F(4, 5))
@@ -143,9 +145,10 @@ def test_equal_fields_equal_objects(make, fields, text):
 @CASES
 def test_other_class_with_same_fields_is_unequal(make, fields, text):
     a = make()
-    twin = object.__new__(type("Twin", (type(a),), {}))
-    for name in fields:
-        object.__setattr__(twin, name, getattr(a, name))
+    twin_class = type("Twin", (type(a),), {})
+    twin = twin_class.__new__(twin_class)
+    # built by the base, past any checks the class's own __init__ makes
+    Value.__init__(twin, *(getattr(a, name) for name in fields))
     assert all(getattr(twin, name) is getattr(a, name) for name in fields)
     assert a != twin and twin != a and not a == twin
 
@@ -189,3 +192,42 @@ def test_keyword_and_default_construction():
     res = P1Classification(klt=True, log_fano=False)
     assert (res.klt, res.log_fano) == (True, False)
     assert NuRecord(p=7, e=1, q=7, nu=3) == NuRecord(7, 1, 7, 3)
+
+
+@CASES
+def test_position_and_keyword_construction_agree(make, fields, text):
+    a = make()
+    cls, values = type(a), [getattr(a, name) for name in fields]
+    by_name = dict(zip(fields, values))
+    assert cls(*values) == cls(**by_name) == a
+    # part by position, the rest by name
+    assert cls(values[0], **dict(list(by_name.items())[1:])) == a
+    blank = cls.__new__(cls)
+    Value.__init__(blank, **by_name)
+    assert blank == a and repr(blank) == text
+
+
+@CASES
+def test_missing_extra_or_repeated_field_is_refused(make, fields, text):
+    a = make()
+    cls, values = type(a), [getattr(a, name) for name in fields]
+    first = {fields[0]: values[0]}
+    bad = [
+        (values[:-1], {}),  # missing by position
+        ((), dict(zip(fields[1:], values[1:]))),  # missing by name
+        ((*values, values[0]), {}),  # extra by position
+        (values, {"extra": 1}),  # extra by name
+        (values, first),  # repeated
+    ]
+    for args, kwargs in bad:
+        with pytest.raises(TypeError):
+            Value.__init__(cls.__new__(cls), *args, **kwargs)
+    # through the class itself, unless its own __init__ gives a default
+    if cls.__init__ is Value.__init__:
+        for args, kwargs in bad:
+            with pytest.raises(TypeError):
+                cls(*args, **kwargs)
+    with pytest.raises(TypeError):
+        cls(*values, values[0])
+    with pytest.raises(TypeError):
+        cls(*values, **first)
