@@ -192,26 +192,16 @@ def _dehomogenized(arr: LineArrangement) -> tuple[int, ...]:
 # built; `nu` resumes from them only when given that record as `below`, so
 # one walk's store at most is alive and no two requests share one
 _last_walk = (None, None, None)
-# the store the running walk's probes read and fill; None outside `nu`.  It
-# is module state because `_outside_ideal` keeps its three arguments, the
-# seam that tests and perfbench's tracer replace
-_walk_store = None
 
 
-def _outside_ideal(arr: LineArrangement, n: int, q: int) -> bool:
-    """True when f^n is not in (x^q, y^q); exact for any n >= 0."""
-    if n == 0:
-        return True
-    d = arr.degree
-    if n * d > 2 * (q - 1):
-        return False
-    g = _dehomogenized(arr)
-    deg_g = len(g) - 1
-    lo = max(0, n * d - q + 1)
-    hi = min(q - 1, n * deg_g)
-    if lo > hi:
-        return False
-    return any(truncated_power(g, n, arr.p, hi + 1, lo, _walk_store))
+def _outside_ideal(arr: LineArrangement, n: int, q: int, store=None) -> bool:
+    """True when f^n is not in (x^q, y^q); exact for any n >= 0.
+
+    `store` is the running walk's, which only `nu` passes; `truncated_power`
+    clips the window to g^n's degree and answers an empty one with [].
+    """
+    lo = max(0, n * arr.degree - q + 1)
+    return any(truncated_power(_dehomogenized(arr), n, arr.p, q, lo, store))
 
 
 def power_in_frobenius_ideal(
@@ -243,7 +233,7 @@ def nu(
     `nu` call per level; the walk's stored windows pass on with the record
     this call returns, and only to a call given that very record.
     """
-    global _last_walk, _walk_store
+    global _last_walk
     q = _budgeted_q(arr, e, budget)
     p, d = arr.p, arr.degree
     if below is None:
@@ -256,31 +246,27 @@ def nu(
     if below is None or below is not record or walked != arr:
         store = {}
     _last_walk = (None, None, None)
-    _walk_store = store
-    try:
-        while level < q:
-            level *= p
-            lo = first_lo = p * v
-            hi = first_hi = min(lo + p, 2 * (level - 1) // d + 1)
-            while hi - lo > 1:
-                mid = (lo + hi) // 2
-                if _outside_ideal(arr, mid, level):
-                    lo = mid
-                else:
-                    hi = mid
-            # N = 0 is outside and N d > 2(level - 1) inside with no probe
-            if (lo == first_lo and lo and not _outside_ideal(arr, lo, level)) or (
-                hi == first_hi
-                and hi * d <= 2 * (level - 1)
-                and _outside_ideal(arr, hi, level)
-            ):
-                raise AssertionError(
-                    f"membership probes contradict nu={lo} at q={level} "
-                    f"for {arr.describe()}"
-                )
-            v = lo
-    finally:
-        _walk_store = None
+    while level < q:
+        level *= p
+        lo = first_lo = p * v
+        hi = first_hi = min(lo + p, 2 * (level - 1) // d + 1)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if _outside_ideal(arr, mid, level, store):
+                lo = mid
+            else:
+                hi = mid
+        # N = 0 is outside and N d > 2(level - 1) inside with no probe
+        if (lo == first_lo and lo and not _outside_ideal(arr, lo, level, store)) or (
+            hi == first_hi
+            and hi * d <= 2 * (level - 1)
+            and _outside_ideal(arr, hi, level, store)
+        ):
+            raise AssertionError(
+                f"membership probes contradict nu={lo} at q={level} "
+                f"for {arr.describe()}"
+            )
+        v = lo
     record = NuRecord(p, e, q, v)
     _last_walk = (record, arr, store)
     return record

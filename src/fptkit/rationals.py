@@ -11,7 +11,6 @@ import operator
 import re
 import sys
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import DomainError
 
@@ -139,22 +138,9 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@lru_cache(maxsize=1)
-def _tested_prime(p: int) -> bool:
-    """`is_prime` memoised on the last int: a request carries one p, and
-    hands it to several checked entry points (`certify_sfr`, then
-    `hara_monsky_lower` and `LineArrangement`), which run Miller-Rabin
-    on it once."""
-    return is_prime(p)
-
-
 def as_prime(p) -> int:
-    """A caller's prime as an int; a non-integer or a composite is refused.
-
-    `as_int` runs before the memo is read, so Fraction(7) and 7.0, which
-    equal 7 and hash like it, are refused and never find 7's entry.
-    """
+    """A caller's prime as an int; a non-integer or a composite is refused."""
     p = as_int(p)
-    if not _tested_prime(p):
+    if not is_prime(p):
         raise DomainError(f"{p} is not prime")
     return p

@@ -281,6 +281,18 @@ class TestGapBound:
         with pytest.raises(DomainError):
             hyperstandard_simple_bound(2)
 
+    def test_n_past_the_cap_rejected(self):
+        # the table has 2n - 3 rows; an n too long to print is named by its
+        # bit length, not by str(n), which passes Python's digit limit
+        cap = bounds._HSB_N_CAP
+        assert hyperstandard_simple_bound(cap).bound == 2 * cap * cap - cap
+        message = rf"^n must lie in \[3, {cap}\], got {cap + 1}$"
+        with pytest.raises(DomainError, match=message):
+            hyperstandard_simple_bound(cap + 1)
+        for n in (10**5000, -(10**5000)):
+            with pytest.raises(DomainError, match="got an int of 16610 bits$"):
+                hyperstandard_simple_bound(n)
+
     @given(st.integers(min_value=3, max_value=20))
     @settings(max_examples=15, deadline=None)
     def test_per_d_lambdas_are_oracle_maxima(self, n):

@@ -302,6 +302,17 @@ class TestExitCodes:
         assert err.startswith(f"usage: fptkit {argv[0]} ")
         assert err.splitlines()[-1] == message
 
+    @pytest.mark.parametrize("n", [bounds._HSB_N_CAP + 1, 10**4000])
+    def test_hsb_past_its_cap_is_one_at_once(self, n):
+        # uncapped, the d loop ran for any n of up to 4300 digits
+        start = time.perf_counter()
+        code, doc = invoke_json(["hsb", "--n", str(n)])
+        assert time.perf_counter() - start < 1
+        assert code == 1
+        assert doc["error"]["type"] == "DomainError"
+        cap = bounds._HSB_N_CAP
+        assert doc["error"]["message"].startswith(f"n must lie in [3, {cap}], got ")
+
     def test_coinciding_slopes_is_one(self):
         code, doc = invoke_json(
             ["nu", "--p", "5", "--slopes", "2,7", "--mults", "1,1", "--e", "1"]

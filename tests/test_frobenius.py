@@ -217,15 +217,54 @@ class TestProbeWork:
         assert outputs
         assert sum(outputs) <= (e + 1) * (width + 2 * p * deg_g)
 
+    @pytest.mark.parametrize(
+        "arr,n,q,outside",
+        [
+            # f^0 = 1
+            (LineArrangement(7, (0, 1, INF), (1, 1, 1)), 0, 49, True),
+            # N d > 2(q - 1): every monomial of f^N has x^q or y^q
+            (LineArrangement(7, (0, 1, INF), (1, 1, 1)), 33, 49, False),
+            # f = x y^4, so g = t and f^7 = x^7 y^28: the window starts at
+            # N d - q + 1 = 11, past deg g^7 = 7
+            (LineArrangement(5, (0, INF), (1, 4)), 7, 25, False),
+        ],
+        ids=["N=0", "past-2(q-1)", "empty-window"],
+    )
+    def test_closed_forms_make_no_multiply(self, arr, n, q, outside, monkeypatch):
+        # the kernel settles these from the window's bounds alone
+        frobenius._dehomogenized(arr)
+        mults = count_multiplies(monkeypatch)
+        assert frobenius._outside_ideal(arr, n, q) is outside
+        assert mults == []
+
+    def test_a_walks_store_answers_like_none(self):
+        # a walk's store serves kept windows by slicing and records new
+        # ones; every probe through it, at each level, matches a fresh one
+        rng = random.Random(24)
+        for _ in range(20):
+            arr = rand_arrangement(rng, primes=(2, 3, 5, 7), max_mult=4)
+            records = [nu(arr, 1)]
+            for e in (2, 3):
+                records.append(nu(arr, e, below=records[-1]))
+            store = frobenius._last_walk[2]
+            for rec in records:
+                top = 2 * (rec.q - 1) // arr.degree + 1
+                near = range(max(0, rec.nu - 2), rec.nu + 3)
+                for n in {0, top, top + 1, rng.randint(1, top), *near}:
+                    want = frobenius._outside_ideal(arr, n, rec.q)
+                    got = frobenius._outside_ideal(arr, n, rec.q, store)
+                    assert got == want, (arr, n, rec.q)
+                    assert want == (n <= rec.nu), (arr, n, rec.q)
+
 
 def count_probes(monkeypatch) -> list:
     """Record the level q of every membership probe from here on."""
     probe = frobenius._outside_ideal
     levels = []
 
-    def counting(arr, n, q):
+    def counting(arr, n, q, store=None):
         levels.append(q)
-        return probe(arr, n, q)
+        return probe(arr, n, q, store)
 
     monkeypatch.setattr(frobenius, "_outside_ideal", counting)
     return levels
@@ -282,7 +321,9 @@ class TestLadderWalk:
         below = nu(arr, 2)
         probe = frobenius._outside_ideal
         monkeypatch.setattr(
-            frobenius, "_outside_ideal", lambda a, n, q: q > a.p or probe(a, n, q)
+            frobenius,
+            "_outside_ideal",
+            lambda a, n, q, store=None: q > a.p or probe(a, n, q, store),
         )
         with pytest.raises(AssertionError, match="contradict nu=.* at q=25 "):
             nu(arr, 2)

@@ -1,7 +1,6 @@
 """Rational parsing, exact order keys, the refusals at library entry
 points, and primality against the trial-division oracle."""
 
-import io
 from fractions import Fraction
 
 import pytest
@@ -31,9 +30,7 @@ from fptkit import (
     sharply_fpure_A1,
     sharply_fpure_at,
     t0_from_lambdas,
-    verify_hm_bound,
 )
-from fptkit import cli, rationals
 from fptkit.errors import DomainError
 from fptkit.rationals import (
     PRIME_TEST_LIMIT,
@@ -229,37 +226,8 @@ class TestAsPrime:
 
 
 class TestOnePrimeTest:
-    """A request tests its p with Miller-Rabin once, and the memo behind
-    that never admits a value the tests above refuse."""
-
-    @pytest.fixture
-    def tested(self, monkeypatch):
-        calls = []
-
-        def counted(n, test=rationals.is_prime):
-            calls.append(n)
-            return test(n)
-
-        monkeypatch.setattr(rationals, "is_prime", counted)
-        rationals._tested_prime.cache_clear()
-        return calls
-
-    @pytest.mark.parametrize(
-        "argv,p",
-        [
-            ("certify --weights 1/2,2/3,2/3 --p 5 --slopes 0,1,inf --emax 3", 5),
-            ("certify --weights 1/2,2/3,4/5 --p 31", 31),
-            ("nu --p 3 --slopes 0,1,2,inf --mults 1,1,1,1 --e 2", 3),
-        ],
-    )
-    def test_one_call_per_request(self, tested, argv, p):
-        assert cli.run(argv.split(), out=io.StringIO()) == 0
-        assert tested == [p]
-
-    def test_verify_hm_bound_trusts_the_arrangement(self, tested):
-        arr = LineArrangement(5, (0, 1, INF), (1, 1, 1))
-        assert verify_hm_bound(arr, 2)
-        assert tested == [5]
+    """Each checked entry point tests its p itself, so accepting 7 admits
+    nothing that equals 7 without being an int, nor a composite."""
 
     @pytest.mark.parametrize(
         "call",
@@ -271,16 +239,13 @@ class TestOnePrimeTest:
         ],
         ids=["as_prime", "LineArrangement", "hara_monsky_lower", "certify_sfr"],
     )
-    def test_refusals_survive_a_tested_prime(self, tested, call):
-        call(7)
+    def test_refusals_survive_a_tested_prime(self, call):
         call(7)
         for bad in (F(7), 7.0):
             with pytest.raises(DomainError, match="not an integer"):
                 call(bad)
-        for _ in range(2):
-            with pytest.raises(DomainError, match="^91 is not prime$"):
-                call(91)
-        assert tested == [7, 91]
+        with pytest.raises(DomainError, match="^91 is not prime$"):
+            call(91)
 
 
 class TestIsPrime:

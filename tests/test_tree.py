@@ -1,8 +1,9 @@
 """Repository hygiene: no tracked file is one `.gitignore` excludes, the
 library holds no float arithmetic, no library module imports another
 one's private names, only `values.py` stores a value's fields past its
-refused assignment, and the library does not import `dataclasses`, whose
-class generation (and its `inspect` import) each CLI process would pay."""
+refused assignment, the library does not import `dataclasses`, whose
+class generation (and its `inspect` import) each CLI process would pay,
+and no state outlives a call but `nu`'s last walk and two named caches."""
 
 import ast
 import shutil
@@ -133,6 +134,61 @@ def test_field_store_scan_catches_each_kind():
         "setattr(A, 'x', 1)\nsuper().__setattr__('x', 1)\n"
     )
     assert sorted(line for line, _ in _field_stores(ast.parse(src))) == [3, 4, 6, 7, 8]
+
+
+CACHES = {"lru_cache", "cache"}
+
+
+def _is_cache(node):
+    """Is node `lru_cache`, `functools.cache` or the like?"""
+    if isinstance(node, ast.Attribute):
+        return node.attr in CACHES
+    return isinstance(node, ast.Name) and node.id in CACHES
+
+
+def _module_state(tree):
+    """(line, what) for each `global` name and each function cache, cached
+    by decorator or by a call: state that outlives the call that made it."""
+    decorators = set()  # ids of the calls that decorate
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Global):
+            for name in node.names:
+                yield node.lineno, f"global {name}"
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for dec in node.decorator_list:
+                if _is_cache(dec.func if isinstance(dec, ast.Call) else dec):
+                    decorators.add(id(dec))
+                    yield node.lineno, f"cached {node.name}"
+        elif isinstance(node, ast.Call) and id(node) not in decorators:
+            if _is_cache(node.func):
+                yield node.lineno, "cache call"
+
+
+def test_module_state_has_an_owner():
+    # `nu` keeps its last walk for a call given that walk's record; perfbench
+    # reads both caches' hit ratios (g per arrangement, I_plus per set)
+    found = {
+        path.relative_to(ROOT).as_posix(): sorted(
+            what for _, what in _module_state(ast.parse(path.read_text(), str(path)))
+        )
+        for path in sorted((ROOT / "src" / "fptkit").rglob("*.py"))
+    }
+    assert {path: whats for path, whats in found.items() if whats} == {
+        "src/fptkit/coeffsets.py": ["cached _plus_closure_cached"],
+        "src/fptkit/frobenius.py": ["cached _dehomogenized", "global _last_walk"],
+    }
+
+
+def test_module_state_scan_catches_each_kind():
+    src = (
+        "import functools\nfrom functools import lru_cache, cache\n"
+        "@lru_cache(maxsize=1)\ndef a(): pass\n"
+        "@functools.cache\ndef b(): pass\n"
+        "c = lru_cache(maxsize=None)(len)\n"
+        "def d():\n    global x, y\n"
+        "@staticmethod\ndef e(): pass\n"
+    )
+    assert sorted(line for line, _ in _module_state(ast.parse(src))) == [4, 6, 7, 9, 9]
 
 
 def _dataclass_imports(tree):
