@@ -15,9 +15,12 @@ import argparse
 import os
 import sys
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii
 
-from . import bounds, coeffsets, frobenius, pairs, regressions, thresholds
+# the C escaper that `json.encoder` re-exports, taken without loading the
+# `json` package (its decoder and scanner) into every CLI process
+from _json import encode_basestring_ascii
+
+from . import bounds, coeffsets, frobenius, pairs, thresholds
 from .errors import DomainError
 from .rationals import format_ratio, parse_int, parse_ratio, parse_ratio_list
 from .slopes import format_slope, parse_slope
@@ -210,7 +213,7 @@ def _print_json(value, out) -> None:
     tuple as a list.  It is written in one walk: Python 3.11 runs its C
     encoder only without `indent`, and the pure-Python one cost more than
     the computation on long `p0` and `dset` answers.  Dispatch is on exact
-    type: `str` (escaped by the stdlib's `encode_basestring_ascii`),
+    type: `str` (escaped by `json.encoder`'s C `encode_basestring_ascii`),
     `Fraction` (as `"a/b"`, formatted once per object: reports share
     Fraction objects, and the memo keys by `id` because `Fraction.__hash__`
     runs in Python; `value` keeps every object alive, so no two share an
@@ -351,6 +354,8 @@ def _print_check_table(rows, summary, out) -> None:
 
 
 def _cmd_paper_check(args, out) -> int:
+    from . import regressions  # the table loads only for this subcommand
+
     rows = regressions.run_paper_checks()
     summary = regressions.summarize(rows)
     if args.json:

@@ -30,10 +30,13 @@ from functools import lru_cache
 from math import gcd, lcm
 
 from .errors import DomainError
-from .rationals import as_fraction, format_ratio, order_width
+from .rationals import as_fraction, format_ratio, int_text, order_width
 from .values import Value
 
 HALF = Fraction(1, 2)
+# (f, m) candidates one slice may enumerate: the decks' largest slice has
+# 5,320, and D({1/3}) below 99999/100000 has 199,998 (about 0.6 s)
+_DSET_CANDIDATE_CAP = 1 << 18
 
 
 class CoeffSet(Value):
@@ -105,6 +108,8 @@ def dset_below(coeffs: CoeffSet, cutoff: Fraction) -> DsetSlice:
 
     The slice is finite for cutoff < 1 because (m-1+f)/m < cutoff forces
     m*(1-cutoff) < 1-f.  Values at or above the cutoff are not computed.
+    The (f, m) candidates are counted first, and a slice with more than
+    _DSET_CANDIDATE_CAP of them is refused before any is built.
     """
     cutoff = as_fraction(cutoff)
     if not 0 <= cutoff < 1:
@@ -115,12 +120,20 @@ def dset_below(coeffs: CoeffSet, cutoff: Fraction) -> DsetSlice:
     b, c = cutoff.numerator, cutoff.denominator
     scale, nums = _plus_closure_cached(coeffs.elements)
     step = scale * (c - b)
+    # f = a/scale < cutoff  <=>  a <= (b*scale - 1) // c; with r = scale - a,
+    # (m-1+f)/m = (m*scale - r)/(m*scale) for 1 <= m <= (r*c - 1) // step
+    tops = [((scale - a) * c - 1) // step
+            for a in nums[: bisect_right(nums, (b * scale - 1) // c)]]
+    count = sum(tops)
+    if count > _DSET_CANDIDATE_CAP:
+        raise DomainError(
+            f"a slice of D(I) may have at most {_DSET_CANDIDATE_CAP} (f, m) "
+            f"candidates, got {int_text(count)}"
+        )
     pairs = set()
-    # f = a/scale < cutoff  <=>  a <= (b*scale - 1) // c
-    for a in nums[: bisect_right(nums, (b * scale - 1) // c)]:
+    for a, top in zip(nums, tops):
         r = scale - a
-        # (m-1+f)/m = (m*scale - r)/(m*scale) for 1 <= m < r*c/step
-        for den in range(scale, ((r * c - 1) // step + 1) * scale, scale):
+        for den in range(scale, (top + 1) * scale, scale):
             g = gcd(r, den)
             pairs.add(((den - r) // g, den // g))
     width = order_width(max((d for _, d in pairs), default=1))

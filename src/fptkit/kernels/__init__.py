@@ -67,7 +67,9 @@ def truncated_power(base, n, p, trunc=None, lo=0, store=None):
         return []
     store = {} if store is None else store
     out = _window([c % p for c in base], deg, n, p, lo, hi, store)
-    return out if n < p else out[:]  # only n < p comes back as a fresh slice
+    kept = store.get(n)
+    # only the list the store keeps for n is shared; any other is fresh
+    return out[:] if kept is not None and kept[2] is out else out
 
 
 def _recall(store, m, lo, hi):

@@ -87,6 +87,12 @@ def as_int(x) -> int:
         raise DomainError(f"not an integer: {x!r}") from None
 
 
+def int_text(n: int) -> str:
+    """n for a message: in decimal up to 64 bits, past that by its length,
+    since str() of an int past Python's digit limit raises ValueError."""
+    return str(n) if n.bit_length() <= 64 else f"an int of {n.bit_length()} bits"
+
+
 def order_width(dmax: int) -> int:
     """A width w such that floor(n * w / d) orders the fractions n/d with
     d <= dmax strictly: two distinct ones differ by at least 1/dmax^2, so

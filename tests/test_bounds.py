@@ -338,8 +338,20 @@ class TestSafePerturbation:
                 assert not lo < a < hi, (a, lo, hi)
 
     def test_n_validated(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"^n must lie in \[2, 250\], got 1$"):
             safe_perturbation(EMPTY, 1)
+
+    def test_n_past_the_cap_rejected(self):
+        # n(n - 1)/2 intervals; an n too long to print is named by its bit
+        # length, as hsb names it
+        cap = bounds._PERTURBATION_N_CAP
+        assert len(safe_perturbation(EMPTY, cap).intervals) == cap * (cap - 1) // 2
+        message = rf"^n must lie in \[2, {cap}\], got {cap + 1}$"
+        with pytest.raises(DomainError, match=message):
+            safe_perturbation(EMPTY, cap + 1)
+        for n in (10**5000, -(10**5000)):
+            with pytest.raises(DomainError, match="got an int of 16610 bits$"):
+                safe_perturbation(EMPTY, n)
 
     @given(
         st.lists(

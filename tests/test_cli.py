@@ -31,10 +31,12 @@ def invoke_json(argv):
     return code, json.loads(text)
 
 
+SRC = str(Path(fptkit.__file__).resolve().parents[1])
+
+
 def run_python(*args):
     """Run a Python subprocess that imports the fptkit under test."""
-    src = str(Path(fptkit.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
     return subprocess.run(
         [sys.executable, *args],
         capture_output=True, text=True, env=os.environ | {"PYTHONPATH": path},
@@ -312,6 +314,30 @@ class TestExitCodes:
         assert doc["error"]["type"] == "DomainError"
         cap = bounds._HSB_N_CAP
         assert doc["error"]["message"].startswith(f"n must lie in [3, {cap}], got ")
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["dset", "--set", "1/3", "--below", "9999999/10000000"],
+             "a slice of D(I) may have at most 262144 (f, m) candidates, got 19999998"),
+            (["perturb", "--set", "1/7", "--N", "500"], "n must lie in [2, 250], got 500"),
+        ],
+        ids=["dset", "perturb"],
+    )
+    def test_coeffset_work_past_its_cap_is_one_at_once(self, argv, message):
+        # uncapped, the dset slice ran for more than 20 s and perturb wrote
+        # 10 MB in about 3 s
+        start = time.perf_counter()
+        code, doc = invoke_json(argv)
+        assert time.perf_counter() - start < 1
+        assert code == 1
+        assert doc["error"] == {"message": message, "type": "DomainError"}
+
+    def test_dset_below_the_cap_still_answers(self):
+        # 199,998 (f, m) candidates, under the cap of 2^18
+        code, doc = invoke_json(["dset", "--set", "1/3", "--below", "99999/100000"])
+        assert code == 0
+        assert doc["outputs"]["count"] == 133332
 
     def test_coinciding_slopes_is_one(self):
         code, doc = invoke_json(
@@ -717,6 +743,22 @@ class TestConsoleScript:
         assert proc.returncode == 0
         doc = json.loads(proc.stdout)
         assert doc["outputs"]["t0"] == "1/6"
+
+    @pytest.mark.parametrize("argv", [["paper-check"], ["paper-check", "--json"]])
+    def test_paper_check_as_the_only_request(self, argv):
+        # `python -I -m fptkit.cli <argv>`: the CLI imports the regression
+        # table inside paper-check, so this fresh process loads it there
+        proc = run_python("-I", "-c", MODULE_AS_SCRIPT, SRC, *argv)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == invoke(argv)[1]
+
+
+# `-I` ignores PYTHONPATH, so the child puts the fptkit under test on its
+# path, then runs `fptkit.cli` as `-m` would, with argv after the path
+MODULE_AS_SCRIPT = (
+    "import runpy, sys; sys.path.insert(0, sys.argv.pop(1)); "
+    "runpy.run_module('fptkit.cli', run_name='__main__', alter_sys=True)"
+)
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

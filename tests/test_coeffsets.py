@@ -1,6 +1,7 @@
 """Derived coefficient sets: examples, oracle equivalence, invariants."""
 
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ import oracles
 from fptkit import (
     CoeffSet,
     DomainError,
+    coeffsets,
     ddi_check,
     dset_below,
     dset_contains,
@@ -155,6 +157,55 @@ class TestDsetBelow:
         big = set(dset_below(s, hi).elements)
         assert small <= big
         assert small == {v for v in big if v < lo}
+
+
+def brute_candidates(elements, cutoff):
+    """The (f, m) pairs behind D(elements) ∩ [0, cutoff): f a sum below the
+    cutoff and m >= 1 with (m - 1 + f)/m < cutoff, counted one by one."""
+    count = 0
+    for f in oracles.closure_sums(elements):
+        m = 1
+        while (m - 1 + f) / m < cutoff:
+            count += 1
+            m += 1
+    return count
+
+
+class TestSliceCap:
+    """`dset_below` counts a slice's (f, m) candidates before it builds any,
+    and refuses a slice with more than `_DSET_CANDIDATE_CAP` of them."""
+
+    @pytest.mark.parametrize(
+        "src,cutoff",
+        [((), F(9, 10)), ((F(1, 3),), F(9, 10)), ((F(1, 2), F(1, 3)), F(97, 100)),
+         ((F(2, 5), F(1, 7)), F(15, 16)), ((F(1, 17), F(1, 16)), F(99, 100))],
+        ids=["empty", "one-third", "half-third", "two-fifths-seventh", "deck-largest"],
+    )
+    def test_count_is_exact_on_each_side_of_the_cap(self, src, cutoff, monkeypatch):
+        # the decks' largest slice, {1/17, 1/16} below 99/100, has 5,320
+        count = brute_candidates(src, cutoff)
+        want = dset_below(CoeffSet(src), cutoff)  # under the default cap
+        monkeypatch.setattr(coeffsets, "_DSET_CANDIDATE_CAP", count)
+        assert dset_below(CoeffSet(src), cutoff) == want
+        monkeypatch.setattr(coeffsets, "_DSET_CANDIDATE_CAP", count - 1)
+        message = (
+            rf"^a slice of D\(I\) may have at most {count - 1} \(f, m\) "
+            rf"candidates, got {count}$"
+        )
+        with pytest.raises(DomainError, match=message):
+            dset_below(CoeffSet(src), cutoff)
+
+    @pytest.mark.parametrize(
+        "cutoff,got",
+        [(F(9999999, 10000000), "19999998"), (1 - F(1, 10**4000), "an int of 13289 bits")],
+        ids=["10^-7", "10^-4000"],
+    )
+    def test_far_past_the_cap_is_refused_at_once(self, cutoff, got):
+        # uncapped, 1 - 10^-7 ran for more than 20 s
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match=f"candidates, got {got}$"):
+            dset_below(ONE_THIRD, cutoff)
+        assert time.perf_counter() - start < 1
 
 
 class TestDsetContains:

@@ -322,6 +322,36 @@ class TestWindowStore:
             assert got == oracles.direct_power(base, n, p)[lo:trunc]
             got[:] = [p + 1] * (len(got) + 1)
 
+    # (base, p, windows (n, trunc, lo) asked before the one mutated, that one)
+    KINDS = {
+        "n-below-p": ([3, 1, 4, 1], 7, [], (5, None, 0)),
+        "fresh-and-kept": ([3, 1, 4, 1], 7, [], (50, None, 0)),
+        "exact-kept-window": ([3, 1, 4, 1], 7, [(50, 100, 20)], (50, 100, 20)),
+        "slice-of-a-wider-window": ([3, 1, 4, 1], 7, [(50, None, 0)], (50, 100, 20)),
+        "zero-window": ([0, 1], 7, [], (7, 7, 1)),
+        "wider-than-the-cap": ([3, 1, 4, 1], 7, [], (2400, None, 0)),
+    }
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_each_kind_of_answer_is_the_callers_own(self, kind, monkeypatch):
+        # only a list the store keeps is copied on the way out; mutating any
+        # answer leaves the store, and so every later answer, as it was
+        monkeypatch.setattr(kernels, "STORE_CAP", 1000)
+        base, p, before, (n, trunc, lo) = self.KINDS[kind]
+        store = {}
+        for m, t, low in before:
+            truncated_power(base, m, p, t, low, store)
+        got = truncated_power(base, n, p, trunc, lo, store)
+        want = oracles.direct_power(base, n, p)[lo:trunc]
+        assert got == want
+        assert all(got is not kept[2] for kept in store.values())
+        got[:] = [p + 1] * (len(got) + 1)
+        assert truncated_power(base, n, p, trunc, lo, store) == want
+        for m, t, low in before:
+            assert truncated_power(base, m, p, t, low, store) == (
+                oracles.direct_power(base, m, p)[low:t]
+            )
+
     @given(st.data())
     @settings(max_examples=100, deadline=None)
     def test_widened_prefix_matches_direct_power(self, data):

@@ -3,7 +3,9 @@ library holds no float arithmetic, no library module imports another
 one's private names, only `values.py` stores a value's fields past its
 refused assignment, the library does not import `dataclasses`, whose
 class generation (and its `inspect` import) each CLI process would pay,
-and no state outlives a call but `nu`'s last walk and two named caches."""
+importing the CLI loads neither the `json` package nor the `paper-check`
+table, and no state outlives a call but `nu`'s last walk and two named
+caches."""
 
 import ast
 import shutil
@@ -221,13 +223,22 @@ def test_dataclass_import_scan_catches_each_kind():
     assert sorted(line for line, _ in _dataclass_imports(ast.parse(src))) == [1, 2, 6]
 
 
-def test_cli_import_loads_neither_dataclasses_nor_inspect():
+# modules a fresh `import fptkit.cli` must not load: `dataclasses` and its
+# `inspect` (class generation), the `json` package beyond the C escaper, and
+# the `paper-check` table, which that subcommand imports on demand
+UNLOADED_AT_CLI_IMPORT = (
+    "dataclasses", "inspect", "json", "json.decoder", "json.scanner",
+    "fptkit.regressions",
+)
+
+
+def test_cli_import_loads_no_dataclasses_json_or_regressions():
     code = (
         "import sys; sys.path.insert(0, sys.argv[1]); import fptkit.cli; "
-        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        "print(sorted(set(sys.argv[2:]) & set(sys.modules)))"
     )
     proc = subprocess.run(
-        [sys.executable, "-I", "-c", code, str(ROOT / "src")],
+        [sys.executable, "-I", "-c", code, str(ROOT / "src"), *UNLOADED_AT_CLI_IMPORT],
         capture_output=True, text=True, check=True,
     )
     assert proc.stdout.strip() == "[]"
