@@ -368,8 +368,77 @@ def _cmd_paper_check(args, out) -> int:
 
 # ---------------------------------------------------------------- parser
 
+_TABLE = (
+    "--table", {"action": "store_true", "help": "human-readable output instead of JSON"}
+)
+_ARRANGEMENT = (
+    ("--p", {"type": _int_arg, "required": True}),
+    ("--slopes", {"type": _slopes_arg, "required": True}),
+    ("--mults", {"type": _ints_arg, "required": True}),
+)
+_NU_LEVEL = (_TABLE, *_ARRANGEMENT, ("--e", {"type": _int_arg, "required": True}))
 
-def _build_parser() -> argparse.ArgumentParser:
+# (name, handler, help, arguments, a required group of which exactly one is
+# given), in the order `fptkit --help` lists them; `paper-check` alone has
+# no `--table`, and its handler writes to `out` itself
+_SUBCOMMANDS = (
+    ("dset", _cmd_dset, "slice of the derived coefficient set below a cutoff", (
+        _TABLE,
+        ("--set", {"type": _ratio_list_arg, "required": True}),
+        ("--below", {"type": _ratio_arg, "required": True}),
+    ), ()),
+    ("t0", _cmd_t0, "smallest positive gap 2/d - lambda", (_TABLE,), (
+        ("--set", {"type": _ratio_list_arg, "default": None}),
+        ("--lambda-list", {"type": _ratio_list_arg, "default": None}),
+    )),
+    ("p0", _cmd_p0, "effective prime bound from the constrained sum search", (
+        _TABLE,
+        ("--set", {"type": _ratio_list_arg, "required": True}),
+    ), ()),
+    ("hsb", _cmd_hsb, "uniform gap bound 2n^2 - n for the set {1/n}", (
+        _TABLE,
+        ("--n", {"type": _int_arg, "required": True}),
+    ), ()),
+    ("nu", _cmd_nu, "Frobenius nu invariant and its threshold bracket", _NU_LEVEL, ()),
+    ("bracket", _cmd_bracket, "threshold bracket (nu/q, (nu+1)/q]", _NU_LEVEL, ()),
+    ("fpure-at", _cmd_fpure_at, "sharp F-purity scan at a fixed coefficient", (
+        _TABLE,
+        *_ARRANGEMENT,
+        ("--lambda", {"dest": "lam", "type": _ratio_arg, "required": True}),
+        ("--emax", {"type": _int_arg, "required": True}),
+    ), ()),
+    ("certify", _cmd_certify, "strong F-regularity certificate cascade", (
+        _TABLE,
+        ("--weights", {"type": _ratio_list_arg, "required": True}),
+        ("--p", {"type": _int_arg, "required": True}),
+        ("--slopes", {"type": _slopes_arg, "default": None}),
+        ("--emax", {"type": _int_arg, "default": 0}),
+    ), ()),
+    ("perturb", _cmd_perturb, "safe unit-fraction perturbation of 1/q walls", (
+        _TABLE,
+        ("--set", {"type": _ratio_list_arg, "required": True}),
+        ("--N", {"type": _int_arg, "required": True}),
+    ), ()),
+    ("classify-p1", _cmd_classify_p1, "klt / log Fano classification on the line", (
+        _TABLE,
+        ("--coeffs", {"type": _ratio_list_arg, "required": True}),
+    ), ()),
+    ("paper-check", _cmd_paper_check, "recompute the worked-example table", (
+        ("--json", {"action": "store_true"}),
+    ), ()),
+)
+
+
+def _build_parser(tokens) -> argparse.ArgumentParser:
+    """The parser for one call whose argv holds `tokens`.
+
+    Only a subcommand named by one of the tokens gets its arguments and its
+    `-h`; every other one is a bare name with its help line.  argparse hands
+    the rest of argv to the subparser named by an argv token (there are no
+    aliases, and subcommand names are never abbreviated), and the top-level
+    usage, help and `invalid choice` texts read only names and help lines,
+    so every output is what the parser with every argument would give.
+    """
     parser = argparse.ArgumentParser(
         prog="fptkit",
         description=(
@@ -379,98 +448,26 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, handler, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+    for name, handler, text, arguments, one_of in _SUBCOMMANDS:
+        if name not in tokens:
+            sub.add_parser(name, help=text, add_help=False)
+            continue
+        p = sub.add_parser(name, help=text)
         p.set_defaults(handler=handler)
-        p.add_argument(
-            "--table",
-            action="store_true",
-            help="human-readable output instead of JSON",
-        )
-        return p
-
-    def add_arrangement(p):
-        p.add_argument("--p", type=_int_arg, required=True)
-        p.add_argument("--slopes", type=_slopes_arg, required=True)
-        p.add_argument("--mults", type=_ints_arg, required=True)
-
-    p = add(
-        "dset", _cmd_dset,
-        help="slice of the derived coefficient set below a cutoff",
-    )
-    p.add_argument("--set", type=_ratio_list_arg, required=True)
-    p.add_argument("--below", type=_ratio_arg, required=True)
-
-    p = add("t0", _cmd_t0, help="smallest positive gap 2/d - lambda")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--set", type=_ratio_list_arg, default=None)
-    group.add_argument("--lambda-list", type=_ratio_list_arg, default=None)
-
-    p = add(
-        "p0", _cmd_p0,
-        help="effective prime bound from the constrained sum search",
-    )
-    p.add_argument("--set", type=_ratio_list_arg, required=True)
-
-    p = add(
-        "hsb", _cmd_hsb,
-        help="uniform gap bound 2n^2 - n for the set {1/n}",
-    )
-    p.add_argument("--n", type=_int_arg, required=True)
-
-    for name, handler, text in (
-        ("nu", _cmd_nu, "Frobenius nu invariant and its threshold bracket"),
-        ("bracket", _cmd_bracket, "threshold bracket (nu/q, (nu+1)/q]"),
-    ):
-        p = add(name, handler, help=text)
-        add_arrangement(p)
-        p.add_argument("--e", type=_int_arg, required=True)
-
-    p = add(
-        "fpure-at", _cmd_fpure_at,
-        help="sharp F-purity scan at a fixed coefficient",
-    )
-    add_arrangement(p)
-    p.add_argument("--lambda", dest="lam", type=_ratio_arg, required=True)
-    p.add_argument("--emax", type=_int_arg, required=True)
-
-    p = add(
-        "certify", _cmd_certify,
-        help="strong F-regularity certificate cascade",
-    )
-    p.add_argument("--weights", type=_ratio_list_arg, required=True)
-    p.add_argument("--p", type=_int_arg, required=True)
-    p.add_argument("--slopes", type=_slopes_arg, default=None)
-    p.add_argument("--emax", type=_int_arg, default=0)
-
-    p = add(
-        "perturb", _cmd_perturb,
-        help="safe unit-fraction perturbation of 1/q walls",
-    )
-    p.add_argument("--set", type=_ratio_list_arg, required=True)
-    p.add_argument("--N", type=_int_arg, required=True)
-
-    p = add(
-        "classify-p1", _cmd_classify_p1,
-        help="klt / log Fano classification on the line",
-    )
-    p.add_argument("--coeffs", type=_ratio_list_arg, required=True)
-
-    p = sub.add_parser(
-        "paper-check", help="recompute the worked-example table"
-    )
-    p.set_defaults(handler=_cmd_paper_check)
-    p.add_argument("--json", action="store_true")
-
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
+        if one_of:
+            group = p.add_mutually_exclusive_group(required=True)
+            for flag, options in one_of:
+                group.add_argument(flag, **options)
     return parser
 
 
 def run(argv, out=None) -> int:
     out = out if out is not None else sys.stdout
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser(argv).parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
 

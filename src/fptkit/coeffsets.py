@@ -27,16 +27,19 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from .errors import DomainError
-from .rationals import as_fraction, format_ratio, int_text, order_width
+from .rationals import as_fraction, format_ratio, int_text, order_width, ratio_text
 from .values import Value
 
 HALF = Fraction(1, 2)
 # (f, m) candidates one slice may enumerate: the decks' largest slice has
 # 5,320, and D({1/3}) below 99999/100000 has 199,998 (about 0.6 s)
 _DSET_CANDIDATE_CAP = 1 << 18
+# elements an I_plus may have by its bound: the decks' largest bound is 273,
+# `hsb --n 1000` needs 1001, and I_plus of {1/65535} takes about 0.1 s
+_CLOSURE_CAP = 1 << 16
 
 
 class CoeffSet(Value):
@@ -51,7 +54,7 @@ class CoeffSet(Value):
             x = as_fraction(x)
             if not 0 < x < 1:
                 raise DomainError(
-                    f"coefficient {format_ratio(x)} outside (0,1)"
+                    f"coefficient {ratio_text(x)} outside (0,1)"
                 )
             elems.append(x)
         super().__init__(tuple(sorted(set(elems))))
@@ -79,8 +82,20 @@ class DsetSlice(Value):
 
 @lru_cache(maxsize=256)
 def _plus_closure_cached(elements: tuple[Fraction, ...]) -> tuple[int, tuple[int, ...]]:
-    """I_plus of `elements` as (L, ascending numerators over L)."""
+    """I_plus of `elements` as (L, ascending numerators over L).
+
+    Its size is bounded before anything is built: every sum is a multiple
+    of 1/L in [0, 1], and a generator g appears at most floor(1/g) times in
+    one, so I_plus has at most min(L + 1, prod(floor(1/g) + 1)) elements;
+    past _CLOSURE_CAP the set is refused.
+    """
     scale = lcm(1, *(x.denominator for x in elements))
+    bound = min(scale + 1, prod(x.denominator // x.numerator + 1 for x in elements))
+    if bound > _CLOSURE_CAP:
+        raise DomainError(
+            f"I_plus may have at most {_CLOSURE_CAP} elements, and this set's "
+            f"bound is {int_text(bound)}"
+        )
     gens = [x.numerator * (scale // x.denominator) for x in elements]
     seen = {0}
     stack = [0]
@@ -114,7 +129,7 @@ def dset_below(coeffs: CoeffSet, cutoff: Fraction) -> DsetSlice:
     cutoff = as_fraction(cutoff)
     if not 0 <= cutoff < 1:
         raise DomainError(
-            f"cutoff {format_ratio(cutoff)} outside [0,1); a cutoff below 1 "
+            f"cutoff {ratio_text(cutoff)} outside [0,1); a cutoff below 1 "
             "is what keeps the slice finite"
         )
     b, c = cutoff.numerator, cutoff.denominator
@@ -175,7 +190,7 @@ def largest_below(coeffs: CoeffSet, bound: Fraction) -> Fraction:
     b, c = bound.as_integer_ratio()
     if not 0 < b < c:
         raise DomainError(
-            f"bound {format_ratio(bound)} outside (0,1)"
+            f"bound {ratio_text(bound)} outside (0,1)"
         )
     scale, nums = _plus_closure_cached(coeffs.elements)
     step = scale * (c - b)

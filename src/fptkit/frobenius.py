@@ -35,7 +35,7 @@ from functools import lru_cache
 
 from .errors import DomainError, OracleBudgetError
 from .kernels import polymul_mod, truncated_power
-from .rationals import as_fraction, as_int, as_prime
+from .rationals import as_fraction, as_int, as_prime, int_text
 from .thresholds import MultiplicityProfile, hara_monsky_lower
 from .slopes import INF, format_slope, normalize_slopes, slope_key
 from .values import Value
@@ -55,7 +55,7 @@ class OracleBudget(Value):
             limit = as_int(limit)
             # a limit below 1 would refuse every nu
             if limit < 1:
-                raise DomainError(f"{name} must be at least 1, got {limit}")
+                raise DomainError(f"{name} must be at least 1, got {int_text(limit)}")
             limits.append(limit)
         super().__init__(*limits)
 
@@ -64,6 +64,14 @@ DEFAULT_BUDGET = OracleBudget()
 # a raised budget admits estimates whose decimal form can pass Python's
 # int-to-str limit; refusals name a longer one by its bit length, q as p^e
 _PRINTED_BITS = 4096
+# the most bits of an int that str() prints within Python's default limit
+# of 4300 digits (14280 * log10(2) < 4299)
+_WHOLE_BITS = 14280
+
+
+def _whole(n: int) -> str:
+    """An int in a refusal: in decimal wherever str() prints it."""
+    return int_text(n, _WHOLE_BITS)
 
 
 class LineArrangement(Value):
@@ -146,7 +154,7 @@ class FPurityCheck(Value):
 def _budgeted_q(arr: LineArrangement, e: int, budget: OracleBudget) -> int:
     e = as_int(e)
     if e < 1:
-        raise DomainError(f"e must be a positive integer, got {e}")
+        raise DomainError(f"e must be a positive integer, got {int_text(e)}")
     # p*q >= 2^(e+1) and d >= 2^(bits(d)-1), so p*d*q >= 2^floor_bits; once
     # that passes max_ops, q and the estimate (maybe too long to print) are
     # not computed
@@ -155,10 +163,12 @@ def _budgeted_q(arr: LineArrangement, e: int, budget: OracleBudget) -> int:
     estimate = None
     if e > budget.max_e:
         limit = budget.max_e
-        refusal = f"e={e} exceeds the budget cap e<={limit}"
+        refusal = f"e={_whole(e)} exceeds the budget cap e<={_whole(limit)}"
     elif q is None:
         limit = budget.max_ops
-        refusal = f"work estimate p*d*q >= 2^{floor_bits} exceeds {limit}"
+        refusal = (
+            f"work estimate p*d*q >= 2^{_whole(floor_bits)} exceeds {_whole(limit)}"
+        )
     else:
         limit = budget.max_ops
         estimate = arr.p * arr.degree * q
@@ -166,10 +176,10 @@ def _budgeted_q(arr: LineArrangement, e: int, budget: OracleBudget) -> int:
             return q
         bits = estimate.bit_length()
         shown = f">= 2^{bits - 1}" if bits > _PRINTED_BITS else f"= {estimate}"
-        refusal = f"work estimate p*d*q {shown} exceeds {limit}"
+        refusal = f"work estimate p*d*q {shown} exceeds {_whole(limit)}"
     # q is printed whole only beside an estimate that is printed whole
     printed = estimate is not None and estimate.bit_length() <= _PRINTED_BITS
-    limiting = q if printed else f"{arr.p}^{e}"
+    limiting = q if printed else f"{arr.p}^{_whole(e)}"
     raise OracleBudgetError(
         f"{refusal} (limiting q={limiting})", q=q, estimate=estimate, limit=limit
     )
@@ -239,7 +249,12 @@ def nu(
     if below is None:
         level, v = 1, 0
     elif (below.p, below.e, below.q * p) != (p, e - 1, q):
-        raise DomainError(f"below must be the record at p={p}, e={e - 1}; got {below}")
+        fields = ", ".join(
+            f"{name}={_whole(getattr(below, name))}" for name in NuRecord.__slots__
+        )
+        raise DomainError(
+            f"below must be the record at p={p}, e={e - 1}; got NuRecord({fields})"
+        )
     else:
         level, v = below.q, below.nu
     record, walked, store = _last_walk

@@ -84,13 +84,24 @@ def as_int(x) -> int:
     try:
         return operator.index(x)
     except TypeError:
-        raise DomainError(f"not an integer: {x!r}") from None
+        shown = ratio_text(x) if isinstance(x, Fraction) else repr(x)
+        raise DomainError(f"not an integer: {shown}") from None
 
 
-def int_text(n: int) -> str:
-    """n for a message: in decimal up to 64 bits, past that by its length,
-    since str() of an int past Python's digit limit raises ValueError."""
-    return str(n) if n.bit_length() <= 64 else f"an int of {n.bit_length()} bits"
+def int_text(n: int, bits: int = 64) -> str:
+    """n for a message: in decimal up to `bits` bits, past that by its
+    length, since str() of an int past Python's digit limit raises
+    ValueError.  Every refusal names its integers through here."""
+    return str(n) if n.bit_length() <= bits else f"an int of {n.bit_length()} bits"
+
+
+def ratio_text(x: Fraction) -> str:
+    """x for a message: "a/b" while both parts fit in 64 bits, past that by
+    their lengths; the counterpart of `int_text` for rationals."""
+    a, b = x.numerator, x.denominator
+    if max(a.bit_length(), b.bit_length()) <= 64:
+        return f"{a}/{b}"
+    return f"a rational of {a.bit_length()}/{b.bit_length()} bits"
 
 
 def order_width(dmax: int) -> int:
@@ -117,7 +128,7 @@ def is_prime(n: int) -> bool:
     n = as_int(n)
     if n >= PRIME_TEST_LIMIT:
         raise DomainError(
-            f"primality of {n} is not decided: exact only below "
+            f"primality of {int_text(n)} is not decided: exact only below "
             f"{PRIME_TEST_LIMIT} (about 3.3e24)"
         )
     if n < 2:
@@ -148,5 +159,5 @@ def as_prime(p) -> int:
     """A caller's prime as an int; a non-integer or a composite is refused."""
     p = as_int(p)
     if not is_prime(p):
-        raise DomainError(f"{p} is not prime")
+        raise DomainError(f"{int_text(p)} is not prime")
     return p

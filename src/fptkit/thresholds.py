@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from .coeffsets import CoeffSet, dset_below
 from .errors import DomainError
-from .rationals import as_fraction, as_int, as_prime
+from .rationals import as_fraction, as_int, as_prime, int_text
 from .slopes import INF
 from .values import Value
 
@@ -40,8 +40,9 @@ class MultiplicityProfile(Value):
         mults = tuple(as_int(a) for a in mults)
         if len(mults) == 0:
             raise DomainError("a profile needs at least one line")
-        if any(a <= 0 for a in mults):
-            raise DomainError(f"multiplicities must be positive: {mults}")
+        for a in mults:
+            if a <= 0:
+                raise DomainError(f"multiplicities must be positive, got {int_text(a)}")
         super().__init__(mults)
 
     @property

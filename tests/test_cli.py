@@ -333,6 +333,33 @@ class TestExitCodes:
         assert code == 1
         assert doc["error"] == {"message": message, "type": "DomainError"}
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["dset", "--set", "1/100000000", "--below", "1/2"],
+            ["p0", "--set", "1/100000000"],
+            ["t0", "--set", "1/100000000"],
+            ["perturb", "--set", "1/100000000", "--N", "3"],
+        ],
+        ids=["dset", "p0", "t0", "perturb"],
+    )
+    def test_plus_closure_past_its_cap_is_one_at_once(self, argv):
+        # uncapped, each ran past 10 s building the 10^8 + 1 sums of I_plus
+        start = time.perf_counter()
+        code, doc = invoke_json(argv)
+        assert time.perf_counter() - start < 1
+        assert code == 1
+        assert doc["error"] == {
+            "message": "I_plus may have at most 65536 elements, and this set's "
+            "bound is 100000001",
+            "type": "DomainError",
+        }
+
+    def test_a_wide_lcm_with_few_sums_still_answers(self):
+        code, doc = invoke_json(["dset", "--set", "1/2,999999/1000000", "--below", "9/10"])
+        assert code == 0
+        assert doc["outputs"]["elements"] == [f"{m - 1}/{m}" for m in range(1, 10)]
+
     def test_dset_below_the_cap_still_answers(self):
         # 199,998 (f, m) candidates, under the cap of 2^18
         code, doc = invoke_json(["dset", "--set", "1/3", "--below", "99999/100000"])
@@ -729,6 +756,96 @@ class TestPaperCheck:
         for row in doc["outputs"]["rows"]:
             assert row["expected_provenance"] in ("paper-example", "computed")
             assert row["status"] in ("ok", "expected-deviation", "mismatch")
+
+
+# one valid argv tail per subcommand
+VALID = {
+    "dset": ["--set", "1/3", "--below", "5/6"],
+    "t0": ["--set", "1/3"],
+    "p0": ["--set", "1/3"],
+    "hsb": ["--n", "4"],
+    "nu": ["--p", "3", "--slopes", "0,1", "--mults", "1,1", "--e", "2"],
+    "bracket": ["--p", "3", "--slopes", "0,1", "--mults", "1,1", "--e", "2"],
+    "fpure-at": ["--p", "3", "--slopes", "0,1", "--mults", "1,1", "--lambda", "1/2",
+                 "--emax", "2"],
+    "certify": ["--weights", "1/2,1/2", "--p", "5"],
+    "perturb": ["--set", "1/3", "--N", "4"],
+    "classify-p1": ["--coeffs", "1/2,2/3"],
+    "paper-check": ["--json"],
+}
+
+
+def _mixed_sequence():
+    """argv lists over every subcommand: answers, refusals, help and each
+    kind of usage error, with tokens before, between and after the name."""
+    seq = [
+        [], ["-h"], ["--help"], ["--he"], ["-x"], ["frobenius-me"], ["dse"],
+        ["--x", "dset", "--set", "1/2"], ["--", "dset", "--set", "1/2", "--below", "1/2"],
+        ["dset", "nu"], ["nu", "dset"], ["-h", "dset", "nu"], ["dset", "-h", "nu"],
+        ["dset", "--set", "nu", "--below", "1/2"], ["--table"],
+        ["t0", "--set", "1/3", "--lambda-list", "1/2"], ["paper-check", "--table"],
+        ["dset", "--set", "", "--below", "3/2"],
+        ["nu", "--p", "6", "--slopes", "0", "--mults", "1", "--e", "1"],
+    ]
+    for name, tail in VALID.items():
+        if name != "paper-check":  # its answer is pinned in TestPaperCheck
+            seq += [[name, *tail], [name, "--table", *tail]]
+        seq += [
+            [name, "-h"], ["-h", name], [name, "--help", *tail], [name, "--h"],
+            [name, "--bogus"], [name, *tail, "extra"], [*tail, name], [name + "x"],
+        ]
+        if name != "paper-check":  # it has no required argument
+            seq += [[name], [name, *tail[:2]]]
+    return seq
+
+
+class TestNamedArguments:
+    """`run` gives arguments and `-h` only to the subcommands its argv names;
+    each call's exit code, report, stdout and stderr are those of a parser
+    that gives every subcommand its arguments."""
+
+    def play(self, capsys, sequence, argv_of=lambda argv: argv):
+        results = []
+        for argv in sequence:
+            buf = io.StringIO()
+            code = run(argv_of(argv), out=buf)
+            captured = capsys.readouterr()
+            results.append((argv, code, buf.getvalue(), captured.out, captured.err))
+        return results
+
+    def full_parser(self, monkeypatch):
+        build = cli._build_parser
+        names = [spec[0] for spec in cli._SUBCOMMANDS]
+        monkeypatch.setattr(cli, "_build_parser", lambda tokens: build(names))
+
+    def test_a_mixed_sequence_matches_the_full_parser(self, capsys, monkeypatch):
+        sequence = _mixed_sequence()
+        got = self.play(capsys, sequence)
+        assert {code for _, code, *_ in got} == {0, 1, 2}
+        self.full_parser(monkeypatch)
+        assert self.play(capsys, sequence) == got
+
+    @pytest.mark.parametrize(
+        "argv", [["hsb", "--n", "4"], ["nu", "-h"], ["-h"], [], ["t0"]],
+        ids=["answer", "sub-help", "help", "empty", "usage-error"],
+    )
+    def test_argv_none_reads_sys_argv(self, capsys, monkeypatch, argv):
+        want = self.play(capsys, [argv])
+        monkeypatch.setattr(sys, "argv", ["fptkit", *argv])
+        assert self.play(capsys, [argv], lambda _: None) == want
+        self.full_parser(monkeypatch)
+        assert self.play(capsys, [argv], lambda _: None) == want
+
+    def test_only_named_subcommands_get_arguments(self):
+        for tokens, named in [
+            ([], set()),
+            (["classify-p1", "--coeffs", "1/2"], {"classify-p1"}),
+            (["--", "t0", "dset", "nu"], {"t0", "dset", "nu"}),
+            (["nu-x", "--dset"], set()),
+        ]:
+            parser = cli._build_parser(tokens)
+            subparsers = parser._subparsers._group_actions[0].choices
+            assert {name for name, sub in subparsers.items() if sub._actions} == named
 
 
 class TestConsoleScript:

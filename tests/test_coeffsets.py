@@ -208,6 +208,56 @@ class TestSliceCap:
         assert time.perf_counter() - start < 1
 
 
+class TestClosureCap:
+    """I_plus has at most min(L + 1, prod(floor(1/g) + 1)) elements, L the
+    lcm of the denominators, and a set past _CLOSURE_CAP is refused before
+    any sum is built."""
+
+    @given(
+        st.lists(
+            st.fractions(min_value=F(1, 30), max_value=F(29, 30), max_denominator=30),
+            max_size=3,
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_the_bound_holds(self, xs):
+        coeffs = CoeffSet(xs)
+        scale = math.lcm(1, *(x.denominator for x in coeffs))
+        bound = min(scale + 1, math.prod(x.denominator // x.numerator + 1 for x in coeffs))
+        assert len(plus_closure(coeffs)) <= bound
+
+    def test_each_side_of_the_cap(self):
+        # I_plus of {1/n} is all n + 1 multiples of 1/n, so the bound is met
+        cap = coeffsets._CLOSURE_CAP
+        assert len(plus_closure(CoeffSet((F(1, cap - 1),)))) == cap
+        message = f"^I_plus may have at most {cap} elements, and this set's bound is {cap + 1}$"
+        with pytest.raises(DomainError, match=message):
+            plus_closure(CoeffSet((F(1, cap),)))
+
+    def test_a_wide_lcm_with_few_sums_is_built(self):
+        # L = 10^6, but 1/2 fits twice and 999999/10^6 once: at most 6 sums
+        coeffs = CoeffSet((F(1, 2), F(999999, 1000000)))
+        assert plus_closure(coeffs) == (F(0), F(1, 2), F(999999, 1000000), F(1))
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            plus_closure,
+            lambda c: dset_below(c, F(1, 2)),
+            lambda c: dset_contains(c, F(1, 2)),
+            lambda c: largest_below(c, F(1, 2)),
+        ],
+        ids=["plus_closure", "dset_below", "dset_contains", "largest_below"],
+    )
+    @pytest.mark.parametrize("den", [10**8, 10**5000], ids=["10^8", "10^5000"])
+    def test_far_past_the_cap_is_refused_at_once(self, call, den):
+        # uncapped, I_plus of {1/10^8} ran for more than 10 s
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match="^I_plus may have at most"):
+            call(CoeffSet((F(1, den),)))
+        assert time.perf_counter() - start < 1
+
+
 class TestDsetContains:
     def test_standard_members(self):
         for m in range(1, 12):

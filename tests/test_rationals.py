@@ -32,14 +32,18 @@ from fptkit import (
     t0_from_lambdas,
 )
 from fptkit.errors import DomainError
+from fptkit.frobenius import NuRecord, OracleBudget
 from fptkit.rationals import (
     PRIME_TEST_LIMIT,
     as_fraction,
+    as_int,
     as_prime,
+    int_text,
     is_prime,
     order_width,
     parse_int,
     parse_ratio,
+    ratio_text,
 )
 
 F = Fraction
@@ -212,6 +216,71 @@ REFUSALS = {
 def test_refusals(call, message):
     with pytest.raises(DomainError, match=message):
         call()
+
+
+class TestNumberText:
+    def test_int_text_names_a_long_int_by_its_length(self):
+        assert int_text(2**64 - 1) == "18446744073709551615"
+        assert int_text(-(2**64)) == "an int of 65 bits"
+        assert int_text(2**64, bits=65) == str(2**64)
+        assert int_text(10**5000) == "an int of 16610 bits"
+
+    def test_ratio_text_names_a_long_rational_by_its_lengths(self):
+        assert ratio_text(F(-3, 7)) == "-3/7"
+        assert ratio_text(F(5)) == "5/1"
+        assert ratio_text(F(2**64 - 1, 11)) == f"{2**64 - 1}/11"
+        assert ratio_text(F(1, 2**64)) == "a rational of 1/65 bits"
+        assert ratio_text(F(10**5000, 3)) == "a rational of 16610/2 bits"
+
+
+BIG = 10**5000
+# refusals whose message once formatted a number past Python's int-to-str
+# limit, and so raised its ValueError instead of DomainError
+LONG_NUMBER_REFUSALS = {
+    "CoeffSet": (lambda: CoeffSet((F(BIG),)), "coefficient a rational of 16610/1 bits"),
+    "dset_below": (lambda: dset_below(EMPTY, F(BIG)), "cutoff a rational of 16610/1 bits"),
+    "largest_below": (lambda: largest_below(EMPTY, F(BIG)), "bound a rational of 16610/1 bits"),
+    "LineArrangement": (
+        lambda: LineArrangement(BIG, (0,), (1,)), "primality of an int of 16610 bits"
+    ),
+    "hara_monsky_lower": (
+        lambda: hara_monsky_lower(MultiplicityProfile((1, 1, 1)), BIG),
+        "primality of an int of 16610 bits",
+    ),
+    "as_prime": (lambda: as_prime(-BIG), "an int of 16610 bits is not prime"),
+    "as_int": (lambda: as_int(F(BIG, 3)), "not an integer: a rational of 16610/2 bits"),
+    "MultiplicityProfile": (
+        lambda: MultiplicityProfile((1, -BIG)),
+        "multiplicities must be positive, got an int of 16610 bits",
+    ),
+    "OracleBudget": (
+        lambda: OracleBudget(max_ops=-BIG), "max_ops must be at least 1, got an int of 16610 bits"
+    ),
+    "nu.e": (
+        lambda: nu(LineArrangement(2, (0,), (1,)), -BIG),
+        "e must be a positive integer, got an int of 16610 bits",
+    ),
+    "nu.e_cap": (
+        lambda: nu(LineArrangement(2, (0,), (1,)), BIG), "e=an int of 16610 bits exceeds"
+    ),
+    "nu.ops_cap": (
+        lambda: nu(LineArrangement(2, (0,), (1,)), BIG, OracleBudget(max_e=BIG, max_ops=BIG)),
+        "2^an int of 16610 bits exceeds an int of 16610 bits",
+    ),
+    "nu.below": (
+        lambda: nu(LineArrangement(2, (0,), (1,)), 2, below=NuRecord(2, BIG, 2, 1)),
+        "got NuRecord(p=2, e=an int of 16610 bits, q=2, nu=1)",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "call,message", LONG_NUMBER_REFUSALS.values(), ids=LONG_NUMBER_REFUSALS
+)
+def test_long_numbers_are_refused_with_domain_error(call, message):
+    with pytest.raises(DomainError) as exc:
+        call()
+    assert message in str(exc.value)
 
 
 class TestAsPrime:

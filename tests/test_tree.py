@@ -4,8 +4,8 @@ one's private names, only `values.py` stores a value's fields past its
 refused assignment, the library does not import `dataclasses`, whose
 class generation (and its `inspect` import) each CLI process would pay,
 importing the CLI loads neither the `json` package nor the `paper-check`
-table, and no state outlives a call but `nu`'s last walk and two named
-caches."""
+table, no state outlives a call but `nu`'s last walk and two named
+caches, and a cold request gives arguments to its own subcommand only."""
 
 import ast
 import shutil
@@ -242,3 +242,24 @@ def test_cli_import_loads_no_dataclasses_json_or_regressions():
         capture_output=True, text=True, check=True,
     )
     assert proc.stdout.strip() == "[]"
+
+
+def test_a_cold_request_builds_arguments_for_its_subcommand_only():
+    # each subparser `run` builds is recorded; a subparser with no action
+    # (not even `-h`) is a bare name and help line
+    code = (
+        "import argparse, io, sys; sys.path.insert(0, sys.argv[1]); built = {}\n"
+        "add = argparse._SubParsersAction.add_parser\n"
+        "def record(self, name, **kwargs):\n"
+        "    built[name] = add(self, name, **kwargs)\n"
+        "    return built[name]\n"
+        "argparse._SubParsersAction.add_parser = record\n"
+        "import fptkit.cli\n"
+        "assert fptkit.cli.run(['classify-p1', '--coeffs', '1/2'], out=io.StringIO()) == 0\n"
+        "print(len(built), sorted(name for name, sub in built.items() if sub._actions))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-I", "-c", code, str(ROOT / "src")],
+        capture_output=True, text=True, check=True,
+    )
+    assert proc.stdout.strip() == "11 ['classify-p1']"
