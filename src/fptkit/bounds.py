@@ -17,16 +17,19 @@ prefix carries its sum as one numerator `partial` over w.  One pruning
 rule bounds the walk: appending a to a prefix needs partial + 2a < 2w,
 because the completion is at least a/w.  At every prefix of length >= 2
 whose sum exceeds 1, only the largest completion can be maximal;
-`largest_below` gives it, below (2w - partial)/w.  That completion depends
-only on `partial`, so the walk asks for it once per distinct prefix sum.
-It needs no floor: the pruning rule put the prefix's last part a/w below
-(2w - partial)/w, so the completion is at least a/w and the parts stay
-sorted.  Every emitted candidate is re-verified against the raw
-constraints by the integer core of `admissible_sum`, which recomputes its
-total from the parts' numerators over one common denominator, the same
-denominator whose integer keys sort the trace.  Fractions are built only
-for what the reports return: one total per prefix sum, shared by every
-candidate with that sum, and the parts.
+`largest_below` gives it, below (2w - partial)/w.  It needs no floor: the
+pruning rule put the prefix's last part a/w below (2w - partial)/w, so the
+completion is at least a/w and the parts stay sorted.  The walk only
+collects and counts its prefixes, and refuses a set once they pass
+_QMAX_PREFIX_CAP, before anything else is built.  Each completion depends
+only on `partial`, so it is asked for once per distinct prefix sum after
+the walk.  Every emitted candidate is re-verified against the raw
+constraints by the integer core of `admissible_sum`: its numerators over
+one common denominator come from the pool's numerators, scaled once, and
+the same list, with the total's numerator in front, is its sort key.
+Fractions are built only for the completions and for one total per prefix
+sum, shared by every candidate with that sum; the parts are the pool's
+own Fractions.
 
 Safe perturbations compare slice elements, walls and interval ends by
 the strict integer keys floor(n * 2*dmax^2 / d) (`rationals.order_width`)
@@ -38,6 +41,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from operator import itemgetter
 
 from .coeffsets import CoeffSet, dset_below, largest_below, min_positive
 from .errors import DomainError
@@ -71,6 +75,11 @@ class BoundReport(Value):
         return math.floor(self.p0_exact)
 
 
+# prefixes one q_max walk may emit, one candidate each: the decks' largest
+# walk, p0 of {1/10}, emits 576; {1/18} emits 16,219 and {1/19} 24,536
+_QMAX_PREFIX_CAP = 1 << 14
+
+
 def admissible_sum(parts) -> bool:
     """Raw constraints: at least three parts, all in (0,1), total < 2, and
     every drop-one subtotal > 1.
@@ -88,46 +97,65 @@ def admissible_sum(parts) -> bool:
 
 def _admissible(nums: tuple[int, ...], w: int) -> bool:
     """`admissible_sum`'s rules on the parts' numerators over w."""
-    if len(nums) < 3 or any(not 0 < a < w for a in nums):
+    if len(nums) < 3:
+        return False
+    top = max(nums)
+    if min(nums) <= 0 or top >= w:
         return False
     total = sum(nums)
-    return total < 2 * w and total - max(nums) > w
+    return total < 2 * w and total - top > w
 
 
 def q_max(coeffs: CoeffSet) -> QMaxResult:
     """Q(I) with its lexicographically least witness and the sorted trace.
 
     The trace holds every candidate the walk emits, ascending by
-    (total, parts); Q is the last total.
+    (total, parts); Q is the last total.  A walk that emits more than
+    _QMAX_PREFIX_CAP prefixes is refused before any completion, candidate
+    or trace is built.
     """
     eps = min_positive(coeffs)
     pool = dset_below(coeffs, 1 - eps / 2).positives
     w = math.lcm(*(x.denominator for x in pool))
     nums = [x.numerator * (w // x.denominator) for x in pool]
     two_w = 2 * w
-    # partial -> the largest element of D(I) below (2w - partial)/w
-    completion: dict[int, Fraction] = {}
     found: list[tuple[tuple[int, ...], int]] = []
 
-    def extend(start: int, chosen: tuple[int, ...], partial: int):
-        # chosen holds pool indices; partial is their sum's numerator over w
-        if len(chosen) >= 2 and partial > w:
-            if partial not in completion:
-                completion[partial] = largest_below(
-                    coeffs, Fraction(two_w - partial, w)
-                )
-            found.append((chosen, partial))
-        for i in range(start, len(nums)):
-            # pool is ascending, so once a busts the rule every later pick does
-            if partial + 2 * nums[i] >= two_w:
-                break
-            extend(i, chosen + (i,), partial + nums[i])
+    # the walk keeps its path on explicit stacks: for a small eps it runs
+    # deeper than Python's recursion limit before its count refuses the set
+    chosen: list[int] = []  # pool indices, ascending
+    sums = [0]  # sums[k] is the numerator over w of chosen[:k]'s sum
+    i = 0  # the next pool index to try after chosen
+    while True:
+        partial = sums[-1]
+        # pool is ascending, so once a busts the rule every later pick does
+        if i < len(nums) and partial + 2 * nums[i] < two_w:
+            chosen.append(i)
+            partial += nums[i]
+            sums.append(partial)
+            if partial > w and len(chosen) >= 2:
+                found.append((tuple(chosen), partial))
+                if len(found) > _QMAX_PREFIX_CAP:
+                    raise DomainError(
+                        f"the constrained sum search may emit at most "
+                        f"{int_text(_QMAX_PREFIX_CAP)} prefixes, and this set's "
+                        "walk emits more"
+                    )
+        elif chosen:
+            i = chosen.pop() + 1
+            sums.pop()
+        else:
+            break
 
-    extend(0, (), 0)
-
+    # partial -> the largest element of D(I) below (2w - partial)/w
+    completion: dict[int, Fraction] = {}
+    for _, partial in found:
+        if partial not in completion:
+            completion[partial] = largest_below(coeffs, Fraction(two_w - partial, w))
     # sort by (total, parts) as numerators over one common denominator
     den = math.lcm(w, *(last.denominator for last in completion.values()))
     unit = den // w
+    scaled_nums = [a * unit for a in nums]
     # partial -> (total's numerator over den, total, last part, its numerator)
     tails = {}
     for partial, last in completion.items():
@@ -138,13 +166,17 @@ def q_max(coeffs: CoeffSet) -> QMaxResult:
     keyed = []
     for chosen, partial in found:
         total_num, total, last, tail = tails[partial]
-        scaled = (*(nums[i] * unit for i in chosen), tail)
+        scaled = [scaled_nums[i] for i in chosen]
+        scaled.append(tail)
         if _admissible(scaled, den):
-            parts = (*(pool[i] for i in chosen), last)
-            keyed.append(((total_num, *scaled), SumCandidate(total, parts)))
+            parts = [pool[i] for i in chosen]
+            parts.append(last)
+            # the sort key is [total, *parts] as numerators over den
+            scaled.insert(0, total_num)
+            keyed.append((scaled, SumCandidate(total, tuple(parts))))
     if not keyed:
         raise DomainError("constrained sum search found no admissible sums")
-    keyed.sort(key=lambda entry: entry[0])
+    keyed.sort(key=itemgetter(0))
     # the first candidate at the top total has the least parts
     top = keyed[-1][0][0]
     first = next(i for i, (key, _) in enumerate(keyed) if key[0] == top)

@@ -214,26 +214,28 @@ def _print_json(value, out) -> None:
     encoder only without `indent`, and the pure-Python one cost more than
     the computation on long `p0` and `dset` answers.  Dispatch is on exact
     type: `str` (escaped by `json.encoder`'s C `encode_basestring_ascii`),
-    `Fraction` (as `"a/b"`, formatted once per object: reports share
-    Fraction objects, and the memo keys by `id` because `Fraction.__hash__`
-    runs in Python; `value` keeps every object alive, so no two share an
-    id), `int`, `bool`, `None`, `dict` (str keys, sorted), `list` and `tuple`.  Any
-    other type, `float` included, raises `TypeError`, and `out` is written
-    only once the whole text is built.  Each separator is fused with the
-    leaf after it and an array of leaves is one string, so a long answer
-    makes few chunks.
+    `Fraction` (as `"a/b"` from `format_ratio`), `int`, `bool`, `None`,
+    `dict` (str keys, sorted), `list` and `tuple`.  Any other type, `float`
+    included, raises `TypeError`, and `out` is written only once the whole
+    text is built.  Reports share Fraction objects, so each is formatted
+    once: every leaf is first looked up in a memo keyed by `id` (a
+    Fraction's hash runs in Python; `value` keeps every object alive, so no
+    two share an id).  Each dict key is escaped once per call.  Each
+    separator is fused with the leaf after it and an array of leaves is one
+    string, so a long answer makes few chunks.
     """
     texts: dict[int, str] = {}
+    memo = texts.get
+    labels: dict[str, str] = {}
     chunks: list[str] = []
     append = chunks.append
 
     def leaf(v):
-        """JSON text of a scalar; None for a container."""
+        """JSON text of a scalar; None for a container.  A Fraction's text
+        is kept in `texts`, which callers probe first."""
         t = type(v)
         if t is Fraction:
-            text = texts.get(id(v))
-            if text is None:
-                text = texts[id(v)] = f'"{format_ratio(v)}"'
+            text = texts[id(v)] = f'"{format_ratio(v)}"'
             return text
         if t is str:
             return encode_basestring_ascii(v)
@@ -258,16 +260,19 @@ def _print_json(value, out) -> None:
             head = "{" + inner
             for key in sorted(v):
                 x = v[key]
-                text = leaf(x)
+                label = labels.get(key)
+                if label is None:
+                    label = labels[key] = encode_basestring_ascii(key) + ": "
+                text = memo(id(x)) or leaf(x)
                 if text is None:
-                    append(f"{head}{encode_basestring_ascii(key)}: ")
+                    append(head + label)
                     walk(x, inner)
                 else:
-                    append(f"{head}{encode_basestring_ascii(key)}: {text}")
+                    append(f"{head}{label}{text}")
                 head = sep
             append(nl + "}")
             return
-        items = [leaf(x) for x in v]
+        items = [memo(id(x)) or leaf(x) for x in v]
         if None not in items:
             append(f"[{inner}{sep.join(items)}{nl}]")
             return

@@ -13,13 +13,15 @@ that identity on any slice.
 Everything here is exact, and the inner loops run on integers.  I_plus is
 built once per coefficient set and cached as (L, ascending numerators a
 over L), L the lcm of the generators' denominators.  With r = L - a, an
-element of D(I) is (m*L - r)/(m*L), so a slice collects reduced integer
-pairs (n, d) and `largest_below` compares the gaps r/m by cross-multiplying.
-A slice is sorted by the integer key floor(n * 2*dmax^2 / d), dmax its
-largest denominator (`rationals.order_width`): distinct fractions with
-denominators <= dmax differ by at least 1/dmax^2, so their keys differ by
-at least 2 and the order is strict.  One Fraction is built per returned
-element.
+element of D(I) is (m*L - r)/(m*L), and `largest_below` compares the gaps
+r/m by cross-multiplying.  A slice dedups and sorts its (f, m) candidates
+by one integer key each, floor(n * W / d) on the unreduced pair
+(n, d) = (m*L - r, m*L), with W = 2*dmax^2 (`rationals.order_width`) and
+dmax = L times the largest m: every reduced denominator is at most dmax,
+distinct fractions with such denominators differ by at least 1/dmax^2, so
+their keys differ by at least 2, and equal fractions share a key whatever
+their form.  No gcd is taken per candidate; one Fraction is built per
+distinct element, in key order.
 """
 
 from __future__ import annotations
@@ -77,7 +79,9 @@ class DsetSlice(Value):
 
     @property
     def positives(self) -> tuple[Fraction, ...]:
-        return tuple(x for x in self.elements if x > 0)
+        # ascending and in [0, 1), so only the first element can be 0
+        elems = self.elements
+        return elems[1:] if elems and elems[0] == 0 else elems
 
 
 @lru_cache(maxsize=256)
@@ -145,15 +149,19 @@ def dset_below(coeffs: CoeffSet, cutoff: Fraction) -> DsetSlice:
             f"a slice of D(I) may have at most {_DSET_CANDIDATE_CAP} (f, m) "
             f"candidates, got {int_text(count)}"
         )
-    pairs = set()
+    # every candidate (m*scale - r)/(m*scale) reduces to a denominator of at
+    # most max(tops)*scale, so its key floor(n * width / d) - width, which is
+    # (-r * width) // (m*scale), is one integer per distinct element
+    width = order_width(max(tops, default=1) * scale)
+    found: dict[int, tuple[int, int]] = {}
     for a, top in zip(nums, tops):
         r = scale - a
+        neg = -r * width
         for den in range(scale, (top + 1) * scale, scale):
-            g = gcd(r, den)
-            pairs.add(((den - r) // g, den // g))
-    width = order_width(max((d for _, d in pairs), default=1))
-    ordered = sorted(pairs, key=lambda nd: nd[0] * width // nd[1])
-    return DsetSlice(tuple(Fraction(n, d) for n, d in ordered))
+            key = neg // den
+            if key not in found:
+                found[key] = (den - r, den)
+    return DsetSlice(tuple(Fraction(*found[key]) for key in sorted(found)))
 
 
 def dset_contains(coeffs: CoeffSet, value: Fraction) -> bool:

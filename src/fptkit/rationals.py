@@ -113,8 +113,9 @@ def order_width(dmax: int) -> int:
 
 def format_ratio(x: Fraction) -> str:
     """Render a rational as "a/b" in lowest terms, denominator always shown."""
-    x = as_fraction(x)
-    return f"{x.numerator}/{x.denominator}"
+    if type(x) is not Fraction:
+        x = as_fraction(x)
+    return "%d/%d" % x.as_integer_ratio()
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)

@@ -1,6 +1,8 @@
 """Constrained-sum maxima, prime bounds, gap bounds, perturbations."""
 
 import hashlib
+import inspect
+import sys
 from fractions import Fraction
 
 import pytest
@@ -217,6 +219,48 @@ class TestCompletionMemo:
             totals.setdefault(sum(cand.parts[:-1]), []).append(cand.total)
         for shared in totals.values():
             assert all(t is shared[0] for t in shared)
+
+
+class TestPrefixCap:
+    """The walk counts the prefixes it emits, one candidate each, and
+    refuses a set past `_QMAX_PREFIX_CAP` before it asks for a completion or
+    builds a Fraction, a candidate or a trace."""
+
+    def test_each_side_of_the_cap(self, monkeypatch):
+        # {1/10}, the decks' largest walk, emits 576 prefixes
+        coeffs = CoeffSet((F(1, 10),))
+        monkeypatch.setattr(bounds, "_QMAX_PREFIX_CAP", 576)
+        assert len(q_max(coeffs).candidates) == 576
+        monkeypatch.setattr(bounds, "_QMAX_PREFIX_CAP", 575)
+        with pytest.raises(DomainError, match="^the constrained sum search may emit "
+                           "at most 575 prefixes, and this set's walk emits more$"):
+            q_max(coeffs)
+
+    def test_the_largest_walk_under_the_cap_answers(self):
+        # {1/18} emits 16,219 prefixes and {1/19} 24,536
+        assert bounds._QMAX_PREFIX_CAP == 1 << 14
+        assert len(q_max(CoeffSet((F(1, 18),))).candidates) == 16_219
+
+    def test_refused_before_anything_is_built(self, monkeypatch):
+        def built(*args, **kwargs):
+            raise AssertionError("built before the refusal")
+
+        for name in ("largest_below", "Fraction", "SumCandidate", "QMaxResult"):
+            monkeypatch.setattr(bounds, name, built)
+        with pytest.raises(DomainError, match="at most 16384 prefixes"):
+            q_max(CoeffSet((F(1, 19),)))
+
+    def test_the_walk_takes_no_frame_per_part(self):
+        # a path of {1/100}'s walk holds up to about 2/eps = 200 parts; the
+        # recursive walk took a frame per part, and {1/500} (1.2 s to the
+        # refusal) raised RecursionError under the default limit of 1000
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack()) + 60)
+        try:
+            with pytest.raises(DomainError, match="at most 16384 prefixes"):
+                q_max(CoeffSet((F(1, 100),)))
+        finally:
+            sys.setrecursionlimit(limit)
 
 
 class TestP0:

@@ -1,5 +1,6 @@
 """Command-line surface: envelopes, determinism, exit codes, tables."""
 
+import contextlib
 import hashlib
 import io
 import json
@@ -355,6 +356,20 @@ class TestExitCodes:
             "type": "DomainError",
         }
 
+    @pytest.mark.parametrize("n", [19, 23])
+    def test_p0_past_its_prefix_cap_is_one_at_once(self, n):
+        # uncapped, {1/19} wrote 6.5 MB in about 0.5 s and {1/23} 28.8 MB
+        # in about 2.7 s
+        start = time.perf_counter()
+        code, doc = invoke_json(["p0", "--set", f"1/{n}"])
+        assert time.perf_counter() - start < 1
+        assert code == 1
+        assert doc["error"] == {
+            "message": "the constrained sum search may emit at most 16384 "
+            "prefixes, and this set's walk emits more",
+            "type": "DomainError",
+        }
+
     def test_a_wide_lcm_with_few_sums_still_answers(self):
         code, doc = invoke_json(["dset", "--set", "1/2,999999/1000000", "--below", "9/10"])
         assert code == 0
@@ -397,6 +412,83 @@ class TestExitCodes:
         )
         assert code == 1
         assert "3317044064679887385961981" in doc["error"]["message"]
+
+
+# generators with denominators far past the closure cap, near its edge and
+# small; numerators past (0, 1) are refused by the set itself
+_adversarial_generator = st.builds(
+    lambda num, den: f"{num}/{den}",
+    st.one_of(st.just(1), st.integers(-1, 4)),
+    st.one_of(
+        st.integers(2, 40),
+        st.integers(41, 70_000),
+        st.sampled_from([65_535, 65_536, 10**6, 10**8, 10**30]),
+    ),
+)
+_adversarial_set = st.lists(_adversarial_generator, max_size=3).map(",".join)
+# cutoffs near 1 (m up to 10^7), far below it, at 1 and past it
+_adversarial_cutoff = st.builds(
+    lambda k, form: form.format(k=k, k1=k - 1, k2=k + 1),
+    st.one_of(st.integers(1, 200), st.integers(201, 10**7)),
+    st.sampled_from(["{k1}/{k}", "{k}/{k2}", "1/{k}", "1", "{k2}/{k}"]),
+)
+# --n and --N near and past their caps, and integers of many digits
+_adversarial_count = st.one_of(
+    st.integers(-3, 1_100), st.integers(10**3, 10**50).map(lambda n: n * n)
+).map(str)
+_malformed = st.sampled_from(["1/0", "0.5", "1_2/3", "1/2/3", "x", "1/2,", "1e3"])
+
+
+@st.composite
+def _adversarial_argv(draw):
+    """(argv, malformed): one coeffset request; if `malformed`, one of its
+    values is a malformed token.  Values go in as --flag=value, so that
+    argparse reads a leading minus sign as part of the value."""
+    kind = draw(st.sampled_from(["dset", "t0", "p0", "hsb", "perturb"]))
+    one_over = st.integers(17, 40).map(lambda n: f"1/{n}")
+    if kind == "dset":
+        flags = {"--set": draw(_adversarial_set), "--below": draw(_adversarial_cutoff)}
+    elif kind == "t0":
+        flag = draw(st.sampled_from(["--set", "--lambda-list"]))
+        flags = {flag: draw(_adversarial_set)}
+    elif kind == "p0":
+        flags = {"--set": draw(st.one_of(one_over, _adversarial_set))}
+    elif kind == "hsb":
+        flags = {"--n": draw(_adversarial_count)}
+    else:
+        flags = {"--set": draw(_adversarial_set), "--N": draw(_adversarial_count)}
+    malformed = draw(st.booleans()) and draw(st.booleans())
+    if malformed:
+        flags[draw(st.sampled_from(sorted(flags)))] = draw(_malformed)
+    return [kind, *(f"{flag}={value}" for flag, value in flags.items())], malformed
+
+
+class TestAdversarialCoeffsetArgv:
+    """Every coeffset subcommand, on inputs built to blow it up, answers in
+    bounded time or refuses with a DomainError envelope; exit 2 is for
+    malformed tokens only."""
+
+    LIMIT_S = 5  # the slowest answers seen take about 1.5 s
+
+    @given(_adversarial_argv())
+    @settings(max_examples=25, deadline=None)
+    def test_answers_or_refuses_in_bounded_time(self, drawn):
+        argv, malformed = drawn
+        err = io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stderr(err):
+            code, text = invoke(argv)
+        assert time.perf_counter() - start < self.LIMIT_S
+        if malformed:
+            assert (code, text) == (2, "")
+            assert err.getvalue().startswith(f"usage: fptkit {argv[0]} ")
+            return
+        doc = json.loads(text)
+        assert code in (0, 1)
+        if code == 1:
+            assert doc["error"]["type"] == "DomainError"
+        else:
+            assert set(doc) == {"command", "inputs", "outputs", "provenance"}
 
 
 class TestBudgetEnv:
@@ -556,6 +648,25 @@ _trees = st.recursive(
 )
 
 
+@st.composite
+def _shared_trees(draw):
+    """Trees in which a few Fraction objects sit in many places, with long
+    arrays of Fractions (a `dset` slice, `perturb`'s endpoints) and lists
+    of {"parts", "total"} dicts (a `p0` trace)."""
+    pool = draw(st.lists(st.fractions(), min_size=1, max_size=6))
+    shared = st.sampled_from(pool)
+    fractions = st.one_of(shared, st.fractions())
+    long_array = st.lists(fractions, min_size=20, max_size=50)
+    trace = st.lists(
+        st.fixed_dictionaries(
+            {"parts": st.lists(shared, min_size=3, max_size=5).map(tuple), "total": shared}
+        ),
+        max_size=12,
+    )
+    value = st.one_of(long_array, long_array.map(tuple), trace, shared, st.lists(shared))
+    return draw(st.dictionaries(_text, value, max_size=4))
+
+
 class TestPrintJson:
     """`_print_json` writes what the indenting `json.dumps` writes for the
     tree with each Fraction as "a/b" and each tuple as a list."""
@@ -563,6 +674,14 @@ class TestPrintJson:
     @given(_trees)
     @settings(max_examples=150, deadline=None)
     def test_bytes_match_json_dumps(self, tree):
+        out = io.StringIO()
+        cli._print_json(tree, out)
+        want = json.dumps(_encode_per_value(tree), indent=2, sort_keys=True) + "\n"
+        assert out.getvalue() == want
+
+    @given(_shared_trees())
+    @settings(max_examples=20, deadline=None)
+    def test_shared_fractions_and_long_arrays_match_json_dumps(self, tree):
         out = io.StringIO()
         cli._print_json(tree, out)
         want = json.dumps(_encode_per_value(tree), indent=2, sort_keys=True) + "\n"

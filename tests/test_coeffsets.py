@@ -337,6 +337,16 @@ def exact(values):
     return all(type(v) is F for v in values)
 
 
+def strict_slice(src, cutoff):
+    """D(src) below `cutoff`, checked exact, strictly increasing and equal
+    to the slice by definition."""
+    got = dset_below(CoeffSet(src), cutoff).elements
+    assert exact(got)
+    assert all(x < y for x, y in zip(got, got[1:]))
+    assert got == tuple(sorted(oracles.dset_by_definition(src, cutoff)))
+    return got
+
+
 class TestIntegerLayer:
     """The (L, numerators) layer against the Fraction oracles, on closures
     of a few thousand sums whose common denominator L reaches 97 * 89."""
@@ -380,16 +390,22 @@ class TestIntegerLayer:
         assert set(got) == brute_slice(src, cutoff)
         assert largest_below(CoeffSet(src), cutoff) == got[-1]
 
+    @pytest.mark.parametrize("cutoff", [F(96, 100), F(97, 100), F(98, 100), F(99, 100)])
+    @pytest.mark.parametrize(
+        "src", [(F(1, 16), F(1, 17)), (F(2, 15), F(1, 12))], ids=["16-17", "2/15-12"]
+    )
+    def test_coinciding_candidates_are_listed_once(self, src, cutoff):
+        # many unreduced pairs (m*L - r)/(m*L) reduce to one element:
+        # {1/16, 1/17} below 99/100 has 5,320 (f, m) candidates for 3,162
+        strict_slice(src, cutoff)
+
     @pytest.mark.parametrize(
         "src,cutoff",
         [((), F(99, 100)), ((F(1, 2),), F(49, 50)), ((F(1, 3),), F(99, 100))],
         ids=["standard", "half", "one-third"],
     )
     def test_sort_is_strict_near_the_minimum_gap(self, src, cutoff):
-        got = dset_below(CoeffSet(src), cutoff).elements
-        assert exact(got)
-        assert all(x < y for x, y in zip(got, got[1:]))
-        assert got == tuple(sorted(oracles.dset_by_definition(src, cutoff)))
+        got = strict_slice(src, cutoff)
         # neighbours within 2/dmax^2 (1.01, 1.02 and 1.99 times 1/dmax^2):
         # a coarser key than floor(x * 2 * dmax^2) could tie them
         dmax = max(v.denominator for v in got)

@@ -117,6 +117,21 @@ def test_order_width_keys_order_strictly(case):
         assert k1 < k2 if F(n1, d1) < F(n2, d2) else k1 == k2
 
 
+class TestFormatRatio:
+    @given(st.fractions())
+    def test_a_fraction_is_its_lowest_terms(self, x):
+        assert format_ratio(x) == f"{x.numerator}/{x.denominator}"
+
+    def test_other_rationals_are_converted_first(self):
+        class Sub(Fraction):
+            pass
+
+        assert format_ratio(3) == "3/1"
+        assert format_ratio(-4) == "-4/1"
+        assert format_ratio(Sub(-2, 4)) == "-1/2"
+        assert format_ratio("6/8") == "3/4"
+
+
 class TestAsFraction:
     def test_fraction_passes_through(self):
         x = F(2, 3)
