@@ -12,18 +12,18 @@ N = 0 always stays outside, the window is empty once N d > 2(q - 1), and
 the property is monotone in N (the ideal is integrally stable under the
 partial order here), so each level is a binary search.  Frobenius is flat
 on k[x, y], so p nu(q) <= nu(pq) <= p nu(q) + p - 1 (Mustata-Takagi-
-Watanabe): nu climbs one level at a time from nu(1) = 0, or from a caller's
-record one level below, searching only the candidates the ladder allows.
+Watanabe): nu climbs one level at a time from nu(1) = 0, or from the last
+record of the caller's walk, searching only the candidates the ladder allows.
 Every level ends with nu outside and nu + 1 inside, each shown by a probe
 unless N = 0 or N d > 2(q - 1) settles it.
 
 A probe builds only the window [lo, hi] of g^N (`kernels.truncated_power`
 with `lo`), by a recursion down the base-p digits of N whose cost follows
 the window's width; near nu that width is a small share of q for few lines
-and large p.  One walk keeps the windows it builds in a store (a dict that
-`truncated_power` fills): a probe at level pq reads N = p nu + s, whose
-window needs g^nu only inside the window the level below built when it
-showed nu outside, so above level 1 a probe is one multiply, that window
+and large p.  A walk (`NuWalk`) keeps the windows it builds in a store (a
+dict that `truncated_power` fills): a probe at level pq reads N = p nu + s,
+whose window needs g^nu only inside the window the level below built when
+it showed nu outside, so above level 1 a probe is one multiply, that window
 spread by t -> t^p times the stored prefix of g^s.
 """
 
@@ -198,10 +198,16 @@ def _dehomogenized(arr: LineArrangement) -> tuple[int, ...]:
     return tuple(g)
 
 
-# the last walk: its top record, its arrangement and the powers of g it
-# built; `nu` resumes from them only when given that record as `below`, so
-# one walk's store at most is alive and no two requests share one
-_last_walk = (None, None, None)
+class NuWalk:
+    """A caller's climb of one arrangement's ladder: the last record `nu`
+    reached on it and its store of g's powers; it changes, so no `Value`."""
+
+    __slots__ = ("arr", "record", "store")
+
+    def __init__(self, arr: LineArrangement):
+        self.arr = arr
+        self.record: NuRecord | None = None
+        self.store: dict = {}
 
 
 def _outside_ideal(arr: LineArrangement, n: int, q: int, store=None) -> bool:
@@ -217,7 +223,8 @@ def _outside_ideal(arr: LineArrangement, n: int, q: int, store=None) -> bool:
 def power_in_frobenius_ideal(
     arr: LineArrangement, n: int, e: int, budget: OracleBudget = DEFAULT_BUDGET
 ) -> bool:
-    """Is f^n in (x^q, y^q) for q = p^e?"""
+    """Is f^n in (x^q, y^q) for q = p^e?  One probe with no walk, kept so
+    that tests check the probe itself against the naive expansion."""
     n = as_int(n)
     if n < 0:
         raise DomainError("the exponent must be non-negative")
@@ -229,38 +236,29 @@ def nu(
     arr: LineArrangement,
     e: int,
     budget: OracleBudget = DEFAULT_BUDGET,
-    below: NuRecord | None = None,
+    walk: NuWalk | None = None,
 ) -> NuRecord:
     """nu(q) = max{N : f^N not in (x^q, y^q)}, q = p^e, up the Frobenius ladder.
 
-    The climb starts from `below`, the record of the same arrangement at
-    e - 1, or from nu(1) = 0.  Each level is a binary search with lo outside
-    and hi inside the ideal, over [p*nu, min(p*nu + p, 2(q - 1)//d + 1)]
-    for nu the level below; an end the search took on trust and never
-    probed is probed afterwards, so every level's nu is outside and nu + 1
-    inside by a probe (N = 0 and N d > 2(q - 1) need none).  A caller
-    scanning e = 1..E passes each record on and walks the ladder once, one
-    `nu` call per level; the walk's stored windows pass on with the record
-    this call returns, and only to a call given that very record.
+    The climb starts from `walk`'s record if its e is below this one, else
+    from nu(1) = 0, and probes through the walk's store, which serves any
+    level of the same g; the new record is left on the walk.  No walk means
+    a fresh one; a walk of another arrangement is refused.  Each level is a
+    binary search with lo outside and hi inside the ideal, over
+    [p*nu, min(p*nu + p, 2(q - 1)//d + 1)] for nu the level below; an end
+    the search took on trust and never probed is probed afterwards, so every
+    level's nu is outside and nu + 1 inside by a probe (N = 0 and
+    N d > 2(q - 1) need none).  A scan of e = 1..E on one walk climbs the
+    ladder once, one `nu` call per level.
     """
-    global _last_walk
     q = _budgeted_q(arr, e, budget)
     p, d = arr.p, arr.degree
-    if below is None:
-        level, v = 1, 0
-    elif (below.p, below.e, below.q * p) != (p, e - 1, q):
-        fields = ", ".join(
-            f"{name}={_whole(getattr(below, name))}" for name in NuRecord.__slots__
-        )
-        raise DomainError(
-            f"below must be the record at p={p}, e={e - 1}; got NuRecord({fields})"
-        )
-    else:
-        level, v = below.q, below.nu
-    record, walked, store = _last_walk
-    if below is None or below is not record or walked != arr:
-        store = {}
-    _last_walk = (None, None, None)
+    if walk is None:
+        walk = NuWalk(arr)
+    elif walk.arr != arr:
+        raise DomainError("the walk was built for another arrangement")
+    below, store = walk.record, walk.store
+    level, v = (below.q, below.nu) if below is not None and below.e < e else (1, 0)
     while level < q:
         level *= p
         lo = first_lo = p * v
@@ -282,9 +280,8 @@ def nu(
                 f"for {arr.describe()}"
             )
         v = lo
-    record = NuRecord(p, e, q, v)
-    _last_walk = (record, arr, store)
-    return record
+    walk.record = NuRecord(p, e, q, v)
+    return walk.record
 
 
 def sharply_fpure_at(
@@ -305,9 +302,9 @@ def sharply_fpure_at(
     if e_max < 1:
         raise DomainError("e_max must be at least 1")
     records, required = [], []
-    witness = rec = None
+    witness, walk = None, NuWalk(arr)
     for e in range(1, e_max + 1):
-        rec = nu(arr, e, budget, below=rec)
+        rec = nu(arr, e, budget, walk)
         records.append(rec)
         required.append(math.ceil(lam * (rec.q - 1)))
         if required[-1] <= rec.nu:

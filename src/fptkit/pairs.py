@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DomainError, OracleBudgetError
-from .frobenius import DEFAULT_BUDGET, LineArrangement, OracleBudget, nu
+from .frobenius import DEFAULT_BUDGET, LineArrangement, NuWalk, OracleBudget, nu
 from .rationals import as_fraction, as_int, as_prime
 from .slopes import normalize_slopes
 from .thresholds import (
@@ -169,10 +169,10 @@ def certify_sfr(
 
     if e_max > 0:
         line_arr = LineArrangement(p, arr.slopes, mults)
-        rec = None
+        walk = NuWalk(line_arr)
         for e in range(1, e_max + 1):
             try:
-                rec = nu(line_arr, e, budget, below=rec)
+                rec = nu(line_arr, e, budget, walk)
             except OracleBudgetError as exc:
                 details["note"] = f"oracle budget exhausted at e={e}: {exc}"
                 return Certificate(INCONCLUSIVE, details)

@@ -89,11 +89,9 @@ def _got_case_sums():
 
 def _got_nu_all_lines(p, e_top):
     arr = frobenius.LineArrangement.all_rational_lines(p)
-    nus, rec = [], None
-    for e in range(1, e_top + 1):
-        rec = frobenius.nu(arr, e, below=rec)
-        nus.append(str(rec.nu))
-    return ",".join(nus)
+    walk = frobenius.NuWalk(arr)
+    nus = (frobenius.nu(arr, e, walk=walk).nu for e in range(1, e_top + 1))
+    return ",".join(map(str, nus))
 
 
 def _got_brackets_all_lines():

@@ -491,6 +491,71 @@ class TestAdversarialCoeffsetArgv:
             assert set(doc) == {"command", "inputs", "outputs", "provenance"}
 
 
+_LONG = "1" + "0" * 5000  # past the 4300 digits an integer token may have
+_BAD_INT = ["0", "-1", "6", "10" * 20, _LONG]
+_BAD_RATIO = ["0", "-1/2", "3/2", f"1/{_LONG}"]
+# well-typed adversarial values for each oracle flag: 0, negatives,
+# composites, repeated slopes, counts that differ, integers of 5001 digits
+_ORACLE_BAD = {
+    "--p": ["4", "1", "0", "-3", _LONG],
+    "--slopes": ["0,0", "1,6", "-1", _LONG, "0,1,2,inf,3,4,5,6"],
+    "--mults": ["0", "-1", "1,1,1,1,1", "10" * 20, _LONG],
+    "--e": _BAD_INT,
+    "--emax": _BAD_INT,
+    "--lambda": _BAD_RATIO,
+    "--weights": _BAD_RATIO + ["1/2,-1/2", "1,1,1"],
+}
+
+
+@st.composite
+def _oracle_argv(draw):
+    """One nu, bracket, fpure-at or certify request; half the time one of
+    its values is taken from `_ORACLE_BAD`.  Values go in as --flag=value."""
+    kind = draw(st.sampled_from(["nu", "bracket", "fpure-at", "certify"]))
+    lines = draw(st.integers(1, 4))
+    slopes = ",".join(draw(st.permutations(["0", "1", "2", "inf"]))[:lines])
+    ratios = st.sampled_from(["1/2", "2/3", "1/3", "3/5", "1"])
+    small = st.sampled_from(["1", "2", "3", "5"])
+    flags = {"--p": draw(st.sampled_from(["2", "3", "5", "7"]))}
+    if kind == "certify":
+        flags["--weights"] = ",".join(draw(st.lists(ratios, min_size=lines, max_size=lines)))
+        flags["--emax"] = draw(small)
+        if draw(st.booleans()):
+            flags["--slopes"] = slopes
+    else:
+        mults = st.lists(st.sampled_from(["1", "2", "3"]), min_size=lines, max_size=lines)
+        flags |= {"--slopes": slopes, "--mults": ",".join(draw(mults))}
+        if kind == "fpure-at":
+            flags |= {"--lambda": draw(ratios), "--emax": draw(small)}
+        else:
+            flags["--e"] = draw(small)
+    if draw(st.booleans()):
+        flag = draw(st.sampled_from(sorted(flags)))
+        flags[flag] = draw(st.sampled_from(_ORACLE_BAD[flag]))
+    return [kind, *(f"{flag}={value}" for flag, value in flags.items())]
+
+
+class TestAdversarialOracleArgv:
+    """The oracle subcommands answer (exit 0), refuse with a DomainError or
+    OracleBudgetError envelope (exit 1), or refuse a token (exit 2)."""
+
+    @given(_oracle_argv())
+    @settings(max_examples=40, deadline=None)
+    def test_answers_or_refuses(self, argv):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code, text = invoke(argv)
+        assert code in (0, 1, 2), argv
+        if code == 2:
+            assert text == "" and err.getvalue().startswith(f"usage: fptkit {argv[0]} ")
+            return
+        doc = json.loads(text)
+        if code == 1:
+            assert doc["error"]["type"] in ("DomainError", "OracleBudgetError")
+        else:
+            assert set(doc) == {"command", "inputs", "outputs", "provenance"}
+
+
 class TestBudgetEnv:
     def test_ops_cap_wins(self, monkeypatch):
         monkeypatch.setenv("FPTKIT_ORACLE_BUDGET", "1000")

@@ -6,11 +6,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import oracles
 from fptkit import (
     DomainError,
     LineArrangement,
+    NuWalk,
     OracleBudget,
     OracleBudgetError,
     WeightedArrangement,
@@ -243,16 +245,14 @@ class TestProbeWork:
         rng = random.Random(24)
         for _ in range(20):
             arr = rand_arrangement(rng, primes=(2, 3, 5, 7), max_mult=4)
-            records = [nu(arr, 1)]
-            for e in (2, 3):
-                records.append(nu(arr, e, below=records[-1]))
-            store = frobenius._last_walk[2]
+            walk = NuWalk(arr)
+            records = [nu(arr, e, walk=walk) for e in (1, 2, 3)]
             for rec in records:
                 top = 2 * (rec.q - 1) // arr.degree + 1
                 near = range(max(0, rec.nu - 2), rec.nu + 3)
                 for n in {0, top, top + 1, rng.randint(1, top), *near}:
                     want = frobenius._outside_ideal(arr, n, rec.q)
-                    got = frobenius._outside_ideal(arr, n, rec.q, store)
+                    got = frobenius._outside_ideal(arr, n, rec.q, walk.store)
                     assert got == want, (arr, n, rec.q)
                     assert want == (n <= rec.nu), (arr, n, rec.q)
 
@@ -271,8 +271,8 @@ def count_probes(monkeypatch) -> list:
 
 
 class TestLadderWalk:
-    """A caller scanning e = 1..E climbs the ladder once, passing each record
-    on as `below`; each level's nu and nu + 1 are still shown by probes."""
+    """A caller scanning e = 1..E climbs the ladder once, passing one walk to
+    every level; each level's nu and nu + 1 are still shown by probes."""
 
     SEVEN_LINES = LineArrangement(7, (0, 1, 2, 3, 4, 5, INF), (1,) * 7)
 
@@ -280,10 +280,10 @@ class TestLadderWalk:
         rng = random.Random(16)
         for _ in range(40):
             arr = rand_arrangement(rng, primes=(2, 3, 5, 7, 11), max_mult=4)
-            rec = None
+            walk = NuWalk(arr)
             for e in range(1, 6):
-                rec = nu(arr, e, below=rec)
-                assert rec == nu(arr, e), (arr, e)
+                rec = nu(arr, e, walk=walk)
+                assert rec == nu(arr, e) == walk.record, (arr, e)
 
     @pytest.mark.parametrize(
         "arr", [SEVEN_LINES, LineArrangement(5, (0, 1, 2, INF), (2, 2, 2, 3))]
@@ -318,7 +318,8 @@ class TestLadderWalk:
         # probes its upper end, and the end-of-level probe finds f^N outside
         # past the ladder bound
         arr = LineArrangement(5, (0, 1, INF), (1, 1, 1))
-        below = nu(arr, 2)
+        walk = NuWalk(arr)
+        nu(arr, 2, walk=walk)
         probe = frobenius._outside_ideal
         monkeypatch.setattr(
             frobenius,
@@ -328,16 +329,26 @@ class TestLadderWalk:
         with pytest.raises(AssertionError, match="contradict nu=.* at q=25 "):
             nu(arr, 2)
         with pytest.raises(AssertionError, match="contradict nu=.* at q=125 "):
-            nu(arr, 3, below=below)
+            nu(arr, 3, walk=walk)
 
-    def test_below_must_be_the_level_below(self):
-        arr = LineArrangement(5, (0, 1, INF), (1, 1, 1))
-        first = nu(arr, 1)
-        with pytest.raises(DomainError, match=r"at p=5, e=2; got NuRecord\(p=5, e=1,"):
-            nu(arr, 3, below=first)
-        other_p = nu(LineArrangement(3, (0, 1, INF), (1, 1, 1)), 1)
-        with pytest.raises(DomainError, match=r"got NuRecord\(p=3,"):
-            nu(arr, 2, below=other_p)
+    def test_a_walk_of_another_arrangement_is_refused(self):
+        # any seven of the eight lines over F_7 are projectively equivalent,
+        # with equal nu at every level, but their g's powers differ
+        arr = self.SEVEN_LINES
+        for other in (
+            LineArrangement(7, (0, 1, 2, 3, 4, 6, INF), (1,) * 7),
+            LineArrangement(5, (0, 1, INF), (1, 1, 1)),
+            LineArrangement(7, (0, 1, 2, 3, 4, 5, INF), (1,) * 6 + (2,)),
+        ):
+            walk = NuWalk(other)
+            nu(other, 2, walk=walk)
+            record, store = walk.record, dict(walk.store)
+            with pytest.raises(DomainError, match="another arrangement"):
+                nu(arr, 3, walk=walk)
+            assert walk.record is record and walk.store == store
+        # an equal arrangement built apart shares the walk
+        walk = NuWalk(LineArrangement(7, (INF, 5, 4, 3, 2, 1, 0), (1,) * 7))
+        assert nu(arr, 3, walk=walk) == nu(arr, 3)
 
 
 def count_multiplies(monkeypatch) -> list:
@@ -380,33 +391,44 @@ class TestWalkStore:
         assert len(chk.records) == 5 and not chk.holds
         assert 0 < len(mults) <= alone
 
-    def test_only_the_last_walks_record_resumes_its_store(self, monkeypatch):
+    def test_a_walk_resumes_its_own_store(self, monkeypatch):
         arr = self.SEVEN_LINES
         frobenius._dehomogenized(arr)
         mults = count_multiplies(monkeypatch)
-        below = nu(arr, 4)
+        walk, bare = NuWalk(arr), NuWalk(arr)
+        bare.record = nu(arr, 4, walk=walk)
+        # a call on another walk in between leaves this one alone
+        other = LineArrangement(7, (0, 1, INF), (1, 1, 1))
+        nu(other, 2, walk=NuWalk(other))
         mults.clear()
-        nu(arr, 5, below=below)
+        assert nu(arr, 5, walk=walk).nu == 4801
         resumed = len(mults)
-        # an equal record that the last walk did not return starts an empty
-        # store, and so does the last walk's record after another walk
-        below = nu(arr, 4)
-        twin = frobenius.NuRecord(below.p, below.e, below.q, below.nu)
+        # the same record on an empty store: 12 multiplies against 3
         mults.clear()
-        assert nu(arr, 5, below=twin).nu == 4801
-        assert len(mults) > resumed
-        below = nu(arr, 4)
-        nu(LineArrangement(7, (0, 1, INF), (1, 1, 1)), 2)
-        mults.clear()
-        assert nu(arr, 5, below=below).nu == 4801
-        assert len(mults) > resumed
-        # any seven of the eight lines over F_7 are projectively equivalent,
-        # so this walk's record is a valid `below`, but its store holds
-        # powers of another g
-        below = nu(LineArrangement(7, (0, 1, 2, 3, 4, 6, INF), (1,) * 7), 4)
-        mults.clear()
-        assert nu(arr, 5, below=below).nu == 4801
-        assert len(mults) > resumed
+        assert nu(arr, 5, walk=bare).nu == 4801
+        assert 0 < resumed < len(mults)
+        # a walk already at or past e climbs again from nu(1) = 0, on the
+        # windows it keeps
+        assert nu(arr, 3, walk=walk) == nu(arr, 3) == walk.record
+
+    def test_interleaved_scans_multiply_as_one_after_the_other(self, monkeypatch):
+        # each scan on its own walk: when one call dropped the other scan's
+        # windows, the interleaved order made 70 multiplies against 31
+        arrs = TestLadderWalk.SEVEN_LINES, LineArrangement(5, (0, 1, 2, INF), (2, 2, 2, 3))
+        for arr in arrs:
+            frobenius._dehomogenized(arr)
+        mults = count_multiplies(monkeypatch)
+        counts, answers = [], []
+        for order in (
+            [(arr, e) for arr in arrs for e in range(1, 6)],
+            [(arr, e) for e in range(1, 6) for arr in arrs],
+        ):
+            walks = {arr: NuWalk(arr) for arr in arrs}
+            mults.clear()
+            answers.append({(a, e): nu(a, e, walk=walks[a]) for a, e in order})
+            counts.append(len(mults))
+        assert counts[0] == counts[1] == 31
+        assert answers[0] == answers[1]
 
     def test_back_to_back_requests_make_equal_counts(self, monkeypatch):
         # no store outlives its request: the second request rebuilds all
@@ -454,9 +476,9 @@ class TestNuDigest:
         digest = hashlib.sha256()
         for _ in range(400):
             arr = rand_arrangement(rng, primes=tuple(self.E_MAX))
-            rec = None
+            walk = NuWalk(arr)
             for e in range(1, self.E_MAX[arr.p] + 1):
-                rec = nu(arr, e, deep, below=rec)
+                rec = nu(arr, e, deep, walk)
                 assert nu(arr, e, deep) == rec
                 digest.update(f"{arr.describe()} e={e} nu={rec.nu}\n".encode())
         assert digest.hexdigest() == (
@@ -558,10 +580,11 @@ class TestClosedFormFamilies:
 
     def walk(self, arr, q_max):
         """nu at e = 1, 2, ... until q passes q_max, climbing once."""
-        rec = nu(arr, 1, self.BIG)
+        walk = NuWalk(arr)
+        rec = nu(arr, 1, self.BIG, walk)
         yield rec
         while rec.q <= q_max:
-            rec = nu(arr, rec.e + 1, self.BIG, below=rec)
+            rec = nu(arr, rec.e + 1, self.BIG, walk)
             yield rec
 
     @pytest.mark.parametrize(
@@ -745,6 +768,103 @@ class TestBudget:
         arr = LineArrangement(2, (0,), (1,))
         with pytest.raises(DomainError):
             nu(arr, 0)
+
+
+HUGE = 10**5000
+BAD_INTS = [0, -1, -HUGE, HUGE, True]
+
+
+def _ints(*good):
+    """One of `good` or, one time in four, a well-typed adversarial int: 0,
+    a negative, 10^5000 or True."""
+    good = st.sampled_from(good)
+    return st.one_of(good, good, good, st.sampled_from(BAD_INTS))
+
+
+@st.composite
+def _arrangement_args(draw):
+    """(p, slopes, mults) of an arrangement with slopes and mults of 10^5000
+    or True among them; one time in four it is no arrangement: p is not a
+    prime, a slope repeats, a mult is not positive or the counts differ."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    slopes = draw(st.lists(
+        st.sampled_from([0, 1, 2, 6, -1, HUGE, -HUGE, True, INF]),
+        min_size=1, max_size=4, unique_by=lambda s: s if s is INF else s % p,
+    ))
+    mults = [draw(st.sampled_from([1, 2, 3, 1, 2, 3, HUGE, True])) for _ in slopes]
+    fault = draw(st.integers(0, 3)) == 3 and draw(
+        st.sampled_from(["p", "slope", "mult", "count"])
+    )
+    if fault == "p":
+        p = draw(st.sampled_from([4, 1, 0, -7, HUGE, True]))
+    elif fault == "slope":
+        slopes.append(slopes[0] if slopes[0] is INF else slopes[0] + p)
+        mults.append(1)
+    elif fault == "mult":
+        mults[0] = draw(st.sampled_from([0, -1, -HUGE]))
+    elif fault == "count":
+        mults.pop()
+    return p, tuple(slopes), tuple(mults)
+
+
+@st.composite
+def _budget_args(draw):
+    """(max_e, max_ops), one time in four with a limit below 1."""
+    limits = [
+        draw(st.sampled_from([5, 3, 1, HUGE, True])),
+        draw(st.sampled_from([10**8, 10**5, 10**3, 1, HUGE, True])),
+    ]
+    if draw(st.integers(0, 3)) == 3:
+        limits[draw(st.integers(0, 1))] = draw(st.sampled_from([0, -1, -HUGE]))
+    return tuple(limits)
+
+
+def _outcome(call, *args):
+    """call(*args), or the refusal it raised; anything else propagates."""
+    try:
+        return call(*args)
+    except (DomainError, OracleBudgetError) as exc:
+        return exc
+
+
+class TestAdversarialInputs:
+    """Every frobenius entry point, on well-typed adversarial values, returns
+    or refuses with DomainError or OracleBudgetError; a walk answers as a
+    fresh climb does, and a walk of another arrangement is refused."""
+
+    OTHER = LineArrangement(7, (0, 1, 2, 3, 4, 6, INF), (1,) * 7)
+
+    @given(
+        _arrangement_args(),
+        _budget_args(),
+        _ints(1, 2, 3, 5),
+        st.sampled_from(["none", "own", "own-climbed", "other"]),
+        st.sampled_from([F(1), F(1, 2), F(2, 3), F(0), F(-1), F(HUGE), F(1, HUGE), True]),
+        _ints(1, 3, 5),
+        _ints(0, 1, 2, 5, 40),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_returns_or_refuses(self, arr_args, limits, e, walk_kind, lam, e_max, n):
+        arr = _outcome(LineArrangement, *arr_args)
+        budget = _outcome(OracleBudget, *limits)
+        if isinstance(arr, Exception) or isinstance(budget, Exception):
+            return
+        # a budget caps the work p*d*q: past 10^5 with no e cap it admits
+        # ladders of any depth, and with a 10^5000-fold line a g of that
+        # degree, so those budgets are only built, not spent
+        assume(budget.max_ops <= 10**5 or (budget.max_e <= 5 and arr.degree < HUGE))
+        walk = {"none": None, "other": NuWalk(self.OTHER)}.get(walk_kind, NuWalk(arr))
+        if walk_kind == "own-climbed":
+            _outcome(nu, arr, 3, budget, walk)
+        got = _outcome(nu, arr, e, budget, walk)
+        fresh = _outcome(nu, arr, e, budget)
+        if walk_kind == "other" and arr != self.OTHER:
+            assert isinstance(got, (DomainError, OracleBudgetError))
+        else:
+            assert type(got) is type(fresh) and str(got) == str(fresh)
+        _outcome(sharply_fpure_at, arr, lam, e_max, budget)
+        _outcome(verify_hm_bound, arr, e, budget)
+        _outcome(power_in_frobenius_ideal, arr, n, e, budget)
 
 
 class TestProjectiveChange:

@@ -32,7 +32,7 @@ from fptkit import (
     t0_from_lambdas,
 )
 from fptkit.errors import DomainError
-from fptkit.frobenius import NuRecord, OracleBudget
+from fptkit.frobenius import OracleBudget
 from fptkit.rationals import (
     PRIME_TEST_LIMIT,
     as_fraction,
@@ -281,10 +281,6 @@ LONG_NUMBER_REFUSALS = {
     "nu.ops_cap": (
         lambda: nu(LineArrangement(2, (0,), (1,)), BIG, OracleBudget(max_e=BIG, max_ops=BIG)),
         "2^an int of 16610 bits exceeds an int of 16610 bits",
-    ),
-    "nu.below": (
-        lambda: nu(LineArrangement(2, (0,), (1,)), 2, below=NuRecord(2, BIG, 2, 1)),
-        "got NuRecord(p=2, e=an int of 16610 bits, q=2, nu=1)",
     ),
 }
 

@@ -167,8 +167,8 @@ def _module_state(tree):
 
 
 def test_module_state_has_an_owner():
-    # `nu` keeps its last walk for a call given that walk's record; perfbench
-    # reads both caches' hit ratios (g per arrangement, I_plus per set)
+    # perfbench reads both caches' hit ratios (g per arrangement, I_plus per
+    # set); a walk's state lives on the caller's `NuWalk`
     found = {
         path.relative_to(ROOT).as_posix(): sorted(
             what for _, what in _module_state(ast.parse(path.read_text(), str(path)))
@@ -177,7 +177,7 @@ def test_module_state_has_an_owner():
     }
     assert {path: whats for path, whats in found.items() if whats} == {
         "src/fptkit/coeffsets.py": ["cached _plus_closure_cached"],
-        "src/fptkit/frobenius.py": ["cached _dehomogenized", "global _last_walk"],
+        "src/fptkit/frobenius.py": ["cached _dehomogenized"],
     }
 
 
