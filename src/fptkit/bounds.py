@@ -78,6 +78,15 @@ class BoundReport(Value):
 # prefixes one q_max walk may emit, one candidate each: the decks' largest
 # walk, p0 of {1/10}, emits 576; {1/18} emits 16,219 and {1/19} 24,536
 _QMAX_PREFIX_CAP = 1 << 14
+# q_max walks the multiples of eps before building its pool only for
+# _EARLY_WALK_MIN < 1/eps <= _EARLY_WALK_MAX.  Up to 14 that walk cannot
+# pass the cap: each prefix it emits is a partition of an integer below
+# 2/eps (its parts, in units of eps, sum below 2/eps), and 0 .. 27 have
+# 14,742 partitions in all.  From 513 on, D({eps}) below 1 - eps/2 has
+# (1/eps)^2 (f, m) candidates, and `dset_below` refuses more than 2^18 by
+# counting them, before it builds any.
+_EARLY_WALK_MIN = 14
+_EARLY_WALK_MAX = 512
 
 
 def admissible_sum(parts) -> bool:
@@ -106,46 +115,65 @@ def _admissible(nums: tuple[int, ...], w: int) -> bool:
     return total < 2 * w and total - top > w
 
 
+def _prefixes(nums, w: int):
+    """Yield (chosen, partial) for each prefix the walk over the ascending
+    numerators `nums` (parts a/w) emits: index lists of length >= 2 whose
+    sum partial/w is above 1, where each part a appended kept partial + 2a
+    < 2w.  `chosen` is the walk's own list, so a caller that keeps it
+    copies it.  Refused once there are more than _QMAX_PREFIX_CAP."""
+    two_w = 2 * w
+    emitted = 0
+    # the walk keeps its path on explicit stacks: for a small eps it runs
+    # deeper than Python's recursion limit before its count refuses the set
+    chosen: list[int] = []  # indices into nums, ascending
+    sums = [0]  # sums[k] is the numerator over w of chosen[:k]'s sum
+    i = 0  # the next index to try after chosen
+    while True:
+        partial = sums[-1]
+        # nums is ascending, so once a busts the rule every later pick does
+        if i < len(nums) and partial + 2 * nums[i] < two_w:
+            chosen.append(i)
+            partial += nums[i]
+            sums.append(partial)
+            if partial > w and len(chosen) >= 2:
+                emitted += 1
+                if emitted > _QMAX_PREFIX_CAP:
+                    raise DomainError(
+                        f"the constrained sum search may emit at most "
+                        f"{int_text(_QMAX_PREFIX_CAP)} prefixes, and this set's "
+                        "walk emits more"
+                    )
+                yield chosen, partial
+        elif chosen:
+            i = chosen.pop() + 1
+            sums.pop()
+        else:
+            return
+
+
 def q_max(coeffs: CoeffSet) -> QMaxResult:
     """Q(I) with its lexicographically least witness and the sorted trace.
 
     The trace holds every candidate the walk emits, ascending by
     (total, parts); Q is the last total.  A walk that emits more than
     _QMAX_PREFIX_CAP prefixes is refused before any completion, candidate
-    or trace is built.
+    or trace is built, and a walk over the multiples of eps alone that
+    passes the cap refuses the set before its pool is built.
     """
     eps = min_positive(coeffs)
+    # the multiples k*eps below 1 - eps/2 lie in the pool, and the walk's
+    # rules read only the partial sum and the part appended, so every prefix
+    # their walk emits the pool's walk emits too: a set refused on them is
+    # refused before the pool is built
+    step, over = eps.as_integer_ratio()
+    if _EARLY_WALK_MIN * step < over <= _EARLY_WALK_MAX * step:
+        for _ in _prefixes(range(step, (2 * over - step - 1) // 2 + 1, step), over):
+            pass
     pool = dset_below(coeffs, 1 - eps / 2).positives
     w = math.lcm(*(x.denominator for x in pool))
     nums = [x.numerator * (w // x.denominator) for x in pool]
     two_w = 2 * w
-    found: list[tuple[tuple[int, ...], int]] = []
-
-    # the walk keeps its path on explicit stacks: for a small eps it runs
-    # deeper than Python's recursion limit before its count refuses the set
-    chosen: list[int] = []  # pool indices, ascending
-    sums = [0]  # sums[k] is the numerator over w of chosen[:k]'s sum
-    i = 0  # the next pool index to try after chosen
-    while True:
-        partial = sums[-1]
-        # pool is ascending, so once a busts the rule every later pick does
-        if i < len(nums) and partial + 2 * nums[i] < two_w:
-            chosen.append(i)
-            partial += nums[i]
-            sums.append(partial)
-            if partial > w and len(chosen) >= 2:
-                found.append((tuple(chosen), partial))
-                if len(found) > _QMAX_PREFIX_CAP:
-                    raise DomainError(
-                        f"the constrained sum search may emit at most "
-                        f"{int_text(_QMAX_PREFIX_CAP)} prefixes, and this set's "
-                        "walk emits more"
-                    )
-        elif chosen:
-            i = chosen.pop() + 1
-            sums.pop()
-        else:
-            break
+    found = [(tuple(chosen), partial) for chosen, partial in _prefixes(nums, w)]
 
     # partial -> the largest element of D(I) below (2w - partial)/w
     completion: dict[int, Fraction] = {}

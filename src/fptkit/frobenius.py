@@ -35,7 +35,7 @@ from functools import lru_cache
 
 from .errors import DomainError, OracleBudgetError
 from .kernels import polymul_mod, truncated_power
-from .rationals import as_fraction, as_int, as_prime, int_text
+from .rationals import as_fraction, as_int, as_prime, int_text, whole_text
 from .thresholds import MultiplicityProfile, hara_monsky_lower
 from .slopes import INF, format_slope, normalize_slopes, slope_key
 from .values import Value
@@ -64,14 +64,6 @@ DEFAULT_BUDGET = OracleBudget()
 # a raised budget admits estimates whose decimal form can pass Python's
 # int-to-str limit; refusals name a longer one by its bit length, q as p^e
 _PRINTED_BITS = 4096
-# the most bits of an int that str() prints within Python's default limit
-# of 4300 digits (14280 * log10(2) < 4299)
-_WHOLE_BITS = 14280
-
-
-def _whole(n: int) -> str:
-    """An int in a refusal: in decimal wherever str() prints it."""
-    return int_text(n, _WHOLE_BITS)
 
 
 class LineArrangement(Value):
@@ -112,9 +104,9 @@ class LineArrangement(Value):
 
     def describe(self) -> str:
         lines = ", ".join(
-            f"{format_slope(s)}^{a}" for s, a in zip(self.slopes, self.mults)
+            f"{format_slope(s)}^{whole_text(a)}" for s, a in zip(self.slopes, self.mults)
         )
-        return f"p={self.p}: {lines}"
+        return f"p={whole_text(self.p)}: {lines}"
 
 
 class NuRecord(Value):
@@ -152,7 +144,7 @@ class FPurityCheck(Value):
 
 
 def _budgeted_q(arr: LineArrangement, e: int, budget: OracleBudget) -> int:
-    e = as_int(e)
+    """q = p^e once e and the work estimate pass `budget`; e is an int."""
     if e < 1:
         raise DomainError(f"e must be a positive integer, got {int_text(e)}")
     # p*q >= 2^(e+1) and d >= 2^(bits(d)-1), so p*d*q >= 2^floor_bits; once
@@ -163,11 +155,11 @@ def _budgeted_q(arr: LineArrangement, e: int, budget: OracleBudget) -> int:
     estimate = None
     if e > budget.max_e:
         limit = budget.max_e
-        refusal = f"e={_whole(e)} exceeds the budget cap e<={_whole(limit)}"
+        refusal = f"e={whole_text(e)} exceeds the budget cap e<={whole_text(limit)}"
     elif q is None:
         limit = budget.max_ops
         refusal = (
-            f"work estimate p*d*q >= 2^{_whole(floor_bits)} exceeds {_whole(limit)}"
+            f"work estimate p*d*q >= 2^{whole_text(floor_bits)} exceeds {whole_text(limit)}"
         )
     else:
         limit = budget.max_ops
@@ -176,10 +168,10 @@ def _budgeted_q(arr: LineArrangement, e: int, budget: OracleBudget) -> int:
             return q
         bits = estimate.bit_length()
         shown = f">= 2^{bits - 1}" if bits > _PRINTED_BITS else f"= {estimate}"
-        refusal = f"work estimate p*d*q {shown} exceeds {_whole(limit)}"
+        refusal = f"work estimate p*d*q {shown} exceeds {whole_text(limit)}"
     # q is printed whole only beside an estimate that is printed whole
     printed = estimate is not None and estimate.bit_length() <= _PRINTED_BITS
-    limiting = q if printed else f"{arr.p}^{_whole(e)}"
+    limiting = q if printed else f"{arr.p}^{whole_text(e)}"
     raise OracleBudgetError(
         f"{refusal} (limiting q={limiting})", q=q, estimate=estimate, limit=limit
     )
@@ -228,7 +220,7 @@ def power_in_frobenius_ideal(
     n = as_int(n)
     if n < 0:
         raise DomainError("the exponent must be non-negative")
-    q = _budgeted_q(arr, e, budget)
+    q = _budgeted_q(arr, as_int(e), budget)
     return not _outside_ideal(arr, n, q)
 
 
@@ -249,8 +241,10 @@ def nu(
     the search took on trust and never probed is probed afterwards, so every
     level's nu is outside and nu + 1 inside by a probe (N = 0 and
     N d > 2(q - 1) need none).  A scan of e = 1..E on one walk climbs the
-    ladder once, one `nu` call per level.
+    ladder once, one `nu` call per level.  The record holds e as the int
+    it was checked as.
     """
+    e = as_int(e)
     q = _budgeted_q(arr, e, budget)
     p, d = arr.p, arr.degree
     if walk is None:

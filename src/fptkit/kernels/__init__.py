@@ -20,6 +20,12 @@ passes a store it keeps; any other call gets a fresh one for its own
 duration.  The Frobenius ladder asks for g^(p*nu + s) right after g^nu, so
 through the walk's store each such request is one multiply, the spread
 window of g^nu times the prefix of g^s.
+
+For p < 32 the residues stay `bytes`, one byte per coefficient, from the
+reduced base through every spread, product and zero fill to the windows
+the store holds, because `polymul_mod` multiplies bytes into bytes with no
+per-coefficient Python work; for larger p the windows are lists.  Either
+way `truncated_power` returns a fresh list.
 """
 
 from __future__ import annotations
@@ -52,10 +58,13 @@ def truncated_power(base, n, p, trunc=None, lo=0, store=None):
     `store` maps an exponent m to (lo, hi, coefficients of base**m on
     [lo, hi]) for the windows built so far: a prefix (lo = 0) of a power
     m < p is replaced only by a wider one, and a request inside a kept
-    window is sliced from it.  A caller asking for many windows of one
-    base's powers mod one p, such as a walk up the Frobenius ladder, passes
-    a store it keeps; None gives the call a fresh one.  The list returned is
-    the caller's own.
+    window is sliced from it.  For p < 32 every residue fits a byte, and
+    the walk keeps its windows as `bytes`, one byte per coefficient, from
+    the reduced base through every product, which `polymul_mod` then
+    returns as bytes; for larger p they are lists.  A caller asking for
+    many windows of one base's powers mod one p, such as a walk up the
+    Frobenius ladder, passes a store it keeps; None gives the call a fresh
+    one.  The list returned is the caller's own.
     """
     if n < 0:
         raise ValueError("negative exponent")
@@ -66,10 +75,31 @@ def truncated_power(base, n, p, trunc=None, lo=0, store=None):
     if lo > hi:
         return []
     store = {} if store is None else store
-    out = _window([c % p for c in base], deg, n, p, lo, hi, store)
+    residues = [c % p for c in base]
+    # the lane bound of pure.polymul_kronecker: below 32 residues stay bytes
+    out = _window(bytes(residues) if p < 32 else residues, deg, n, p, lo, hi, store)
+    if type(out) is not list:
+        return list(out)
     kept = store.get(n)
     # only the list the store keeps for n is shared; any other is fresh
     return out[:] if kept is not None and kept[2] is out else out
+
+
+def _zeros(like, k):
+    """k zero coefficients of like's kind: bytes for bytes, else a list."""
+    return [0] * k if type(like) is list else bytes(k)
+
+
+def _spread(inner, p, at, width):
+    """width coefficients of inner's kind: inner's at degrees at, at + p, ...
+    and zero between, by one stride assignment (a bytearray for bytes)."""
+    if type(inner) is list:
+        out = [0] * width
+        out[at::p] = inner
+        return out
+    out = bytearray(width)
+    out[at::p] = inner
+    return bytes(out)
 
 
 def _recall(store, m, lo, hi):
@@ -97,7 +127,8 @@ def _record(store, m, lo, hi, coeffs):
 
 
 def _window(base, deg, n, p, lo, hi, store):
-    """Degrees lo .. hi of base**n, for 0 <= lo <= hi <= deg * n."""
+    """Degrees lo .. hi of base**n, for 0 <= lo <= hi <= deg * n, of base's
+    kind (bytes or a list)."""
     if n < p:
         return _small_power(base, n, p, hi + 1, store)[lo:]
     hit = _recall(store, n, lo, hi)
@@ -108,23 +139,21 @@ def _window(base, deg, n, p, lo, hi, store):
     jlo = max(0, -((r * deg - lo) // p))
     jhi = min(m * deg, hi // p)
     if jlo > jhi:
-        return [0] * (hi - lo + 1)
+        return _zeros(base, hi - lo + 1)
     inner = _window(base, deg, m, p, jlo, jhi, store)
     first = p * jlo  # degree of the spread's first kept slot
     if r == 0:
-        out = [0] * (hi - lo + 1)
-        out[first - lo :: p] = inner
+        out = _spread(inner, p, first - lo, hi - lo + 1)
     else:
-        spread = [0] * (p * (jhi - jlo) + 1)
-        spread[::p] = inner
+        spread = _spread(inner, p, 0, p * (jhi - jlo) + 1)
         keep = hi - first + 1
         out = polymul_mod(spread, _small_power(base, r, p, keep, store), p, keep)
         # degrees below `first` or past the product's end get no term
         if lo >= first:
-            del out[: lo - first]
+            out = out[lo - first :]
         else:
-            out[:0] = [0] * (first - lo)
-        out += [0] * (hi - lo + 1 - len(out))
+            out = _zeros(out, first - lo) + out
+        out += _zeros(out, hi - lo + 1 - len(out))
     _record(store, n, lo, hi, out)
     return out
 
@@ -132,7 +161,7 @@ def _window(base, deg, n, p, lo, hi, store):
 def _small_power(base, n, p, trunc, store):
     """base**n mod p below degree trunc by square-and-multiply, n < p."""
     if n < 2:
-        return base[:trunc] if n else [1 % p]
+        return base[:trunc] if n else type(base)((1 % p,))
     hi = min(trunc - 1, n * (len(base) - 1))
     hit = _recall(store, n, 0, hi)
     if hit is not None:

@@ -6,10 +6,30 @@ its own `__init__` with one `super().__init__(...)`.  With no code
 generated at import, the base gives what a frozen dataclass gave: equality
 and hash by field within one class, the repr `Name(field=value, ...)`,
 AttributeError on assignment and deletion, and copy and pickle (through
-the class's own `__init__`).
+the class's own `__init__`).  A repr cannot raise: an int field, or an
+int inside a tuple, dict or Fraction field, that str() cannot print whole
+is named by its bit length (`rationals.whole_text`).
 """
 
+from fractions import Fraction
 from operator import attrgetter
+
+from .rationals import whole_text
+
+
+def _shown(value) -> str:
+    """repr(value), with every int in it through `whole_text`."""
+    kind = type(value)
+    if kind is int:
+        return whole_text(value)
+    if kind is tuple:
+        inner = ", ".join(map(_shown, value))
+        return f"({inner},)" if len(value) == 1 else f"({inner})"
+    if kind is dict:
+        return "{" + ", ".join(f"{_shown(k)}: {_shown(v)}" for k, v in value.items()) + "}"
+    if kind is Fraction:
+        return f"Fraction({whole_text(value.numerator)}, {whole_text(value.denominator)})"
+    return repr(value)
 
 
 class Value:
@@ -46,7 +66,7 @@ class Value:
         return hash(self._values(self))
 
     def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{name}={_shown(getattr(self, name))}" for name in self.__slots__)
         return f"{type(self).__qualname__}({fields})"
 
     def __setattr__(self, name, value):

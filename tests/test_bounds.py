@@ -262,6 +262,62 @@ class TestPrefixCap:
         finally:
             sys.setrecursionlimit(limit)
 
+    @pytest.mark.parametrize("eps", [F(2, 1001), F(1, 500), F(1, 512)])
+    def test_multiples_of_eps_refuse_before_the_pool_is_built(self, eps, monkeypatch):
+        # the walk over the multiples k*eps < 1 - eps/2 alone passes the cap,
+        # so dset_below, which took over a second on these, is never called
+        def built(*args, **kwargs):
+            raise AssertionError("the pool was built before the refusal")
+
+        monkeypatch.setattr(bounds, "dset_below", built)
+        with pytest.raises(DomainError, match="^the constrained sum search may emit "
+                           "at most 16384 prefixes, and this set's walk emits more$"):
+            q_max(CoeffSet((eps,)))
+
+    @pytest.mark.parametrize("eps,walks", [(F(1, 10), 1), (F(1, 14), 1), (F(2, 29), 2),
+                                           (F(1, 15), 2)])
+    def test_the_early_walk_runs_only_past_1_over_14(self, eps, walks, monkeypatch):
+        # up to 1/eps = 14 the multiples' walk cannot pass the cap: its
+        # prefixes are partitions of the integers below 2/eps <= 28, and
+        # those number 14,742
+        partitions = [1] + [0] * 27
+        for part in range(1, 28):
+            for m in range(part, 28):
+                partitions[m] += partitions[m - part]
+        assert sum(partitions) == 14_742 <= bounds._QMAX_PREFIX_CAP
+        assert bounds._EARLY_WALK_MIN == 14
+        calls, walk = [], bounds._prefixes
+
+        def counted(nums, w):
+            calls.append(w)
+            return walk(nums, w)
+
+        monkeypatch.setattr(bounds, "_prefixes", counted)
+        q_max(CoeffSet((eps,)))
+        assert len(calls) == walks
+
+    def test_past_the_early_walk_dset_below_refuses_first(self):
+        # from 1/eps = 513 on, D({eps})'s (1/eps)^2 candidates pass
+        # dset_below's cap, which refuses before building, and the early
+        # walk is skipped; so is a set whose I_plus is refused
+        assert bounds._EARLY_WALK_MAX == 512
+        with pytest.raises(DomainError, match="candidates, got 263169$"):
+            q_max(CoeffSet((F(1, 513),)))
+        with pytest.raises(DomainError, match="^I_plus may have at most"):
+            q_max(CoeffSet((F(1, 10**8),)))
+
+    @pytest.mark.parametrize("gens", [(), (F(1, 3),), (F(2, 5),), (F(1, 10),), (F(3, 7), F(2, 9))])
+    def test_the_multiples_of_eps_lie_in_the_pool(self, gens):
+        # the premise of the early refusal: every multiple k*eps below
+        # 1 - eps/2 is an element of D(I) below that cutoff
+        coeffs = CoeffSet(gens)
+        eps = min(gens + (F(1, 2),))
+        pool = set(dset_below(coeffs, 1 - eps / 2).positives)
+        k = 1
+        while k * eps < 1 - eps / 2:
+            assert k * eps in pool
+            k += 1
+
 
 class TestP0:
     def test_standard(self):

@@ -370,6 +370,19 @@ class TestExitCodes:
             "type": "DomainError",
         }
 
+    @pytest.mark.parametrize("eps", ["2/1001", "1/500"])
+    def test_p0_refused_on_the_multiples_of_eps_at_once(self, eps):
+        # refused before dset_below builds the pool, which took 1.2-1.8 s
+        start = time.perf_counter()
+        code, doc = invoke_json(["p0", "--set", eps])
+        assert time.perf_counter() - start < 0.5
+        assert code == 1
+        assert doc["error"] == {
+            "message": "the constrained sum search may emit at most 16384 "
+            "prefixes, and this set's walk emits more",
+            "type": "DomainError",
+        }
+
     def test_a_wide_lcm_with_few_sums_still_answers(self):
         code, doc = invoke_json(["dset", "--set", "1/2,999999/1000000", "--below", "9/10"])
         assert code == 0

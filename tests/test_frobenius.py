@@ -331,6 +331,16 @@ class TestLadderWalk:
         with pytest.raises(AssertionError, match="contradict nu=.* at q=125 "):
             nu(arr, 3, walk=walk)
 
+    def test_the_record_holds_e_as_an_int(self):
+        # True passes as_int as the int 1; the record keeps that int, not
+        # the caller's bool
+        arr = LineArrangement(3, (0, 1), (1, 2))
+        rec = nu(arr, True)
+        assert rec == nu(arr, 1)
+        assert type(rec.e) is int
+        walk = NuWalk(arr)
+        assert type(nu(arr, True, walk=walk).e) is int and walk.record == rec
+
     def test_a_walk_of_another_arrangement_is_refused(self):
         # any seven of the eight lines over F_7 are projectively equivalent,
         # with equal nu at every level, but their g's powers differ

@@ -3,12 +3,14 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 import oracles
-from fptkit import kernels
+from fptkit import frobenius, kernels
+from fptkit.frobenius import LineArrangement, NuWalk, nu
 from fptkit.kernels import polymul_mod, truncated_power
 from fptkit.kernels import pure
+from fptkit.slopes import INF
 
 PRIMES = [2, 3, 5, 7, 31, 101, 32749]
 
@@ -386,3 +388,97 @@ class TestWindowStore:
             calls.clear()
         held = [name for name, value in vars(kernels).items() if isinstance(value, dict)]
         assert held == ["__builtins__"]
+
+
+# the primes whose residues the walk keeps as bytes; 37, the first prime
+# past them, takes the list path
+LANE_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
+# a shorter operand of at most this many coefficients keeps the schoolbook
+# reference quick
+SHORT_CAP = 480
+
+
+def _shorter_lengths(p, width):
+    """The shorter operand's lengths m <= SHORT_CAP whose column bound
+    (p - 1)^2 * m packs at `width` bytes, as a range (maybe empty)."""
+    col = (p - 1) ** 2
+    below = {1: 0, 2: 1, 4: 2}[width]  # the next narrower aligned width's bytes
+    first = ((1 << 8 * below) - 1) // col + 1
+    last = min(SHORT_CAP, ((1 << 8 * width) - 1) // col)
+    return range(first, last + 1)
+
+
+class TestResiduePath:
+    """For p < 32 `polymul_kronecker` packs residues by stride assignment
+    and reduces the product through byte-lane tables; it returns the kind
+    it was given, and the walk keeps its windows as bytes."""
+
+    @pytest.mark.parametrize("width", [1, 2, 4])
+    @given(st.data())
+    # no shrinking: each step reruns a schoolbook product of up to 480 x 520
+    @settings(max_examples=15, deadline=None,
+              phases=[Phase.explicit, Phase.reuse, Phase.generate])
+    def test_matches_schoolbook_at_each_width(self, width, data):
+        p = data.draw(st.sampled_from(
+            [p for p in LANE_PRIMES + [37] if _shorter_lengths(p, width)]), label="p")
+        m = data.draw(st.sampled_from(_shorter_lengths(p, width)), label="m")
+        long = m + data.draw(st.integers(0, 40), label="extra")
+        a = data.draw(st.lists(st.integers(0, p - 1), min_size=m, max_size=m), label="a")
+        b = data.draw(st.lists(st.integers(0, p - 1), min_size=long, max_size=long), label="b")
+        if data.draw(st.booleans(), label="swap"):
+            a, b = b, a
+        trunc = data.draw(st.none() | st.integers(0, len(a) + len(b) + 2), label="trunc")
+        kind = data.draw(st.sampled_from([list, bytes, bytearray]), label="kind")
+        need = (((p - 1) ** 2 * m).bit_length() + 7) // 8
+        assert pure._ALIGNED[need] == width
+        got = pure.polymul_kronecker(kind(a), kind(b), p, trunc)
+        assert type(got) is (list if kind is list else bytes)
+        assert list(got) == pure.polymul_schoolbook(a, b, p, trunc)
+
+    def test_the_width_boundaries_are_reached(self):
+        # each width above is drawn at some prime: 1 only below 17, 4 only
+        # from 13 up under SHORT_CAP, and 37 never packs at width 1
+        reach = {w: [p for p in LANE_PRIMES + [37] if _shorter_lengths(p, w)] for w in (1, 2, 4)}
+        assert reach[1] == [2, 3, 5, 7, 11, 13]
+        assert reach[2] == LANE_PRIMES + [37]
+        assert reach[4] == [13, 17, 19, 23, 29, 31, 37]
+
+    def test_every_lane_table_entry(self):
+        # width 8 needs a shorter operand of millions of coefficients, so the
+        # tables stand in for it: t_i[x] = x * 256^i mod p for i < 8
+        assert sorted(pure._LANES) == LANE_PRIMES
+        for p, tables in pure._LANES.items():
+            # eight lane residues sum within one byte
+            assert 8 * (p - 1) < 256
+            assert len(tables) == 8
+            for i, table in enumerate(tables):
+                assert table == bytes(x * 256**i % p for x in range(256)), (p, i)
+
+    @pytest.mark.parametrize("kind", [list, bytes])
+    def test_a_modulus_without_lane_tables_takes_the_list_path(self, kind):
+        # only the primes below 32 have tables; another modulus below 32 is
+        # reduced by %, as every modulus was before the lanes
+        rng = random.Random(4)
+        for m in (4, 6, 9, 25, 30):
+            a = [rng.randrange(m) for _ in range(50)]
+            b = [rng.randrange(m) for _ in range(20)]
+            got = pure.polymul_kronecker(kind(a), kind(b), m, 60)
+            assert type(got) is kind and list(got) == pure.polymul_schoolbook(a, b, m, 60)
+
+    @pytest.mark.parametrize("p", [7, 31, 37, 101])
+    def test_a_walks_store_holds_bytes_below_32(self, p):
+        arr = LineArrangement(p, (0, 1, 2, INF), (2, 1, 1, 1))
+        walk = NuWalk(arr)
+        for e in (1, 2):
+            nu(arr, e, walk=walk)
+        windows = [kept[2] for kept in walk.store.values()]
+        assert windows
+        assert {type(w) for w in windows} == {bytes if p < 32 else list}
+        g = list(frobenius._dehomogenized(arr))
+        q = p * p
+        lo = max(0, 3 * p * arr.degree - q + 1)
+        got = truncated_power(g, 3 * p, p, q, lo, walk.store)
+        # a fresh list either way, equal to the power computed without a store
+        assert type(got) is list
+        assert all(got is not kept[2] for kept in walk.store.values())
+        assert got == truncated_power(g, 3 * p, p, q, lo)

@@ -209,6 +209,26 @@ def test_position_and_keyword_construction_agree(make, fields, text):
     assert blank == a and repr(blank) == text
 
 
+def test_a_repr_with_an_int_past_the_digit_limit_does_not_raise():
+    # str() of such an int raises ValueError; the repr names it by its bit
+    # length, inside tuples, dicts and Fractions too, and prints ints up to
+    # 14280 bits whole
+    huge = 10**5000
+    arr = LineArrangement(2, (0,), (huge,))
+    assert repr(arr) == "LineArrangement(p=2, slopes=(0,), mults=(an int of 16610 bits,))"
+    assert arr.describe() == "p=2: 0^an int of 16610 bits"
+    assert repr(NuRecord(2, 1, huge, 2**14280 - 1)) == (
+        f"NuRecord(p=2, e=1, q=an int of 16610 bits, nu={2**14280 - 1})"
+    )
+    assert repr(Certificate("r", {"c": huge, "f": Fraction(1, huge)})) == (
+        "Certificate(reason='r', details={'c': an int of 16610 bits, "
+        "'f': Fraction(1, an int of 16610 bits)})"
+    )
+    assert repr(P1Pair((Fraction(1, huge),))) == (
+        "P1Pair(coeffs=(Fraction(1, an int of 16610 bits),))"
+    )
+
+
 @CASES
 def test_missing_extra_or_repeated_field_is_refused(make, fields, text):
     a = make()
