@@ -26,13 +26,13 @@ distinct element, in key order.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm, prod
+from math import lcm, prod
 
 from .errors import DomainError
-from .rationals import as_fraction, format_ratio, int_text, order_width, ratio_text
+from .rationals import as_fraction, int_text, order_width, ratio_text, whole_text
 from .values import Value
 
 HALF = Fraction(1, 2)
@@ -68,7 +68,9 @@ class CoeffSet(Value):
         return len(self.elements)
 
     def __str__(self):
-        return "{" + ", ".join(format_ratio(x) for x in self.elements) + "}"
+        # "a/b" each; a part that str() cannot print is named by its length
+        parts = (f"{whole_text(x.numerator)}/{whole_text(x.denominator)}" for x in self)
+        return "{" + ", ".join(parts) + "}"
 
 
 class DsetSlice(Value):
@@ -172,19 +174,11 @@ def dset_contains(coeffs: CoeffSet, value: Fraction) -> bool:
     scale, nums = _plus_closure_cached(coeffs.elements)
     s, t = value.numerator, value.denominator
     if s == t:  # (m-1+f)/m = 1 forces f = 1
-        return _has(nums, scale)
-    # (m-1+f)/m = s/t  <=>  f = 1 - m*(t-s)/t, which is >= 0 for m <= t/(t-s);
-    # L*f is an integer only when t/gcd(t, L) divides m (t-s is prime to t)
-    step = t // gcd(t, scale)
-    return any(
-        _has(nums, scale - m * scale * (t - s) // t)
-        for m in range(step, t // (t - s) + 1, step)
-    )
-
-
-def _has(nums: tuple[int, ...], a: int) -> bool:
-    i = bisect_left(nums, a)
-    return i < len(nums) and nums[i] == a
+        return nums[-1] == scale
+    # (m-1+f)/m = s/t  <=>  m = (1 - f)*t/(t - s): each f < 1 names one m,
+    # so the work follows I_plus, not t/(t - s)
+    den = scale * (t - s)
+    return any(a < scale and (scale - a) * t % den == 0 for a in nums)
 
 
 def largest_below(coeffs: CoeffSet, bound: Fraction) -> Fraction:

@@ -10,10 +10,11 @@ some u with max(0, N d - q + 1) <= u <= min(q - 1, N deg g) has c_u != 0.
 
 N = 0 always stays outside, the window is empty once N d > 2(q - 1), and
 the property is monotone in N (the ideal is integrally stable under the
-partial order here), so each level is a binary search.  Frobenius is flat
-on k[x, y], so p nu(q) <= nu(pq) <= p nu(q) + p - 1 (Mustata-Takagi-
-Watanabe): nu climbs one level at a time from nu(1) = 0, or from the last
-record of the caller's walk, searching only the candidates the ladder allows.
+partial order here), so each level searches for its last outside N.
+Frobenius is flat on k[x, y], so p nu(q) <= nu(pq) <= p nu(q) + p - 1
+(Mustata-Takagi-Watanabe): nu climbs one level at a time from nu(1) = 0,
+or from the last record of the caller's walk, searching only the digit s
+of N = p nu + s that the ladder leaves open, from its top bit down.
 Every level ends with nu outside and nu + 1 inside, each shown by a probe
 unless N = 0 or N d > 2(q - 1) settles it.
 
@@ -23,8 +24,9 @@ the window's width; near nu that width is a small share of q for few lines
 and large p.  A walk (`NuWalk`) keeps the windows it builds in a store (a
 dict that `truncated_power` fills): a probe at level pq reads N = p nu + s,
 whose window needs g^nu only inside the window the level below built when
-it showed nu outside, so above level 1 a probe is one multiply, that window
-spread by t -> t^p times the stored prefix of g^s.
+it showed nu outside, and the prefix of g^s, which is the kept prefix of
+g^(s - 2^k), the digit shown so far, times that of g^(2^k).  So every probe
+is one multiply, at level 1 too.
 """
 
 from __future__ import annotations
@@ -235,14 +237,15 @@ def nu(
     The climb starts from `walk`'s record if its e is below this one, else
     from nu(1) = 0, and probes through the walk's store, which serves any
     level of the same g; the new record is left on the walk.  No walk means
-    a fresh one; a walk of another arrangement is refused.  Each level is a
-    binary search with lo outside and hi inside the ideal, over
-    [p*nu, min(p*nu + p, 2(q - 1)//d + 1)] for nu the level below; an end
-    the search took on trust and never probed is probed afterwards, so every
-    level's nu is outside and nu + 1 inside by a probe (N = 0 and
-    N d > 2(q - 1) need none).  A scan of e = 1..E on one walk climbs the
-    ladder once, one `nu` call per level.  The record holds e as the int
-    it was checked as.
+    a fresh one; a walk of another arrangement is refused.  Each level
+    keeps lo outside and hi inside the ideal, from [p*nu, min(p*nu + p,
+    2(q - 1)//d + 1)] for nu the level below, and reads the bits of nu - lo
+    from the top: it probes lo + 2^k unless that reaches hi, and moves lo
+    or hi there.  An end the search took on trust and never probed is
+    probed afterwards, so every level's nu is outside and nu + 1 inside by
+    a probe (N = 0 and N d > 2(q - 1) need none).  A scan of e = 1..E on
+    one walk climbs the ladder once, one `nu` call per level.  The record
+    holds e as the int it was checked as.
     """
     e = as_int(e)
     q = _budgeted_q(arr, e, budget)
@@ -257,12 +260,13 @@ def nu(
         level *= p
         lo = first_lo = p * v
         hi = first_hi = min(lo + p, 2 * (level - 1) // d + 1)
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if _outside_ideal(arr, mid, level, store):
-                lo = mid
-            else:
-                hi = mid
+        for k in reversed(range((hi - lo - 1).bit_length())):
+            n = lo + (1 << k)
+            if n < hi:
+                if _outside_ideal(arr, n, level, store):
+                    lo = n
+                else:
+                    hi = n
         # N = 0 is outside and N d > 2(level - 1) inside with no probe
         if (lo == first_lo and lo and not _outside_ideal(arr, lo, level, store)) or (
             hi == first_hi

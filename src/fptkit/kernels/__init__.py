@@ -11,15 +11,19 @@ that the work follows the window's width, not trunc: over F_p,
 h(t)^p = h(t^p), so base**n = (base**(n // p))(t^p) * base**(n % p), and a
 window of the left side needs the inner power only on a window about p
 times narrower (the middle-product idea of Hanrot-Quercia-Zimmermann, "The
-middle product algorithm I", 2004).
+middle product algorithm I", 2004).  Below p the same routine builds a
+prefix as base**(n - b) * base**b, b the lowest set bit of n (n/2 when n
+is a power of two).
 
 Every call runs through a store, a dict that maps an exponent to the
 windows of its power built so far: a request inside a recorded window is
 sliced from it.  A caller asking for many windows of one base's powers
 passes a store it keeps; any other call gets a fresh one for its own
-duration.  The Frobenius ladder asks for g^(p*nu + s) right after g^nu, so
-through the walk's store each such request is one multiply, the spread
-window of g^nu times the prefix of g^s.
+duration.  The Frobenius ladder asks for g^(p*nu + s) right after g^nu,
+and its search adds the bits of s from the top, each to a digit already
+shown, so through the walk's store each request is one multiply: the
+spread window of g^nu times the prefix of g^s, which is the kept prefix
+of g^(s - b) times that of g^b.
 
 For p < 32 the residues stay `bytes`, one byte per coefficient, from the
 reduced base through every spread, product and zero fill to the windows
@@ -128,12 +132,22 @@ def _record(store, m, lo, hi, coeffs):
 
 def _window(base, deg, n, p, lo, hi, store):
     """Degrees lo .. hi of base**n, for 0 <= lo <= hi <= deg * n, of base's
-    kind (bytes or a list)."""
-    if n < p:
-        return _small_power(base, n, p, hi + 1, store)[lo:]
+    kind (bytes or a list).  Below p the prefix 0 .. hi is built and kept,
+    as base**(n - b) * base**b for b the lowest set bit of n, or n/2 when n
+    is a power of two: an exponent one bit past a kept one is one multiply."""
+    if n < 2:
+        return base[lo : hi + 1] if n else type(base)((1,))
+    if n < p and lo:
+        return _window(base, deg, n, p, 0, hi, store)[lo:]
     hit = _recall(store, n, lo, hi)
     if hit is not None:
         return hit
+    if n < p:
+        b = n & -n if n & (n - 1) else n >> 1
+        low = _window(base, deg, n - b, p, 0, min(hi, deg * (n - b)), store)
+        out = polymul_mod(low, _window(base, deg, b, p, 0, min(hi, deg * b), store), p, hi + 1)
+        _record(store, n, 0, hi, out)
+        return out
     m, r = divmod(n, p)
     # the inner coefficient j lands on degrees p*j .. p*j + r*deg
     jlo = max(0, -((r * deg - lo) // p))
@@ -147,7 +161,8 @@ def _window(base, deg, n, p, lo, hi, store):
     else:
         spread = _spread(inner, p, 0, p * (jhi - jlo) + 1)
         keep = hi - first + 1
-        out = polymul_mod(spread, _small_power(base, r, p, keep, store), p, keep)
+        prefix = _window(base, deg, r, p, 0, min(keep - 1, r * deg), store)
+        out = polymul_mod(spread, prefix, p, keep)
         # degrees below `first` or past the product's end get no term
         if lo >= first:
             out = out[lo - first :]
@@ -155,20 +170,4 @@ def _window(base, deg, n, p, lo, hi, store):
             out = _zeros(out, first - lo) + out
         out += _zeros(out, hi - lo + 1 - len(out))
     _record(store, n, lo, hi, out)
-    return out
-
-
-def _small_power(base, n, p, trunc, store):
-    """base**n mod p below degree trunc by square-and-multiply, n < p."""
-    if n < 2:
-        return base[:trunc] if n else type(base)((1 % p,))
-    hi = min(trunc - 1, n * (len(base) - 1))
-    hit = _recall(store, n, 0, hi)
-    if hit is not None:
-        return hit
-    half = _small_power(base, n >> 1, p, trunc, store)
-    out = polymul_mod(half, half, p, trunc)
-    if n & 1:
-        out = polymul_mod(out, base, p, trunc)
-    _record(store, n, 0, hi, out)
     return out

@@ -95,15 +95,13 @@ def int_text(n: int, bits: int = 64) -> str:
     return str(n) if n.bit_length() <= bits else f"an int of {n.bit_length()} bits"
 
 
-# the most bits of an int that str() prints within Python's default limit
-# of 4300 digits (14280 * log10(2) < 4299)
-_WHOLE_BITS = 14280
-
-
 def whole_text(n: int) -> str:
     """n in decimal wherever str() prints it, past that by its length: the
     rule for a repr, or a refusal, that shows a caller's integer whole."""
-    return int_text(n, _WHOLE_BITS)
+    try:
+        return str(n)
+    except ValueError:  # past Python's int-to-str digit limit
+        return int_text(n, 0)
 
 
 def ratio_text(x: Fraction) -> str:

@@ -7,8 +7,8 @@ generated at import, the base gives what a frozen dataclass gave: equality
 and hash by field within one class, the repr `Name(field=value, ...)`,
 AttributeError on assignment and deletion, and copy and pickle (through
 the class's own `__init__`).  A repr cannot raise: an int field, or an
-int inside a tuple, dict or Fraction field, that str() cannot print whole
-is named by its bit length (`rationals.whole_text`).
+int inside a tuple, list, dict or Fraction field, that str() cannot print
+whole is named by its bit length (`rationals.whole_text`).
 """
 
 from fractions import Fraction
@@ -25,6 +25,8 @@ def _shown(value) -> str:
     if kind is tuple:
         inner = ", ".join(map(_shown, value))
         return f"({inner},)" if len(value) == 1 else f"({inner})"
+    if kind is list:
+        return "[" + ", ".join(map(_shown, value)) + "]"
     if kind is dict:
         return "{" + ", ".join(f"{_shown(k)}: {_shown(v)}" for k, v in value.items()) + "}"
     if kind is Fraction:

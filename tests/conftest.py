@@ -1,10 +1,13 @@
-"""Shared test plumbing: the acceptance-criteria scoreboard.
+"""Shared test plumbing: the acceptance-criteria scoreboard and a time
+limit.
 
 Acceptance tests wrap their assertions in `acceptance(...)` so every
 criterion reports one PASS/FAIL line in the terminal summary, whatever
-order pytest ran things in and even when a criterion fails.
+order pytest ran things in and even when a criterion fails.  A test that
+must not hang wraps a call in `time_limit(seconds)`.
 """
 
+import signal
 from contextlib import contextmanager
 
 _SCOREBOARD: dict[int, tuple[str, bool, str]] = {}
@@ -19,6 +22,24 @@ def acceptance(number: int, description: str):
         _SCOREBOARD[number] = (description, False, first[0] if first else "")
         raise
     _SCOREBOARD[number] = (description, True, "")
+
+
+@contextmanager
+def time_limit(seconds: float):
+    """Raise TimeoutError inside the block once it has run `seconds`, by an
+    interval timer on this process (Python code is stopped between two
+    bytecodes, so one long native call finishes first)."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -1,6 +1,7 @@
 """Derived coefficient sets: examples, oracle equivalence, invariants."""
 
 import math
+import sys
 import time
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from conftest import time_limit
 from fptkit import (
     CoeffSet,
     DomainError,
@@ -15,6 +17,7 @@ from fptkit import (
     ddi_check,
     dset_below,
     dset_contains,
+    format_ratio,
     largest_below,
     plus_closure,
 )
@@ -52,6 +55,17 @@ class TestCoeffSet:
     def test_str(self):
         assert str(HALF_THIRD) == "{1/3, 1/2}"
         assert str(STANDARD) == "{}"
+
+    def test_str_names_a_part_past_the_digit_limit_by_its_length(self):
+        huge = 10**5000
+        assert str(CoeffSet((F(1, huge),))) == "{1/an int of 16610 bits}"
+        assert str(CoeffSet((F(1, 3), 1 - F(1, huge)))) == (
+            "{1/3, an int of 16610 bits/an int of 16610 bits}"
+        )
+        # the longest part str() prints is printed whole, as "a/b"
+        widest = 10 ** (sys.get_int_max_str_digits() - 1)
+        coeffs = CoeffSet((F(1, widest), F(widest - 1, widest), F(2, 7)))
+        assert str(coeffs) == "{" + ", ".join(map(format_ratio, coeffs)) + "}"
 
     def test_rejects_out_of_range(self):
         with pytest.raises(DomainError):
@@ -282,6 +296,17 @@ class TestDsetContains:
     def test_out_of_range(self):
         assert not dset_contains(ONE_THIRD, F(-1, 3))
         assert not dset_contains(ONE_THIRD, F(10, 9))
+
+    @pytest.mark.parametrize(
+        "digits,k,member", [(7, 3, False), (50, 3, False), (5000, 3, False), (5000, 2, True)]
+    )
+    def test_work_follows_the_closure_not_the_denominator(self, digits, k, member):
+        # I_plus of {1 - 1/L} is {0, L - 1} over L, and each sum names one m:
+        # scanning m up to t/(t - s) for 1 - 3/L took about 2 s at L = 10^7
+        # and did not end at 10^50; 1 - 2/L is (m - 1)/m at m = L/2
+        big = 10**digits
+        with time_limit(1):
+            assert dset_contains(CoeffSet((1 - F(1, big),)), 1 - F(k, big)) is member
 
     @given(
         st.fractions(min_value=F(1, 8), max_value=F(7, 8), max_denominator=8),

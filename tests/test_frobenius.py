@@ -401,6 +401,17 @@ class TestWalkStore:
         assert len(chk.records) == 5 and not chk.holds
         assert 0 < len(mults) <= alone
 
+    def test_four_lines_at_a_large_prime(self, monkeypatch):
+        # each probe adds one bit to a kept exponent, so it is one multiply:
+        # 25 in all, where a binary search's midpoints rebuilt g^N, N < p, by
+        # square-and-multiply (138, 125 of them at level 1)
+        arr = LineArrangement(10007, (0, 1, 3, INF), (1, 1, 1, 1))
+        frobenius._dehomogenized(arr)
+        mults = count_multiplies(monkeypatch)
+        rec = nu(arr, 2, OracleBudget(max_e=2, max_ops=10**13))
+        assert rec.nu == (rec.q - 1) // 2
+        assert len(mults) <= 30
+
     def test_a_walk_resumes_its_own_store(self, monkeypatch):
         arr = self.SEVEN_LINES
         frobenius._dehomogenized(arr)
@@ -423,7 +434,8 @@ class TestWalkStore:
 
     def test_interleaved_scans_multiply_as_one_after_the_other(self, monkeypatch):
         # each scan on its own walk: when one call dropped the other scan's
-        # windows, the interleaved order made 70 multiplies against 31
+        # windows, the interleaved order made 70 multiplies against 31, and
+        # the binary search made 31 in both orders where the descent makes 16
         arrs = TestLadderWalk.SEVEN_LINES, LineArrangement(5, (0, 1, 2, INF), (2, 2, 2, 3))
         for arr in arrs:
             frobenius._dehomogenized(arr)
@@ -437,7 +449,7 @@ class TestWalkStore:
             mults.clear()
             answers.append({(a, e): nu(a, e, walk=walks[a]) for a, e in order})
             counts.append(len(mults))
-        assert counts[0] == counts[1] == 31
+        assert counts[0] == counts[1] == 16
         assert answers[0] == answers[1]
 
     def test_back_to_back_requests_make_equal_counts(self, monkeypatch):
@@ -457,9 +469,9 @@ class TestWalkStore:
         assert outputs[0] == outputs[1]
 
     def test_store_stays_under_its_cap(self, monkeypatch):
-        # at p = 10007 a prefix of g^r alone holds up to 3 * 10006 + 1
+        # at p = 10007 a prefix of g^r alone holds up to 4 * 10006 + 1
         # coefficients, and this walk keeps more than half the cap
-        arr = LineArrangement(10007, (0, 1, 3, INF), (1, 1, 1, 1))
+        arr = LineArrangement(10007, (0, 1, 2, 3, INF), (1,) * 5)
         record = kernels._record
         sizes = []
 
@@ -469,7 +481,7 @@ class TestWalkStore:
 
         monkeypatch.setattr(kernels, "_record", checked)
         rec = nu(arr, 2, OracleBudget(max_e=2, max_ops=10**13))
-        assert rec.nu == (rec.q - 1) // 2
+        assert rec.nu == 2 * (rec.q - 1) // 5
         assert kernels.STORE_CAP // 2 < max(sizes) <= kernels.STORE_CAP
 
 

@@ -158,9 +158,9 @@ class TestTruncatedPower:
                 # a window past the full degree is empty too
                 assert truncated_power([1, 2, 1], n, p, lo=2 * n + 1) == []
 
-    # n < p is square-and-multiply; larger n recurse on base-p digits, at
-    # depth >= 2 for (2, 37), (3, 27), (5, 49), (7, 50), with the last digit
-    # zero for (2, 8), (3, 27), (2, 36) and nonzero otherwise
+    # n < p splits off its lowest set bit; larger n recurse on base-p
+    # digits, at depth >= 2 for (2, 37), (3, 27), (5, 49), (7, 50), with the
+    # last digit zero for (2, 8), (3, 27), (2, 36) and nonzero otherwise
     @pytest.mark.parametrize(
         "p,n",
         [(2, 9), (3, 7), (5, 6), (7, 4), (2, 8), (2, 36), (2, 37), (3, 27),
@@ -368,6 +368,25 @@ class TestWindowStore:
             assert truncated_power(base, r, p, trunc, 0, store) == want
         # the prefix kept for base**r is the widest asked for so far
         assert store[r][:2] == (0, min(max(truncs), full) - 1)
+
+    def test_a_bit_added_to_a_kept_exponent_is_one_multiply(self, monkeypatch):
+        # below p, base**n = base**(n - b) * base**b for b the lowest set bit
+        # of n (n/2 for a power of two): after base**64, each exponent of a
+        # descent from the top bit reads two kept prefixes
+        calls = []
+
+        def counted(a, b, p, trunc=None):
+            calls.append(None)
+            return pure.polymul_kronecker(a, b, p, trunc)
+
+        monkeypatch.setattr(kernels, "polymul_mod", counted)
+        base, p, store = [3, 1, 4, 1, 5], 101, {}
+        assert truncated_power(base, 64, p, None, 0, store) == oracles.naive_power(base, 64, p)
+        assert len(calls) == 6  # base**2, base**4, ..., base**64
+        for n in (80, 84, 85):
+            calls.clear()
+            assert truncated_power(base, n, p, None, 0, store) == oracles.naive_power(base, n, p)
+            assert len(calls) == 1, n
 
     def test_call_without_a_store_keeps_nothing(self, monkeypatch):
         # each such call gets a fresh store, so a repeat does the same work

@@ -1,12 +1,14 @@
 """Rational parsing, exact order keys, the refusals at library entry
 points, and primality against the trial-division oracle."""
 
+import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import oracles
+from conftest import time_limit
 from fptkit import (
     INF,
     CoeffSet,
@@ -16,22 +18,33 @@ from fptkit import (
     WeightedArrangement,
     admissible_sum,
     certify_sfr,
+    classify_p1,
+    cone_transfer,
+    ddi_check,
     dset_below,
     dset_contains,
     format_ratio,
+    fpt_degenerate,
     hara_monsky_lower,
     hyperstandard_simple_bound,
     klt_scaled,
+    klt_weighted,
     largest_below,
+    lct_line_arrangement,
+    min_positive,
     nu,
+    p0,
     parse_ratio_list,
+    plus_closure,
     power_in_frobenius_ideal,
+    q_max,
     safe_perturbation,
     sharply_fpure_A1,
     sharply_fpure_at,
+    t0_from_dset,
     t0_from_lambdas,
 )
-from fptkit.errors import DomainError
+from fptkit.errors import DomainError, OracleBudgetError
 from fptkit.frobenius import OracleBudget
 from fptkit.rationals import (
     PRIME_TEST_LIMIT,
@@ -44,7 +57,9 @@ from fptkit.rationals import (
     parse_int,
     parse_ratio,
     ratio_text,
+    whole_text,
 )
+from fptkit.values import Value
 
 F = Fraction
 EMPTY = CoeffSet(())
@@ -240,6 +255,11 @@ class TestNumberText:
         assert int_text(2**64, bits=65) == str(2**64)
         assert int_text(10**5000) == "an int of 16610 bits"
 
+    def test_whole_text_prints_every_int_that_str_prints(self):
+        limit = sys.get_int_max_str_digits()
+        assert whole_text(-(10**limit - 1)) == str(-(10**limit - 1))
+        assert whole_text(10**limit) == f"an int of {(10**limit).bit_length()} bits"
+
     def test_ratio_text_names_a_long_rational_by_its_lengths(self):
         assert ratio_text(F(-3, 7)) == "-3/7"
         assert ratio_text(F(5)) == "5/1"
@@ -292,6 +312,76 @@ def test_long_numbers_are_refused_with_domain_error(call, message):
     with pytest.raises(DomainError) as exc:
         call()
     assert message in str(exc.value)
+
+
+# every call below settles, by a return or a refusal, within this many
+# seconds; the slowest drawn so far take about 0.6 s
+CALL_SECONDS = 5
+# well-typed adversarial rationals: 0, negatives, 10^5000, 1/10^5000, True,
+# and two next to 1 whose denominators share a factor of 10^5000 with the
+# set's, beside ordinary coefficients
+RATIONALS = [F(1, 3), F(1, 2), F(2, 3), F(99, 100), F(1, 10), 0, -1, F(-BIG), F(BIG),
+             F(1, BIG), 1 - F(1, BIG), 1 - F(3, BIG), True]
+INTS = [0, -1, 1, 3, 7, 250, BIG, -BIG, True]
+
+
+def _settled(call, *args):
+    """call(*args), or the refusal it raised, within CALL_SECONDS; a `Value`
+    it returns must repr.  Anything else propagates."""
+    try:
+        with time_limit(CALL_SECONDS):
+            out = call(*args)
+    except (DomainError, OracleBudgetError) as exc:
+        return exc
+    if isinstance(out, Value):
+        repr(out)
+    return out
+
+
+class TestAdversarialExports:
+    """Every export of coeffsets, bounds, thresholds and pairs, on well-typed
+    adversarial values, returns or refuses with DomainError or
+    OracleBudgetError within a fixed time."""
+
+    @given(
+        st.lists(st.sampled_from(RATIONALS), max_size=3),
+        st.sampled_from(RATIONALS),
+        st.sampled_from(INTS),
+        st.lists(st.sampled_from([1, 2, 3, 0, -1, BIG, True]), min_size=1, max_size=4),
+        # 0 and 7 coincide mod 7, and so do 1 and True
+        st.lists(st.sampled_from([0, 1, 2, 7, -1, BIG, True, INF]), max_size=4),
+        st.sampled_from([2, 3, 7, 4, 0, -7, BIG, True]),
+        st.sampled_from([0, 1, 2, -1, BIG, True]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_returns_or_refuses(self, elems, x, n, mults, slopes, p, e_max):
+        coeffs = _settled(CoeffSet, elems)
+        if isinstance(coeffs, CoeffSet):
+            str(coeffs)
+            for call in (plus_closure, min_positive, q_max, p0, t0_from_dset):
+                _settled(call, coeffs)
+            for call in (dset_below, dset_contains, largest_below, ddi_check):
+                _settled(call, coeffs, x)
+            _settled(safe_perturbation, coeffs, n)
+        _settled(admissible_sum, elems)
+        _settled(hyperstandard_simple_bound, n)
+        _settled(t0_from_lambdas, elems)
+        _settled(sharply_fpure_A1, elems)
+        profile = _settled(MultiplicityProfile, mults)
+        if isinstance(profile, MultiplicityProfile):
+            _settled(lct_line_arrangement, profile)
+            _settled(fpt_degenerate, profile)
+            _settled(hara_monsky_lower, profile, p)
+            _settled(klt_scaled, profile, x)
+        pair = _settled(P1Pair, elems)
+        if isinstance(pair, P1Pair):
+            _settled(classify_p1, pair)
+            _settled(cone_transfer, pair)
+        # slopes of another count than the weights are refused
+        arr = _settled(WeightedArrangement, elems, slopes[: len(elems)] or None)
+        if isinstance(arr, WeightedArrangement):
+            _settled(klt_weighted, arr)
+            _settled(certify_sfr, arr, p, e_max)
 
 
 class TestAsPrime:

@@ -211,8 +211,8 @@ def test_position_and_keyword_construction_agree(make, fields, text):
 
 def test_a_repr_with_an_int_past_the_digit_limit_does_not_raise():
     # str() of such an int raises ValueError; the repr names it by its bit
-    # length, inside tuples, dicts and Fractions too, and prints ints up to
-    # 14280 bits whole
+    # length, inside tuples, lists, dicts and Fractions too, and prints every
+    # int that str() prints whole
     huge = 10**5000
     arr = LineArrangement(2, (0,), (huge,))
     assert repr(arr) == "LineArrangement(p=2, slopes=(0,), mults=(an int of 16610 bits,))"
@@ -224,6 +224,12 @@ def test_a_repr_with_an_int_past_the_digit_limit_does_not_raise():
         "Certificate(reason='r', details={'c': an int of 16610 bits, "
         "'f': Fraction(1, an int of 16610 bits)})"
     )
+    # certify_sfr's details hold the weights as a list
+    assert repr(Certificate("r", {"w": [Fraction(1, huge), 2]})) == (
+        "Certificate(reason='r', details={'w': [Fraction(1, an int of 16610 bits), 2]})"
+    )
+    details = {"w": [Fraction(1, 3), [2]], "m": []}
+    assert repr(Certificate("r", details)) == f"Certificate(reason='r', details={details!r})"
     assert repr(P1Pair((Fraction(1, huge),))) == (
         "P1Pair(coeffs=(Fraction(1, an int of 16610 bits),))"
     )
