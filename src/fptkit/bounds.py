@@ -20,16 +20,16 @@ whose sum exceeds 1, only the largest completion can be maximal;
 `largest_below` gives it, below (2w - partial)/w.  It needs no floor: the
 pruning rule put the prefix's last part a/w below (2w - partial)/w, so the
 completion is at least a/w and the parts stay sorted.  The walk only
-collects and counts its prefixes, and refuses a set once they pass
-_QMAX_PREFIX_CAP, before anything else is built.  Each completion depends
-only on `partial`, so it is asked for once per distinct prefix sum after
-the walk.  Every emitted candidate is re-verified against the raw
-constraints by the integer core of `admissible_sum`: its numerators over
-one common denominator come from the pool's numerators, scaled once, and
-the same list, with the total's numerator in front, is its sort key.
-Fractions are built only for the completions and for one total per prefix
-sum, shared by every candidate with that sum; the parts are the pool's
-own Fractions.
+collects and counts its prefixes, each as an `itemgetter` of its indices
+into the pool, and refuses a set once they pass _QMAX_PREFIX_CAP, before
+anything else is built.  Each completion depends only on `partial`, so it
+is asked for once per distinct prefix sum after the walk.  Every emitted
+candidate is re-verified against the raw constraints by the integer core
+of `admissible_sum`: its numerators over one common denominator are
+picked from the pool's numerators, scaled once, and the total's numerator
+and the same tuple are its sort key.  Fractions are built only for the
+completions and for one total per prefix sum, shared by every candidate
+with that sum; the parts are picked from the pool's own Fractions.
 
 Safe perturbations compare slice elements, walls and interval ends by
 the strict integer keys floor(n * 2*dmax^2 / d) (`rationals.order_width`)
@@ -45,7 +45,7 @@ from operator import itemgetter
 
 from .coeffsets import CoeffSet, dset_below, largest_below, min_positive
 from .errors import DomainError
-from .rationals import as_fraction, as_int, int_text, order_width
+from .rationals import as_fraction, as_int, int_text, order_width, ratios
 from .values import Value
 
 
@@ -106,49 +106,53 @@ def admissible_sum(parts) -> bool:
 
 def _admissible(nums: tuple[int, ...], w: int) -> bool:
     """`admissible_sum`'s rules on the parts' numerators over w."""
-    if len(nums) < 3:
+    # one sort finds the least and the largest part; a walk's candidate is
+    # ascending already, which the sort reads as one run
+    ordered = sorted(nums)
+    if len(ordered) < 3 or ordered[0] <= 0 or ordered[-1] >= w:
         return False
-    top = max(nums)
-    if min(nums) <= 0 or top >= w:
-        return False
-    total = sum(nums)
-    return total < 2 * w and total - top > w
+    total = sum(ordered)
+    return total < 2 * w and total - ordered[-1] > w
 
 
-def _prefixes(nums, w: int):
-    """Yield (chosen, partial) for each prefix the walk over the ascending
-    numerators `nums` (parts a/w) emits: index lists of length >= 2 whose
-    sum partial/w is above 1, where each part a appended kept partial + 2a
-    < 2w.  `chosen` is the walk's own list, so a caller that keeps it
-    copies it.  Refused once there are more than _QMAX_PREFIX_CAP."""
-    two_w = 2 * w
-    emitted = 0
+def _prefixes(nums, w: int) -> list:
+    """(pick, partial) for each prefix the walk over the ascending
+    numerators `nums` (parts a/w) emits, in walk order: index lists of
+    length >= 2 whose sum partial/w is above 1, where each part a appended
+    kept partial + 2a < 2w.  `pick` is an `itemgetter` of the prefix's
+    indices, so pick(seq) is the tuple of their items in any sequence
+    indexed like `nums`.  Refused once there are more than
+    _QMAX_PREFIX_CAP."""
+    # partial + 2a < 2w  <=>  partial < fits[i], and no part fits past the end
+    fits = [2 * (w - a) for a in nums]
+    fits.append(0)
+    found = []
     # the walk keeps its path on explicit stacks: for a small eps it runs
     # deeper than Python's recursion limit before its count refuses the set
     chosen: list[int] = []  # indices into nums, ascending
     sums = [0]  # sums[k] is the numerator over w of chosen[:k]'s sum
+    partial = 0  # sums[-1]
     i = 0  # the next index to try after chosen
     while True:
-        partial = sums[-1]
         # nums is ascending, so once a busts the rule every later pick does
-        if i < len(nums) and partial + 2 * nums[i] < two_w:
+        if partial < fits[i]:
             chosen.append(i)
             partial += nums[i]
             sums.append(partial)
             if partial > w and len(chosen) >= 2:
-                emitted += 1
-                if emitted > _QMAX_PREFIX_CAP:
+                if len(found) == _QMAX_PREFIX_CAP:
                     raise DomainError(
                         f"the constrained sum search may emit at most "
                         f"{int_text(_QMAX_PREFIX_CAP)} prefixes, and this set's "
                         "walk emits more"
                     )
-                yield chosen, partial
+                found.append((itemgetter(*chosen), partial))
         elif chosen:
             i = chosen.pop() + 1
             sums.pop()
+            partial = sums[-1]
         else:
-            return
+            return found
 
 
 def q_max(coeffs: CoeffSet) -> QMaxResult:
@@ -167,48 +171,39 @@ def q_max(coeffs: CoeffSet) -> QMaxResult:
     # refused before the pool is built
     step, over = eps.as_integer_ratio()
     if _EARLY_WALK_MIN * step < over <= _EARLY_WALK_MAX * step:
-        for _ in _prefixes(range(step, (2 * over - step - 1) // 2 + 1, step), over):
-            pass
+        _prefixes(range(step, (2 * over - step - 1) // 2 + 1, step), over)
     pool = dset_below(coeffs, 1 - eps / 2).positives
     w = math.lcm(*(x.denominator for x in pool))
     nums = [x.numerator * (w // x.denominator) for x in pool]
-    two_w = 2 * w
-    found = [(tuple(chosen), partial) for chosen, partial in _prefixes(nums, w)]
+    # an emitted prefix has at least two parts, so its pick gives a tuple
+    found = _prefixes(nums, w)
 
-    # partial -> the largest element of D(I) below (2w - partial)/w
-    completion: dict[int, Fraction] = {}
-    for _, partial in found:
-        if partial not in completion:
-            completion[partial] = largest_below(coeffs, Fraction(two_w - partial, w))
+    # the largest element of D(I) below (2w - partial)/w completes every
+    # prefix with sum partial/w, so one is asked for per distinct sum
+    partials = list(dict.fromkeys(partial for _, partial in found))
+    lasts = [largest_below(coeffs, end) for end in ratios((2 * w - s, w) for s in partials)]
     # sort by (total, parts) as numerators over one common denominator
-    den = math.lcm(w, *(last.denominator for last in completion.values()))
+    den = math.lcm(w, *(last.denominator for last in lasts))
     unit = den // w
     scaled_nums = [a * unit for a in nums]
+    tail_nums = [last.numerator * (den // last.denominator) for last in lasts]
+    total_nums = [s * unit + tail for s, tail in zip(partials, tail_nums)]
+    totals = ratios((t, den) for t in total_nums)
     # partial -> (total's numerator over den, total, last part, its numerator)
-    tails = {}
-    for partial, last in completion.items():
-        ln, ld = last.as_integer_ratio()
-        total = Fraction(partial * ld + ln * w, w * ld)
-        tail = ln * (den // ld)
-        tails[partial] = (partial * unit + tail, total, last, tail)
+    tails = dict(zip(partials, zip(total_nums, totals, lasts, tail_nums)))
     keyed = []
-    for chosen, partial in found:
+    for pick, partial in found:
         total_num, total, last, tail = tails[partial]
-        scaled = [scaled_nums[i] for i in chosen]
-        scaled.append(tail)
+        scaled = pick(scaled_nums) + (tail,)
         if _admissible(scaled, den):
-            parts = [pool[i] for i in chosen]
-            parts.append(last)
-            # the sort key is [total, *parts] as numerators over den
-            scaled.insert(0, total_num)
-            keyed.append((scaled, SumCandidate(total, tuple(parts))))
+            keyed.append((total_num, scaled, SumCandidate(total, pick(pool) + (last,))))
     if not keyed:
         raise DomainError("constrained sum search found no admissible sums")
-    keyed.sort(key=itemgetter(0))
+    keyed.sort(key=itemgetter(0, 1))
     # the first candidate at the top total has the least parts
-    top = keyed[-1][0][0]
-    first = next(i for i, (key, _) in enumerate(keyed) if key[0] == top)
-    candidates = tuple(c for _, c in keyed)
+    top = keyed[-1][0]
+    first = next(i for i, (total_num, _, _) in enumerate(keyed) if total_num == top)
+    candidates = tuple(c for _, _, c in keyed)
     return QMaxResult(candidates[-1].total, candidates[first].parts, candidates)
 
 

@@ -27,6 +27,12 @@ from .slopes import format_slope, parse_slope
 
 BUDGET_ENV = "FPTKIT_ORACLE_BUDGET"
 
+# a Fraction's JSON text from its (numerator, denominator), as format_ratio
+# writes it
+_JSON_RATIO = '"%d/%d"'
+_pair = Fraction.as_integer_ratio
+_ONLY_FRACTIONS = {Fraction}
+
 
 def _usage_type(parse):
     """Argument type running `parse`; a DomainError is a usage error."""
@@ -214,81 +220,116 @@ def _print_json(value, out) -> None:
     encoder only without `indent`, and the pure-Python one cost more than
     the computation on long `p0` and `dset` answers.  Dispatch is on exact
     type: `str` (escaped by `json.encoder`'s C `encode_basestring_ascii`),
-    `Fraction` (as `"a/b"` from `format_ratio`), `int`, `bool`, `None`,
-    `dict` (str keys, sorted), `list` and `tuple`.  Any other type, `float`
-    included, raises `TypeError`, and `out` is written only once the whole
-    text is built.  Reports share Fraction objects, so each is formatted
-    once: every leaf is first looked up in a memo keyed by `id` (a
-    Fraction's hash runs in Python; `value` keeps every object alive, so no
-    two share an id).  Each dict key is escaped once per call.  Each
-    separator is fused with the leaf after it and an array of leaves is one
-    string, so a long answer makes few chunks.
+    `Fraction` (as `"a/b"`, the text of `format_ratio`), `int`, `bool`,
+    `None`, `dict` (str keys, sorted), `list` and `tuple`.  Any other type,
+    `float` included, raises `TypeError`, and `out` is written only once
+    the whole text is built.
+
+    The work per element is kept small.  Reports share Fraction objects,
+    so each is formatted once: every leaf is first looked up in a memo
+    keyed by `id` (a Fraction's hash runs in Python; `value` keeps every
+    object alive, so no two share an id).  An array of Fractions whose
+    first item the memo has not seen (a `dset` slice) is formatted by one
+    `%` per item and goes into the memo whole; any other array (a `p0`
+    trace's parts, whose Fractions the memo holds after the first few) is
+    looked up item by item, and only its misses are formatted.  An array
+    that holds no dict is one string, built by one call however deep it
+    nests.  A list of dicts is written in one loop with no call per dict,
+    and each distinct key sequence is sorted, and its keys escaped, once
+    per call.
     """
     texts: dict[int, str] = {}
     memo = texts.get
-    labels: dict[str, str] = {}
+    # a dict's keys in their own order -> (key, escaped label), sorted
+    orders: dict[tuple, list] = {}
     chunks: list[str] = []
     append = chunks.append
 
-    def leaf(v):
-        """JSON text of a scalar; None for a container.  A Fraction's text
-        is kept in `texts`, which callers probe first."""
+    def text_of(v, nl):
+        """JSON text of `v`, whose closing bracket would follow `nl`, if it
+        holds no nonempty dict; else None.  A Fraction's text is kept in
+        `texts`, which callers probe first."""
         t = type(v)
         if t is Fraction:
-            text = texts[id(v)] = f'"{format_ratio(v)}"'
+            text = texts[id(v)] = _JSON_RATIO % _pair(v)
             return text
+        if t is tuple or t is list:
+            if not v:
+                return "[]"
+            first = v[0]
+            t = type(first)
+            if t is dict:
+                return None
+            inner = nl + "  "
+            if t is not Fraction:
+                items = [text_of(x, inner) for x in v]
+            elif memo(id(first)) is None and set(map(type, v)) == _ONLY_FRACTIONS:
+                items = [_JSON_RATIO % pair for pair in map(_pair, v)]
+                texts.update(zip(map(id, v), items))
+            else:
+                items = list(map(memo, map(id, v)))
+                if not all(items):
+                    items = [text or text_of(x, inner) for text, x in zip(items, v)]
+            # a text is never empty, so a false item is a dict's None
+            if not all(items):
+                return None
+            return f"[{inner}{(',' + inner).join(items)}{nl}]"
+        if t is dict:
+            return None if v else "{}"
         if t is str:
             return encode_basestring_ascii(v)
+        if t is int:
+            return int.__repr__(v)
         if t is bool:
             return "true" if v else "false"
         if v is None:
             return "null"
-        if t is int:
-            return int.__repr__(v)
-        if t is dict or t is list or t is tuple:
-            return None
         raise TypeError(f"{t.__name__} is not a JSON value")
 
-    def walk(v, nl):
-        """Append container `v`, whose closing bracket follows `nl`."""
-        if not v:
-            append("{}" if type(v) is dict else "[]")
-            return
-        inner = nl + "  "
-        sep = "," + inner
+    def nest(v, head, nl):
+        """Append the nonempty container `v`, which has no `text_of`, after
+        `head`; its closing bracket follows `nl`.  The dicts of a list are
+        written in this loop, with no call per dict."""
         if type(v) is dict:
-            head = "{" + inner
-            for key in sorted(v):
-                x = v[key]
-                label = labels.get(key)
-                if label is None:
-                    label = labels[key] = encode_basestring_ascii(key) + ": "
-                text = memo(id(x)) or leaf(x)
-                if text is None:
-                    append(head + label)
-                    walk(x, inner)
-                else:
-                    append(f"{head}{label}{text}")
-                head = sep
-            append(nl + "}")
-            return
-        items = [memo(id(x)) or leaf(x) for x in v]
-        if None not in items:
-            append(f"[{inner}{sep.join(items)}{nl}]")
-            return
-        head = "[" + inner
-        for x, text in zip(v, items):
-            if text is None:
-                append(head)
-                walk(x, inner)
+            items, sep, at = (v,), "", nl
+        else:
+            at = nl + "  "
+            items, head, sep = v, f"{head}[{at}", "," + at
+        inner = at + "  "
+        comma = "," + inner
+        keys = order = None
+        for x in items:
+            if type(x) is dict and x:
+                if tuple(x) != keys:
+                    keys = tuple(x)
+                    order = orders.get(keys)
+                    if order is None:
+                        order = orders[keys] = [
+                            (key, encode_basestring_ascii(key) + ": ") for key in sorted(x)
+                        ]
+                mark = head + "{" + inner
+                for key, label in order:
+                    y = x[key]
+                    text = memo(id(y)) or text_of(y, inner)
+                    if text is None:
+                        nest(y, mark + label, inner)
+                    else:
+                        append(f"{mark}{label}{text}")
+                    mark = comma
+                append(at + "}")
             else:
-                append(head + text)
+                text = memo(id(x)) or text_of(x, at)
+                if text is None:
+                    nest(x, head, at)
+                else:
+                    append(head + text)
             head = sep
-        append(nl + "]")
+        if type(v) is not dict:
+            append(nl + "]")
 
-    text = leaf(value)
+    text = text_of(value, "\n")
     if text is None:
-        walk(value, "\n")
+        nest(value, "", "\n")
     else:
         append(text)
     append("\n")

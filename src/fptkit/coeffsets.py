@@ -13,15 +13,14 @@ that identity on any slice.
 Everything here is exact, and the inner loops run on integers.  I_plus is
 built once per coefficient set and cached as (L, ascending numerators a
 over L), L the lcm of the generators' denominators.  With r = L - a, an
-element of D(I) is (m*L - r)/(m*L), and `largest_below` compares the gaps
-r/m by cross-multiplying.  A slice dedups and sorts its (f, m) candidates
-by one integer key each, floor(n * W / d) on the unreduced pair
-(n, d) = (m*L - r, m*L), with W = 2*dmax^2 (`rationals.order_width`) and
-dmax = L times the largest m: every reduced denominator is at most dmax,
-distinct fractions with such denominators differ by at least 1/dmax^2, so
-their keys differ by at least 2, and equal fractions share a key whatever
-their form.  No gcd is taken per candidate; one Fraction is built per
-distinct element, in key order.
+element of D(I) is (m*L - r)/(m*L) = 1 - (r/m)/L, and `largest_below`
+compares the gaps r/m by cross-multiplying.  A slice dedups and sorts its
+(f, m) candidates by one small integer key each, floor(r * W / m) with
+W = 2*M^2 (`rationals.order_width`) and M the largest m: distinct ratios
+r/m with m <= M differ by at least 1/M^2, so their keys differ by at
+least 2, equal ones share a key, and the key falls as the element rises.
+No gcd is taken per candidate; one Fraction is built per distinct element,
+in key order, by `rationals.ratios`.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from functools import lru_cache
 from math import lcm, prod
 
 from .errors import DomainError
-from .rationals import as_fraction, int_text, order_width, ratio_text, whole_text
+from .rationals import as_fraction, int_text, order_width, ratio_text, ratios, whole_text
 from .values import Value
 
 HALF = Fraction(1, 2)
@@ -151,19 +150,21 @@ def dset_below(coeffs: CoeffSet, cutoff: Fraction) -> DsetSlice:
             f"a slice of D(I) may have at most {_DSET_CANDIDATE_CAP} (f, m) "
             f"candidates, got {int_text(count)}"
         )
-    # every candidate (m*scale - r)/(m*scale) reduces to a denominator of at
-    # most max(tops)*scale, so its key floor(n * width / d) - width, which is
-    # (-r * width) // (m*scale), is one integer per distinct element
-    width = order_width(max(tops, default=1) * scale)
+    # the candidate (m*scale - r)/(m*scale) is 1 - (r/m)/scale, so equal
+    # elements have equal r/m, and its key floor(r * width / m), with
+    # m <= max(tops), is one integer per distinct element that falls as
+    # the element rises
+    width = order_width(max(tops, default=0))
     found: dict[int, tuple[int, int]] = {}
     for a, top in zip(nums, tops):
         r = scale - a
-        neg = -r * width
-        for den in range(scale, (top + 1) * scale, scale):
-            key = neg // den
+        rw = r * width
+        for m in range(1, top + 1):
+            key = rw // m
             if key not in found:
+                den = m * scale
                 found[key] = (den - r, den)
-    return DsetSlice(tuple(Fraction(*found[key]) for key in sorted(found)))
+    return DsetSlice(tuple(ratios(map(found.__getitem__, sorted(found, reverse=True)))))
 
 
 def dset_contains(coeffs: CoeffSet, value: Fraction) -> bool:

@@ -18,11 +18,12 @@ of N = p nu + s that the ladder leaves open, from its top bit down.
 Every level ends with nu outside and nu + 1 inside, each shown by a probe
 unless N = 0 or N d > 2(q - 1) settles it.
 
-A probe builds only the window [lo, hi] of g^N (`kernels.truncated_power`
-with `lo`), by a recursion down the base-p digits of N whose cost follows
-the window's width; near nu that width is a small share of q for few lines
-and large p.  A walk (`NuWalk`) keeps the windows it builds in a store (a
-dict that `truncated_power` fills): a probe at level pq reads N = p nu + s,
+A probe builds only the window [lo, hi] of g^N and asks whether it is
+zero (`kernels.power_window_nonzero`, on the window `truncated_power`
+would copy out), by a recursion down the base-p digits of N whose cost
+follows the window's width; near nu that width is a small share of q for
+few lines and large p.  A walk (`NuWalk`) keeps the windows it builds in a
+store (a dict that the kernels fill): a probe at level pq reads N = p nu + s,
 whose window needs g^nu only inside the window the level below built when
 it showed nu outside, and the prefix of g^s, which is the kept prefix of
 g^(s - 2^k), the digit shown so far, times that of g^(2^k).  So every probe
@@ -36,7 +37,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import DomainError, OracleBudgetError
-from .kernels import polymul_mod, truncated_power
+from .kernels import polymul_mod, power_window_nonzero, truncated_power
 from .rationals import as_fraction, as_int, as_prime, int_text, whole_text
 from .thresholds import MultiplicityProfile, hara_monsky_lower
 from .slopes import INF, format_slope, normalize_slopes, slope_key
@@ -207,11 +208,12 @@ class NuWalk:
 def _outside_ideal(arr: LineArrangement, n: int, q: int, store=None) -> bool:
     """True when f^n is not in (x^q, y^q); exact for any n >= 0.
 
-    `store` is the running walk's, which only `nu` passes; `truncated_power`
-    clips the window to g^n's degree and answers an empty one with [].
+    `store` is the running walk's, which only `nu` passes; the kernel clips
+    the window to g^n's degree, finds an empty one zero, and reads a bytes
+    window (p < 32) with no copy.
     """
     lo = max(0, n * arr.degree - q + 1)
-    return any(truncated_power(_dehomogenized(arr), n, arr.p, q, lo, store))
+    return power_window_nonzero(_dehomogenized(arr), n, arr.p, q, lo, store)
 
 
 def power_in_frobenius_ideal(

@@ -29,7 +29,8 @@ For p < 32 the residues stay `bytes`, one byte per coefficient, from the
 reduced base through every spread, product and zero fill to the windows
 the store holds, because `polymul_mod` multiplies bytes into bytes with no
 per-coefficient Python work; for larger p the windows are lists.  Either
-way `truncated_power` returns a fresh list.
+way `truncated_power` returns a fresh list, and `power_window_nonzero`,
+the membership probe's question, reads the window as it is.
 """
 
 from __future__ import annotations
@@ -70,6 +71,27 @@ def truncated_power(base, n, p, trunc=None, lo=0, store=None):
     Frobenius ladder, passes a store it keeps; None gives the call a fresh
     one.  The list returned is the caller's own.
     """
+    out = _clipped(base, n, p, trunc, lo, store)
+    if type(out) is not list:
+        return list(out)
+    kept = None if store is None else store.get(n)
+    # only the list the store keeps for n is shared; any other is fresh
+    return out[:] if kept is not None and kept[2] is out else out
+
+
+def power_window_nonzero(base, n, p, trunc=None, lo=0, store=None) -> bool:
+    """Does truncated_power(base, n, p, trunc, lo, store) hold a nonzero
+    coefficient?  The window is read on its own kind, with no copy: a
+    bytes window (p < 32) by one `count`, a list by `any`."""
+    out = _clipped(base, n, p, trunc, lo, store)
+    if type(out) is list:
+        return any(out)
+    return out.count(0) != len(out)
+
+
+def _clipped(base, n, p, trunc, lo, store):
+    """`truncated_power`'s window of base's kind, which may be the list or
+    bytes that `store` keeps; the callers above copy or only read it."""
     if n < 0:
         raise ValueError("negative exponent")
     if lo < 0 or (trunc is not None and trunc < 0):
@@ -78,15 +100,12 @@ def truncated_power(base, n, p, trunc=None, lo=0, store=None):
     hi = deg * n if trunc is None else min(trunc - 1, deg * n)
     if lo > hi:
         return []
-    store = {} if store is None else store
     residues = [c % p for c in base]
     # the lane bound of pure.polymul_kronecker: below 32 residues stay bytes
-    out = _window(bytes(residues) if p < 32 else residues, deg, n, p, lo, hi, store)
-    if type(out) is not list:
-        return list(out)
-    kept = store.get(n)
-    # only the list the store keeps for n is shared; any other is fresh
-    return out[:] if kept is not None and kept[2] is out else out
+    return _window(
+        bytes(residues) if p < 32 else residues, deg, n, p, lo, hi,
+        {} if store is None else store,
+    )
 
 
 def _zeros(like, k):

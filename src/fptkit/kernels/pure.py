@@ -9,15 +9,15 @@ Two routines with identical contracts:
   multiply does the work.  The digit width is rounded up to 1, 2, 4 or 8
   bytes.  For p < 32 an operand's residues are stride-assigned into a
   bytearray of that width, and the product is reduced by eight constant
-  byte-lane tables, t_i[x] = x * 256^i mod p: each of a digit's bytes is
-  translated by its lane's table, the lanes are summed as one integer (no
-  byte carries, since eight residues below 32 sum to at most 240) and one
-  last translate by t_0 finishes, so no coefficient passes through a
-  Python `%`.  For larger p the stdlib `array` module packs a whole
-  operand with one `tobytes()` and unpacks the product with one
-  `frombytes()`, both in C, and each coefficient is reduced by `%`; wider
-  digits (a huge p with long operands) take a slower path of one
-  `int.to_bytes` per coefficient.
+  byte-lane tables, t_i[x] = x * 256^i mod p, which a prime's first
+  product builds: each of a digit's bytes is translated by its lane's
+  table, the lanes are summed as one integer (no byte carries, since eight
+  residues below 32 sum to at most 240) and one last translate by t_0
+  finishes, so no coefficient passes through a Python `%`.  For larger p
+  the stdlib `array` module packs a whole operand with one `tobytes()` and
+  unpacks the product with one `frombytes()`, both in C, and each
+  coefficient is reduced by `%`; wider digits (a huge p with long
+  operands) take a slower path of one `int.to_bytes` per coefficient.
 - `polymul_schoolbook`: the O(n*m) loop, kept as the in-library reference.
 
 Inputs are residues mod p, constant term first: lists of ints, or, where
@@ -59,7 +59,9 @@ def _lane_tables(p):
 
 # every prime below 32: below that bound a column's eight translated bytes
 # sum to at most 8 * 30 = 240, so one byte holds each lane sum
-_LANES = {p: _lane_tables(p) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)}
+_LANE_PRIMES = frozenset((2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31))
+# a lane prime's tables, built by its first product, so an import builds none
+_LANES: dict[int, tuple[bytes, ...]] = {}
 
 
 def polymul_schoolbook(a, b, p, trunc=None):
@@ -121,6 +123,8 @@ def polymul_kronecker(a, b, p, trunc=None):
     # such sum below 256, so the lane sum carries into no other byte (a
     # column needs more than 8 bytes only past 2^64 / 30^2 coefficients)
     lanes = _LANES.get(p)
+    if lanes is None and p in _LANE_PRIMES:
+        lanes = _LANES[p] = _lane_tables(p)
     if lanes is not None:
         width = _ALIGNED[need]
         raw = (_stride_pack(a, width) * _stride_pack(b, width)).to_bytes(

@@ -66,18 +66,16 @@ def _got_gap(n):
     return f"m={format_ratio(g.gap)}, bound={g.bound}"
 
 
-def _got_qmax(coeffs):
-    res = bounds.q_max(coeffs)
-    return f"{format_ratio(res.q)} via {'+'.join(format_ratio(x) for x in res.witness)}"
+def _got_qmax(report):
+    return f"{format_ratio(report.q)} via {'+'.join(format_ratio(x) for x in report.witness)}"
 
 
-def _got_p0(coeffs):
-    return str(bounds.p0(coeffs).p0)
+def _got_p0(report):
+    return str(report.p0)
 
 
-def _got_case_sums():
+def _got_case_sums(q):
     triples = ((F(1, 3), F(7, 9), F(13, 15)), (F(1, 3), F(3, 4), F(19, 21)))
-    q = bounds.q_max(ONE_THIRD).q
     descriptions = []
     for parts in triples:
         total = sum(parts)
@@ -87,18 +85,21 @@ def _got_case_sums():
     return ";".join(descriptions)
 
 
-def _got_nu_all_lines(p, e_top):
+def _all_lines_ladder(p, e_top):
+    """nu's records at e = 1..e_top for all p + 1 lines over F_p, one walk."""
     arr = frobenius.LineArrangement.all_rational_lines(p)
     walk = frobenius.NuWalk(arr)
-    nus = (frobenius.nu(arr, e, walk=walk).nu for e in range(1, e_top + 1))
-    return ",".join(map(str, nus))
+    return [frobenius.nu(arr, e, walk=walk) for e in range(1, e_top + 1)]
 
 
-def _got_brackets_all_lines():
+def _got_nu_all_lines(records):
+    return ",".join(str(rec.nu) for rec in records)
+
+
+def _got_brackets_all_lines(ladders):
     hits = []
-    for p, e_top in ((2, 3), (3, 3), (5, 2)):
-        arr = frobenius.LineArrangement.all_rational_lines(p)
-        rec = frobenius.nu(arr, e_top)
+    for p, records in ladders.items():
+        rec = records[-1]
         inside = rec.lower < F(1, p) <= rec.upper
         hits.append(f"1/{p}:{'in' if inside else 'OUT'}")
     return ";".join(hits)
@@ -165,7 +166,15 @@ def _got_perturb(coeffs, n):
 
 
 def run_paper_checks() -> list[dict]:
-    """Recompute every tabled example; see module docstring for semantics."""
+    """Recompute every tabled example; see module docstring for semantics.
+
+    A value that several rows read is computed once: Q, its witness and p0
+    come from one `bounds.p0` report per set, and each all-lines ladder is
+    climbed once, for its nu row and for the bracket row.
+    """
+    standard = bounds.p0(EMPTY)
+    one_third = bounds.p0(ONE_THIRD)
+    ladders = {p: _all_lines_ladder(p, e_top) for p, e_top in ((2, 3), (3, 3), (5, 2))}
     rows = [
         _row(
             "dset-standard-below-9/10",
@@ -229,7 +238,7 @@ def run_paper_checks() -> list[dict]:
             "qmax-standard",
             "largest constrained coefficient sum for the empty set",
             "59/30 via 1/2+2/3+4/5",
-            _got_qmax(EMPTY),
+            _got_qmax(standard),
         ),
         _row(
             "case-sum-halves",
@@ -243,7 +252,7 @@ def run_paper_checks() -> list[dict]:
             "p0-standard",
             "prime bound floor(((1-eps)/eps)/(1-Q/2)) for the empty set",
             "60",
-            _got_p0(EMPTY),
+            _got_p0(standard),
             recorded="30",
             note=(
                 "recorded bound uses a sharper per-candidate integer step; "
@@ -254,7 +263,7 @@ def run_paper_checks() -> list[dict]:
             "qmax-one-third",
             "largest constrained coefficient sum for {1/3}",
             "263/132 via 1/3+3/4+10/11",
-            _got_qmax(ONE_THIRD),
+            _got_qmax(one_third),
             recorded="209/105 via 1/3+4/5+6/7",
             note=(
                 "recorded maximum relies on the two skipped standard values; "
@@ -265,7 +274,7 @@ def run_paper_checks() -> list[dict]:
             "p0-one-third",
             "prime bound floor(((1-eps)/eps)/(1-Q/2)) for {1/3}",
             "528",
-            _got_p0(ONE_THIRD),
+            _got_p0(one_third),
             recorded="420",
             note="follows from the corrected Q = 263/132",
         ),
@@ -273,31 +282,31 @@ def run_paper_checks() -> list[dict]:
             "case-sums-admissible",
             "branch totals 89/45 and 167/84 are admissible and below Q",
             "89/45:admissible<Q;167/84:admissible<Q",
-            _got_case_sums(),
+            _got_case_sums(one_third.q),
         ),
         _row(
             "nu-all-lines-p2",
             "nu at q=2,4,8 for all three lines over F_2",
             "0,1,3",
-            _got_nu_all_lines(2, 3),
+            _got_nu_all_lines(ladders[2]),
         ),
         _row(
             "nu-all-lines-p3",
             "nu at q=3,9,27 for all four lines over F_3",
             "0,2,8",
-            _got_nu_all_lines(3, 3),
+            _got_nu_all_lines(ladders[3]),
         ),
         _row(
             "nu-all-lines-p5",
             "nu at q=5,25 for all six lines over F_5",
             "0,4",
-            _got_nu_all_lines(5, 2),
+            _got_nu_all_lines(ladders[5]),
         ),
         _row(
             "bracket-all-lines",
             "brackets of the all-lines arrangements contain 1/p",
             "1/2:in;1/3:in;1/5:in",
-            _got_brackets_all_lines(),
+            _got_brackets_all_lines(ladders),
         ),
         _row(
             "bracket-x3y-p3",

@@ -16,6 +16,9 @@ from operator import attrgetter
 
 from .rationals import whole_text
 
+# the setter that `Value.__setattr__`, which refuses assignment, leaves open
+_store = object.__setattr__
+
 
 def _shown(value) -> str:
     """repr(value), with every int in it through `whole_text`."""
@@ -56,8 +59,12 @@ class Value:
         if len(args) != len(fields):
             name = type(self).__qualname__
             raise TypeError(f"{name}() takes {len(fields)} fields, got {len(args)}")
-        for field, value in zip(fields, args):
-            object.__setattr__(self, field, value)
+        # indexing beats unpacking a zip here: a `bounds.q_max` trace builds
+        # one `SumCandidate` per candidate
+        i = 0
+        for field in fields:
+            _store(self, field, args[i])
+            i += 1
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fptkit
-from fptkit import bounds, cli, coeffsets, regressions
+from fptkit import bounds, cli, coeffsets, frobenius, regressions
 from fptkit.cli import run
 from fptkit.rationals import format_ratio
 
@@ -569,6 +569,78 @@ class TestAdversarialOracleArgv:
             assert set(doc) == {"command", "inputs", "outputs", "provenance"}
 
 
+_RATIOS = st.sampled_from(["1/2", "2/3", "4/5", "1/3", "1", "0/7", "10/11", "1/10"])
+_RATIO_LIST = st.lists(st.one_of(_RATIOS, st.sampled_from(_BAD_RATIO)), max_size=6).map(",".join)
+# tokens that no subcommand takes: a word, a flag of another subcommand, a
+# value, a malformed token and a flag argparse cannot know
+_STRAY = st.sampled_from(["extra", "--table", "--set=1/2", "1/2", "--json", "-", "--x=1"])
+
+
+@st.composite
+def _plain_argv(draw):
+    """(argv, malformed): one classify-p1, certify without --emax, or
+    paper-check request; a classify-p1 or certify value is malformed now
+    and then, and paper-check gets stray tokens as often as not."""
+    kind = draw(st.sampled_from(["classify-p1", "certify", "paper-check"]))
+    if kind == "paper-check":
+        tail = draw(st.lists(_STRAY, max_size=2))
+        if draw(st.booleans()):
+            tail.insert(draw(st.integers(0, len(tail))), "--json")
+        return [kind, *tail], any(token != "--json" for token in tail)
+    if kind == "classify-p1":
+        flags = {"--coeffs": draw(_RATIO_LIST)}
+    else:
+        flags = {
+            "--weights": draw(_RATIO_LIST),
+            "--p": draw(st.sampled_from(["2", "5", "7", "31", str(2**61 - 1), str(2**89 - 1),
+                                         *_ORACLE_BAD["--p"]])),
+        }
+        if draw(st.booleans()):
+            slopes = ["0,1,inf", "0,1,2,3", *_ORACLE_BAD["--slopes"]]
+            flags["--slopes"] = draw(st.sampled_from(slopes))
+    malformed = draw(st.booleans()) and draw(st.booleans())
+    if malformed:
+        flags[draw(st.sampled_from(sorted(flags)))] = draw(_malformed)
+    return [kind, *(f"{flag}={value}" for flag, value in flags.items())], malformed
+
+
+class TestAdversarialPlainArgv:
+    """classify-p1, certify without --emax and paper-check answer (exit 0),
+    refuse with a DomainError envelope (exit 1), or refuse a token with a
+    usage line (exit 2), each within a fixed time."""
+
+    LIMIT_S = 5  # the slowest calls seen take about 0.03 s
+
+    @given(_plain_argv())
+    @settings(max_examples=60, deadline=None)
+    def test_answers_or_refuses_in_bounded_time(self, drawn):
+        argv, malformed = drawn
+        err = io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stderr(err):
+            code, text = invoke(argv)
+        assert time.perf_counter() - start < self.LIMIT_S
+        assert code in (0, 1, 2), argv
+        if code == 2 or malformed:
+            # a value's usage line names the subcommand; a stray token is
+            # refused by the top-level parser
+            assert (code, text) == (2, ""), argv
+            assert err.getvalue().startswith("usage: fptkit "), argv
+            assert err.getvalue().rstrip("\n").split("\n")[-1].startswith("fptkit")
+            return
+        assert err.getvalue() == ""
+        if argv[0] == "paper-check" and "--json" not in argv:
+            assert text.endswith(" 0 mismatches\n") and code == 0
+            return
+        doc = json.loads(text)
+        assert doc["command"] == argv[0]
+        if code == 1:
+            assert set(doc) == {"command", "inputs", "error"}
+            assert doc["error"]["type"] == "DomainError"
+        else:
+            assert set(doc) == {"command", "inputs", "outputs", "provenance"}
+
+
 class TestBudgetEnv:
     def test_ops_cap_wins(self, monkeypatch):
         monkeypatch.setenv("FPTKIT_ORACLE_BUDGET", "1000")
@@ -745,6 +817,45 @@ def _shared_trees(draw):
     return draw(st.dictionaries(_text, value, max_size=4))
 
 
+@st.composite
+def _writer_path_trees(draw):
+    """Trees for each branch the writer takes: arrays of fresh Fractions
+    (a `dset` slice), arrays that mix Fractions already written with fresh
+    ones in any order, integer and negative Fractions, arrays of leaves of
+    several types, short and long arrays as dict values, arrays of arrays
+    (`perturb`'s intervals), arrays that hold a dict after other items, and
+    lists of dicts with the same keys (a `p0` trace) or not."""
+    fresh = st.one_of(
+        st.fractions(),
+        st.integers(-(10**30), 10**30).map(Fraction),
+        st.fractions(max_value=0),
+    )
+    pool = draw(st.lists(fresh, min_size=1, max_size=6))
+    shared = st.one_of(st.sampled_from(pool), st.sampled_from([HALF, TWIN]))
+    leaf = st.one_of(_leaves, shared, fresh)
+    arrays = st.one_of(
+        st.lists(fresh, min_size=1, max_size=60),
+        st.lists(st.one_of(shared, fresh), min_size=1, max_size=40).map(tuple),
+        st.lists(shared, min_size=1, max_size=6).map(tuple),
+        st.lists(leaf, min_size=1, max_size=3),
+        st.lists(leaf, min_size=20, max_size=40),
+        st.lists(st.lists(fresh, min_size=2, max_size=2).map(tuple), min_size=1, max_size=8),
+    )
+    value = st.one_of(leaf, arrays, st.just([]), st.just({}))
+    keys = draw(st.lists(_text, min_size=1, max_size=3, unique=True))
+    same_keys = st.lists(
+        st.fixed_dictionaries({key: value for key in keys}), min_size=1, max_size=8
+    )
+    # dicts of one size with other keys, so no order is reused by mistake
+    other_dicts = st.lists(
+        st.dictionaries(_text, value, min_size=1, max_size=2), min_size=2, max_size=4
+    )
+    dict_after = st.builds(lambda items, d: [*items, d], st.lists(value, max_size=3),
+                           st.dictionaries(_text, value, min_size=1, max_size=2))
+    top = st.one_of(value, same_keys, other_dicts, dict_after, same_keys.map(tuple))
+    return draw(st.dictionaries(_text, top, max_size=4))
+
+
 class TestPrintJson:
     """`_print_json` writes what the indenting `json.dumps` writes for the
     tree with each Fraction as "a/b" and each tuple as a list."""
@@ -760,6 +871,14 @@ class TestPrintJson:
     @given(_shared_trees())
     @settings(max_examples=20, deadline=None)
     def test_shared_fractions_and_long_arrays_match_json_dumps(self, tree):
+        out = io.StringIO()
+        cli._print_json(tree, out)
+        want = json.dumps(_encode_per_value(tree), indent=2, sort_keys=True) + "\n"
+        assert out.getvalue() == want
+
+    @given(_writer_path_trees())
+    @settings(max_examples=100, deadline=None)
+    def test_each_writer_path_matches_json_dumps(self, tree):
         out = io.StringIO()
         cli._print_json(tree, out)
         want = json.dumps(_encode_per_value(tree), indent=2, sort_keys=True) + "\n"
@@ -947,6 +1066,29 @@ class TestPaperCheck:
         assert by_id["hm-three-lines-p7"]["status"] == "mismatch"
         assert by_id["hm-three-lines-p7"]["got"] == "1/2"
         assert doc["outputs"]["summary"]["mismatch"] == 1
+
+    def test_each_value_is_computed_once(self, monkeypatch):
+        # one q_max per set (the qmax, p0 and case-sums rows share it), and
+        # one nu call per level of each all-lines ladder (its nu row and the
+        # bracket row share the climb)
+        q_sets, levels = [], []
+        q_max, nu = bounds.q_max, frobenius.nu
+
+        def counted_q_max(coeffs):
+            q_sets.append(coeffs)
+            return q_max(coeffs)
+
+        def counted_nu(arr, e, *args, **kwargs):
+            if arr == frobenius.LineArrangement.all_rational_lines(arr.p):
+                levels.append((arr.p, e))
+            return nu(arr, e, *args, **kwargs)
+
+        monkeypatch.setattr(bounds, "q_max", counted_q_max)
+        monkeypatch.setattr(frobenius, "nu", counted_nu)
+        rows = regressions.run_paper_checks()
+        assert regressions.summarize(rows)["mismatch"] == 0
+        assert sorted(map(str, q_sets)) == ["{1/3}", "{}"]
+        assert levels == [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (5, 1), (5, 2)]
 
     def test_provenance_tokens_only(self):
         _, doc = invoke_json(["paper-check", "--json"])

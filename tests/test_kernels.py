@@ -388,6 +388,22 @@ class TestWindowStore:
             assert truncated_power(base, n, p, None, 0, store) == oracles.naive_power(base, n, p)
             assert len(calls) == 1, n
 
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_nonzero_reads_the_window_truncated_power_returns(self, data):
+        # the probe's question, asked on the window's own kind (bytes below
+        # 32, 37 a list) through a kept store and through none
+        p = data.draw(st.sampled_from([2, 3, 5, 7, 11, 37]))
+        base = data.draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=4), label="base")
+        store = {}
+        for n, trunc, lo in _store_requests(data, p, base, 8):
+            want = any(oracles.direct_power(base, n, p)[lo:trunc])
+            assert kernels.power_window_nonzero(base, n, p, trunc, lo, store) is want
+            assert kernels.power_window_nonzero(base, n, p, trunc, lo) is want
+            assert truncated_power(base, n, p, trunc, lo, store) == (
+                oracles.direct_power(base, n, p)[lo:trunc]
+            )
+
     def test_call_without_a_store_keeps_nothing(self, monkeypatch):
         # each such call gets a fresh store, so a repeat does the same work
         calls = []
@@ -464,7 +480,11 @@ class TestResiduePath:
 
     def test_every_lane_table_entry(self):
         # width 8 needs a shorter operand of millions of coefficients, so the
-        # tables stand in for it: t_i[x] = x * 256^i mod p for i < 8
+        # tables stand in for it: t_i[x] = x * 256^i mod p for i < 8; a
+        # prime's first product builds its tables
+        assert sorted(pure._LANE_PRIMES) == LANE_PRIMES
+        for p in LANE_PRIMES:
+            assert pure.polymul_kronecker(b"\x01", b"\x01", p) == b"\x01"
         assert sorted(pure._LANES) == LANE_PRIMES
         for p, tables in pure._LANES.items():
             # eight lane residues sum within one byte

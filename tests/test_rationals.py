@@ -57,6 +57,7 @@ from fptkit.rationals import (
     parse_int,
     parse_ratio,
     ratio_text,
+    ratios,
     whole_text,
 )
 from fptkit.values import Value
@@ -145,6 +146,21 @@ class TestFormatRatio:
         assert format_ratio(-4) == "-4/1"
         assert format_ratio(Sub(-2, 4)) == "-1/2"
         assert format_ratio("6/8") == "3/4"
+
+
+class TestRatios:
+    @given(st.lists(st.tuples(st.integers(-(10**40), 10**40), st.integers(1, 10**40)), max_size=9))
+    def test_each_equals_the_constructors_fraction(self, pairs):
+        # the slots are set on a reduced pair, so the value, its parts, its
+        # hash and its text are those of Fraction(n, d)
+        got = ratios(pairs)
+        assert len(got) == len(pairs)
+        for x, (n, d) in zip(got, pairs):
+            want = Fraction(n, d)
+            assert type(x) is Fraction
+            assert x == want and hash(x) == hash(want)
+            assert (x.numerator, x.denominator) == (want.numerator, want.denominator)
+            assert format_ratio(x) == format_ratio(want) and x + 1 == want + 1
 
 
 class TestAsFraction:

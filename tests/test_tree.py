@@ -4,8 +4,9 @@ one's private names, only `values.py` stores a value's fields past its
 refused assignment, the library does not import `dataclasses`, whose
 class generation (and its `inspect` import) each CLI process would pay,
 importing the CLI loads neither the `json` package nor the `paper-check`
-table, no state outlives a call but `nu`'s last walk and two named
-caches, and a cold request gives arguments to its own subcommand only."""
+table and builds no byte-lane table, no state outlives a call but `nu`'s
+last walk and two named caches, and a cold request gives arguments to its
+own subcommand only."""
 
 import ast
 import shutil
@@ -242,6 +243,24 @@ def test_cli_import_loads_no_dataclasses_json_or_regressions():
         capture_output=True, text=True, check=True,
     )
     assert proc.stdout.strip() == "[]"
+
+
+def test_cli_import_builds_no_lane_tables():
+    # a prime's byte-lane tables are built by its first product: none at
+    # import, and a request at p = 7 builds those of 7 alone
+    code = (
+        "import io, sys; sys.path.insert(0, sys.argv[1]); import fptkit.cli\n"
+        "from fptkit.kernels import pure\n"
+        "print(sorted(pure._LANES))\n"
+        "argv = ['nu', '--p', '7', '--slopes', '0,1,2,inf', '--mults', '1,1,1,1', '--e', '2']\n"
+        "assert fptkit.cli.run(argv, out=io.StringIO()) == 0\n"
+        "print(sorted(pure._LANES))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-I", "-c", code, str(ROOT / "src")],
+        capture_output=True, text=True, check=True,
+    )
+    assert proc.stdout.split("\n") == ["[]", "[7]", ""]
 
 
 def test_a_cold_request_builds_arguments_for_its_subcommand_only():
