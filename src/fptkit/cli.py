@@ -475,15 +475,25 @@ _SUBCOMMANDS = (
 )
 
 
+def _subparser(named, **options):
+    """`add_parser`'s parser class: a parser for a subcommand argv names,
+    and None for any other."""
+    return argparse.ArgumentParser(**options) if named else None
+
+
 def _build_parser(tokens) -> argparse.ArgumentParser:
     """The parser for one call whose argv holds `tokens`.
 
-    Only a subcommand named by one of the tokens gets its arguments and its
-    `-h`; every other one is a bare name with its help line.  argparse hands
-    the rest of argv to the subparser named by an argv token (there are no
-    aliases, and subcommand names are never abbreviated), and the top-level
-    usage, help and `invalid choice` texts read only names and help lines,
-    so every output is what the parser with every argument would give.
+    Only a subcommand named by one of the tokens gets a parser, with its
+    arguments and its `-h`; every other name maps to None and keeps only
+    its help line, so a call builds 1 + (names in argv) parsers.  argparse
+    hands the rest of argv to the subparser named by an argv token (there
+    are no aliases, and subcommand names are never abbreviated), and the
+    top-level usage, help and `invalid choice` texts read only names and
+    help lines, so every output is what the parser with every argument
+    would give.  The subcommands' `prog` is given, not formatted: no
+    positional comes before the subcommand, so argparse would format the
+    same "fptkit".
     """
     parser = argparse.ArgumentParser(
         prog="fptkit",
@@ -493,12 +503,13 @@ def _build_parser(tokens) -> argparse.ArgumentParser:
             "brackets, and strong F-regularity certificates."
         ),
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(
+        dest="command", required=True, prog="fptkit", parser_class=_subparser
+    )
     for name, handler, text, arguments, one_of in _SUBCOMMANDS:
-        if name not in tokens:
-            sub.add_parser(name, help=text, add_help=False)
+        p = sub.add_parser(name, help=text, named=name in tokens)
+        if p is None:
             continue
-        p = sub.add_parser(name, help=text)
         p.set_defaults(handler=handler)
         for flag, options in arguments:
             p.add_argument(flag, **options)

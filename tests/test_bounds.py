@@ -2,6 +2,7 @@
 
 import hashlib
 import inspect
+import io
 import sys
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from fptkit import (
     DomainError,
     admissible_sum,
     bounds,
+    cli,
     dset_below,
     dset_contains,
     hyperstandard_simple_bound,
@@ -436,6 +438,36 @@ class TestSafePerturbation:
         for a in slice_:
             for lo, hi in rep.intervals:
                 assert not lo < a < hi, (a, lo, hi)
+
+    @pytest.mark.parametrize("n", [2, 7, 25, 250])
+    @pytest.mark.parametrize(
+        "src",
+        [(), (F(1, 3),), (F(1, 7),), (F(2, 5), F(1, 2))],
+        ids=["empty", "one-third", "one-seventh", "two-fifths-half"],
+    )
+    def test_ends_equal_the_constructors(self, src, n, monkeypatch):
+        # the ends are built by `rationals.ratios`: each is an exact-type
+        # Fraction with the value, parts and hash of Fraction(n, d), and
+        # `perturb` prints the bytes it prints with the constructor's ends
+        rep = safe_perturbation(CoeffSet(src), n)
+        k = rep.x.denominator
+        want = sorted(
+            (F(p * k - 1, q * k - 1), F(p, q)) for q in range(2, n + 1) for p in range(1, q)
+        )
+        assert rep.intervals == tuple(want)
+        for pair, want_pair in zip(rep.intervals, want):
+            assert type(pair) is tuple
+            for end, ref in zip(pair, want_pair):
+                assert type(end) is Fraction
+                assert end.as_integer_ratio() == ref.as_integer_ratio()
+                assert hash(end) == hash(ref)
+        argv = ["perturb", "--set", ",".join(map(str, src)), "--N", str(n)]
+        buf = io.StringIO()
+        assert cli.run(argv, out=buf) == 0
+        monkeypatch.setattr(bounds, "ratios", lambda pairs: [F(*nd) for nd in pairs])
+        ref = io.StringIO()
+        assert cli.run(argv, out=ref) == 0
+        assert buf.getvalue() == ref.getvalue()
 
     def test_n_validated(self):
         with pytest.raises(DomainError, match=r"^n must lie in \[2, 250\], got 1$"):

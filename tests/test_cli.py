@@ -1,5 +1,6 @@
 """Command-line surface: envelopes, determinism, exit codes, tables."""
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -1125,6 +1126,14 @@ def _mixed_sequence():
         ["t0", "--set", "1/3", "--lambda-list", "1/2"], ["paper-check", "--table"],
         ["dset", "--set", "", "--below", "3/2"],
         ["nu", "--p", "6", "--slopes", "0", "--mults", "1", "--e", "1"],
+        # edges of the names a call builds parsers for: `-h` before a name,
+        # names after `--`, a name twice, an option value that names another
+        # subcommand, a near miss, an abbreviated `--help`, and the one
+        # subcommand whose answer needs no required argument
+        ["-h", "nu"], ["--help", "t0", "dset"], ["--", "nu"], ["--", "t0", "dset", "nu"],
+        ["t0", "--", "dset"], ["dset", "dset"], ["nu", *VALID["nu"], "nu"],
+        ["t0", "--lambda-list", "nu"], ["t0", "--set", "dset"], ["nu-x"], ["nu-x", "--dset"],
+        ["--he", "dset"], ["dset", "--he"], ["paper-check", "--json"],
     ]
     for name, tail in VALID.items():
         if name != "paper-check":  # its answer is pinned in TestPaperCheck
@@ -1153,9 +1162,25 @@ class TestNamedArguments:
         return results
 
     def full_parser(self, monkeypatch):
-        build = cli._build_parser
-        names = [spec[0] for spec in cli._SUBCOMMANDS]
-        monkeypatch.setattr(cli, "_build_parser", lambda tokens: build(names))
+        """Make `run` parse with every subcommand's arguments, built the
+        plain argparse way: the default parser class and subcommand prog."""
+        description = cli._build_parser(()).description
+
+        def build(tokens):
+            parser = argparse.ArgumentParser(prog="fptkit", description=description)
+            sub = parser.add_subparsers(dest="command", required=True)
+            for name, handler, text, arguments, one_of in cli._SUBCOMMANDS:
+                p = sub.add_parser(name, help=text)
+                p.set_defaults(handler=handler)
+                for flag, options in arguments:
+                    p.add_argument(flag, **options)
+                if one_of:
+                    group = p.add_mutually_exclusive_group(required=True)
+                    for flag, options in one_of:
+                        group.add_argument(flag, **options)
+            return parser
+
+        monkeypatch.setattr(cli, "_build_parser", build)
 
     def test_a_mixed_sequence_matches_the_full_parser(self, capsys, monkeypatch):
         sequence = _mixed_sequence()
@@ -1175,16 +1200,32 @@ class TestNamedArguments:
         self.full_parser(monkeypatch)
         assert self.play(capsys, [argv], lambda _: None) == want
 
-    def test_only_named_subcommands_get_arguments(self):
+    def test_only_named_subcommands_get_arguments(self, monkeypatch):
+        # every name keeps its choice, but a name argv does not hold maps to
+        # no parser object; a call constructs 1 + (names in argv) parsers
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def record(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", record)
+        names = [spec[0] for spec in cli._SUBCOMMANDS]
         for tokens, named in [
             ([], set()),
             (["classify-p1", "--coeffs", "1/2"], {"classify-p1"}),
             (["--", "t0", "dset", "nu"], {"t0", "dset", "nu"}),
+            (["dset", "dset", "--set", "nu"], {"dset", "nu"}),
             (["nu-x", "--dset"], set()),
         ]:
+            built.clear()
             parser = cli._build_parser(tokens)
             subparsers = parser._subparsers._group_actions[0].choices
-            assert {name for name, sub in subparsers.items() if sub._actions} == named
+            assert list(subparsers) == names
+            assert {name for name, sub in subparsers.items() if sub is not None} == named
+            assert all(subparsers[name]._actions for name in named)
+            assert len(built) == 1 + len(named)
 
 
 class TestConsoleScript:

@@ -5,8 +5,8 @@ refused assignment, the library does not import `dataclasses`, whose
 class generation (and its `inspect` import) each CLI process would pay,
 importing the CLI loads neither the `json` package nor the `paper-check`
 table and builds no byte-lane table, no state outlives a call but `nu`'s
-last walk and two named caches, and a cold request gives arguments to its
-own subcommand only."""
+last walk and two named caches, a cold request builds a parser for its
+own subcommand only, and the CLI reads no single-underscore attribute."""
 
 import ast
 import shutil
@@ -264,21 +264,55 @@ def test_cli_import_builds_no_lane_tables():
 
 
 def test_a_cold_request_builds_arguments_for_its_subcommand_only():
-    # each subparser `run` builds is recorded; a subparser with no action
-    # (not even `-h`) is a bare name and help line
+    # each ArgumentParser constructed is recorded by its prog: the top level
+    # and the named subcommand, and no parser for the other ten names
     code = (
-        "import argparse, io, sys; sys.path.insert(0, sys.argv[1]); built = {}\n"
-        "add = argparse._SubParsersAction.add_parser\n"
-        "def record(self, name, **kwargs):\n"
-        "    built[name] = add(self, name, **kwargs)\n"
-        "    return built[name]\n"
-        "argparse._SubParsersAction.add_parser = record\n"
+        "import argparse, io, sys; sys.path.insert(0, sys.argv[1]); built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def record(self, *args, **kwargs):\n"
+        "    init(self, *args, **kwargs)\n"
+        "    built.append(self.prog)\n"
+        "argparse.ArgumentParser.__init__ = record\n"
         "import fptkit.cli\n"
         "assert fptkit.cli.run(['classify-p1', '--coeffs', '1/2'], out=io.StringIO()) == 0\n"
-        "print(len(built), sorted(name for name, sub in built.items() if sub._actions))"
+        "print(built)"
     )
     proc = subprocess.run(
         [sys.executable, "-I", "-c", code, str(ROOT / "src")],
         capture_output=True, text=True, check=True,
     )
-    assert proc.stdout.strip() == "11 ['classify-p1']"
+    assert proc.stdout.strip() == "['fptkit', 'fptkit classify-p1']"
+
+
+def _private_attributes(tree):
+    """(line, what) for each read of a single-underscore attribute, by dot
+    or by `getattr` with a literal name; dunders are not private."""
+    for node in ast.walk(tree):
+        name = None
+        if isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            if node.func.id in {"getattr", "hasattr"} and len(node.args) > 1:
+                arg = node.args[1]
+                if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
+                    name = arg.value
+        if name and name.startswith("_") and not (
+            name.startswith("__") and name.endswith("__")
+        ):
+            yield node.lineno, f".{name}"
+
+
+def test_cli_reads_no_private_attributes():
+    # the CLI drives argparse through its documented API (`parser_class`,
+    # `prog`, `add_parser`), not through the objects argparse keeps inside
+    path = ROOT / "src" / "fptkit" / "cli.py"
+    assert list(_private_attributes(ast.parse(path.read_text(), str(path)))) == []
+
+
+def test_private_attribute_scan_catches_each_kind():
+    src = (
+        "p._subparsers\nx = a.b._name_parser_map\nint.__repr__(1)\n"
+        "getattr(p, '_actions')\ngetattr(p, 'prog')\nhasattr(p, '_x')\n"
+        "p.prog\nsub.add_parser('dset')\n"
+    )
+    assert sorted(line for line, _ in _private_attributes(ast.parse(src))) == [1, 2, 4, 6]
