@@ -330,8 +330,8 @@ def safe_perturbation(coeffs: CoeffSet, n: int) -> PerturbationReport:
                 f"perturbation 1/{k} leaves {elems[i]} inside "
                 f"({Fraction(p * k - 1, q * k - 1)}, {Fraction(p, q)})"
             )
-    ends = ratios(
-        end for _, _, p, q in walls for end in ((p * k - 1, q * k - 1), (p, q))
-    )
-    intervals = tuple(zip(ends[::2], ends[1::2]))
+    intervals = tuple(zip(
+        ratios((p * k - 1, q * k - 1) for _, _, p, q in walls),
+        ratios((p, q) for _, _, p, q in walls),
+    ))
     return PerturbationReport(Fraction(1, k), intervals)

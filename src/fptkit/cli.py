@@ -475,25 +475,25 @@ _SUBCOMMANDS = (
 )
 
 
-def _subparser(named, **options):
-    """`add_parser`'s parser class: a parser for a subcommand argv names,
-    and None for any other."""
-    return argparse.ArgumentParser(**options) if named else None
+def _subparser(stand_in=None, **options):
+    """`add_parser`'s parser class: `stand_in` when one is given, else a
+    new parser built from `options`."""
+    return stand_in if stand_in is not None else argparse.ArgumentParser(**options)
 
 
 def _build_parser(tokens) -> argparse.ArgumentParser:
     """The parser for one call whose argv holds `tokens`.
 
-    Only a subcommand named by one of the tokens gets a parser, with its
-    arguments and its `-h`; every other name maps to None and keeps only
-    its help line, so a call builds 1 + (names in argv) parsers.  argparse
-    hands the rest of argv to the subparser named by an argv token (there
-    are no aliases, and subcommand names are never abbreviated), and the
-    top-level usage, help and `invalid choice` texts read only names and
-    help lines, so every output is what the parser with every argument
-    would give.  The subcommands' `prog` is given, not formatted: no
-    positional comes before the subcommand, so argparse would format the
-    same "fptkit".
+    Only a subcommand named by one of the tokens gets its own parser, with
+    its arguments and its `-h`; every other name keeps its help line and
+    maps to one bare stand-in parser with no action, so a call constructs
+    2 + (names in argv) parsers.  argparse hands the rest of argv to the
+    subparser named by an argv token (there are no aliases, and subcommand
+    names are never abbreviated), and the top-level usage, help and
+    `invalid choice` texts read only names and help lines, so every output
+    is what the parser with every argument would give.  The subcommands'
+    `prog` is given, not formatted: no positional comes before the
+    subcommand, so argparse would format the same top-level prog.
     """
     parser = argparse.ArgumentParser(
         prog="fptkit",
@@ -504,12 +504,14 @@ def _build_parser(tokens) -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(
-        dest="command", required=True, prog="fptkit", parser_class=_subparser
+        dest="command", required=True, prog=parser.prog, parser_class=_subparser
     )
+    stand_in = argparse.ArgumentParser(prog=parser.prog, add_help=False)
     for name, handler, text, arguments, one_of in _SUBCOMMANDS:
-        p = sub.add_parser(name, help=text, named=name in tokens)
-        if p is None:
+        if name not in tokens:
+            sub.add_parser(name, help=text, stand_in=stand_in)
             continue
+        p = sub.add_parser(name, help=text)
         p.set_defaults(handler=handler)
         for flag, options in arguments:
             p.add_argument(flag, **options)

@@ -1202,7 +1202,9 @@ class TestNamedArguments:
 
     def test_only_named_subcommands_get_arguments(self, monkeypatch):
         # every name keeps its choice, but a name argv does not hold maps to
-        # no parser object; a call constructs 1 + (names in argv) parsers
+        # one shared stand-in parser with no action; a call constructs
+        # 2 + (names in argv) parsers: the top level, the stand-in and one
+        # per named subcommand
         built = []
         init = argparse.ArgumentParser.__init__
 
@@ -1223,9 +1225,12 @@ class TestNamedArguments:
             parser = cli._build_parser(tokens)
             subparsers = parser._subparsers._group_actions[0].choices
             assert list(subparsers) == names
-            assert {name for name, sub in subparsers.items() if sub is not None} == named
+            stand_in = built[1]
+            assert isinstance(stand_in, argparse.ArgumentParser)
+            assert stand_in._actions == []
+            assert {name for name, sub in subparsers.items() if sub is not stand_in} == named
             assert all(subparsers[name]._actions for name in named)
-            assert len(built) == 1 + len(named)
+            assert len(built) == 2 + len(named)
 
 
 class TestConsoleScript:
