@@ -16,20 +16,21 @@ elements become numerators a over w, the lcm of their denominators, and a
 prefix carries its sum as one numerator `partial` over w.  One pruning
 rule bounds the walk: appending a to a prefix needs partial + 2a < 2w,
 because the completion is at least a/w.  At every prefix of length >= 2
-whose sum exceeds 1, only the largest completion can be maximal;
-`largest_below` gives it, below (2w - partial)/w.  It needs no floor: the
+whose sum exceeds 1, only the largest completion can be maximal: the
+largest element of D(I) below (2w - partial)/w.  It needs no floor: the
 pruning rule put the prefix's last part a/w below (2w - partial)/w, so the
 completion is at least a/w and the parts stay sorted.  The walk only
 collects and counts its prefixes, each as an `itemgetter` of its indices
 into the pool, and refuses a set once they pass _QMAX_PREFIX_CAP, before
-anything else is built.  Each completion depends only on `partial`, so it
-is asked for once per distinct prefix sum after the walk.  Every emitted
-candidate is re-verified against the raw constraints by the integer core
-of `admissible_sum`: its numerators over one common denominator are
-picked from the pool's numerators, scaled once, and the total's numerator
-and the same tuple are its sort key.  Fractions are built only for the
-completions and for one total per prefix sum, shared by every candidate
-with that sum; the parts are picked from the pool's own Fractions.
+anything else is built.  Each completion depends only on `partial`, so
+after the walk one `largest_below_each` call gives one per distinct prefix
+sum, on one I_plus.  Every emitted candidate is re-verified against the
+raw constraints by the integer core of `admissible_sum`: its numerators
+over one common denominator are picked from the pool's numerators, scaled
+once, and the total's numerator and the same tuple are its sort key.
+Fractions are built only for the completions and for one total per
+prefix sum, shared by every candidate with that sum; the parts are picked
+from the pool's own Fractions.
 
 Safe perturbations compare slice elements, walls and interval ends by
 the strict integer keys floor(n * 2*dmax^2 / d) (`rationals.order_width`)
@@ -43,7 +44,7 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from operator import itemgetter
 
-from .coeffsets import CoeffSet, dset_below, largest_below, min_positive
+from .coeffsets import CoeffSet, dset_below, largest_below_each, min_positive
 from .errors import DomainError
 from .rationals import as_fraction, as_int, int_text, order_width, ratios
 from .values import Value
@@ -181,7 +182,7 @@ def q_max(coeffs: CoeffSet) -> QMaxResult:
     # the largest element of D(I) below (2w - partial)/w completes every
     # prefix with sum partial/w, so one is asked for per distinct sum
     partials = list(dict.fromkeys(partial for _, partial in found))
-    lasts = [largest_below(coeffs, end) for end in ratios((2 * w - s, w) for s in partials)]
+    lasts = largest_below_each(coeffs, ratios((2 * w - s, w) for s in partials))
     # sort by (total, parts) as numerators over one common denominator
     den = math.lcm(w, *(last.denominator for last in lasts))
     unit = den // w
@@ -243,11 +244,9 @@ def hyperstandard_simple_bound(n: int) -> GapBound:
     n = as_int(n)
     if not 3 <= n <= _HSB_N_CAP:
         raise DomainError(f"n must lie in [3, {_HSB_N_CAP}], got {int_text(n)}")
-    coeffs = CoeffSet((Fraction(1, n),))
-    rows = []
-    for d in range(3, 2 * n):
-        lam = largest_below(coeffs, Fraction(2, d))
-        rows.append((d, lam, Fraction(2, d) - lam))
+    walls = [Fraction(2, d) for d in range(3, 2 * n)]
+    lams = largest_below_each(CoeffSet((Fraction(1, n),)), walls)
+    rows = [(d, lam, wall - lam) for d, wall, lam in zip(range(3, 2 * n), walls, lams)]
     gap = min(r[2] for r in rows)
     if gap != Fraction(1, (2 * n - 1) * n):
         raise AssertionError(f"gap {gap} disagrees with 1/((2n-1)n) at n={n}")

@@ -10,24 +10,24 @@ D(I) always contains the standard coefficients (m-1)/m and is closed under
 the derivation itself up to the single new element 1; `ddi_check` verifies
 that identity on any slice.
 
-Everything here is exact, and the inner loops run on integers.  I_plus is
-built once per coefficient set and cached as (L, ascending numerators a
-over L), L the lcm of the generators' denominators.  With r = L - a, an
-element of D(I) is (m*L - r)/(m*L) = 1 - (r/m)/L, and `largest_below`
-compares the gaps r/m by cross-multiplying.  A slice dedups and sorts its
-(f, m) candidates by one small integer key each, floor(r * W / m) with
-W = 2*M^2 (`rationals.order_width`) and M the largest m: distinct ratios
-r/m with m <= M differ by at least 1/M^2, so their keys differ by at
-least 2, equal ones share a key, and the key falls as the element rises.
-No gcd is taken per candidate; one Fraction is built per distinct element,
-in key order, by `rationals.ratios`.
+Everything here is exact, and the inner loops run on integers.  Each
+public call builds I_plus once, as (L, ascending numerators a over L), L
+the lcm of the generators' denominators, and keeps nothing after it
+returns.  With r = L - a, an element of D(I) is (m*L - r)/(m*L) =
+1 - (r/m)/L, and `largest_below_each` compares the gaps r/m by
+cross-multiplying, for every bound of a batch on the one I_plus.  A
+slice dedups and sorts its (f, m) candidates by one small integer key
+each, floor(r * W / m) with W = 2*M^2 (`rationals.order_width`) and M the
+largest m: distinct ratios r/m with m <= M differ by at least 1/M^2, so
+their keys differ by at least 2, equal ones share a key, and the key
+falls as the element rises.  No gcd is taken per candidate; one Fraction
+is built per distinct element, in key order, by `rationals.ratios`.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
-from functools import lru_cache
 from math import lcm, prod
 
 from .errors import DomainError
@@ -85,8 +85,7 @@ class DsetSlice(Value):
         return elems[1:] if elems and elems[0] == 0 else elems
 
 
-@lru_cache(maxsize=256)
-def _plus_closure_cached(elements: tuple[Fraction, ...]) -> tuple[int, tuple[int, ...]]:
+def _plus_closure(elements: tuple[Fraction, ...]) -> tuple[int, tuple[int, ...]]:
     """I_plus of `elements` as (L, ascending numerators over L).
 
     Its size is bounded before anything is built: every sum is a multiple
@@ -119,7 +118,7 @@ def plus_closure(coeffs: CoeffSet) -> tuple[Fraction, ...]:
 
     The empty sum counts, so 0 is always present.
     """
-    scale, nums = _plus_closure_cached(coeffs.elements)
+    scale, nums = _plus_closure(coeffs.elements)
     return tuple(Fraction(a, scale) for a in nums)
 
 
@@ -138,7 +137,7 @@ def dset_below(coeffs: CoeffSet, cutoff: Fraction) -> DsetSlice:
             "is what keeps the slice finite"
         )
     b, c = cutoff.numerator, cutoff.denominator
-    scale, nums = _plus_closure_cached(coeffs.elements)
+    scale, nums = _plus_closure(coeffs.elements)
     step = scale * (c - b)
     # f = a/scale < cutoff  <=>  a <= (b*scale - 1) // c; with r = scale - a,
     # (m-1+f)/m = (m*scale - r)/(m*scale) for 1 <= m <= (r*c - 1) // step
@@ -172,7 +171,7 @@ def dset_contains(coeffs: CoeffSet, value: Fraction) -> bool:
     value = as_fraction(value)
     if not 0 <= value <= 1:
         return False
-    scale, nums = _plus_closure_cached(coeffs.elements)
+    scale, nums = _plus_closure(coeffs.elements)
     s, t = value.numerator, value.denominator
     if s == t:  # (m-1+f)/m = 1 forces f = 1
         return nums[-1] == scale
@@ -182,32 +181,44 @@ def dset_contains(coeffs: CoeffSet, value: Fraction) -> bool:
     return any(a < scale and (scale - a) * t % den == 0 for a in nums)
 
 
-def largest_below(coeffs: CoeffSet, bound: Fraction) -> Fraction:
-    """max( D(coeffs) ∩ [0, bound) ).
+def largest_below_each(coeffs: CoeffSet, bounds) -> list[Fraction]:
+    """[max( D(coeffs) ∩ [0, bound) ) for bound in bounds], on one I_plus.
 
-    bound must lie in (0,1); the slice above any bound >= 1 is infinite.
-    The slice always holds 0 (m = 1, empty sum), so the maximum exists;
-    a caller that needs a floor compares the result with it.
+    Every bound must lie in (0,1); the slice above any bound >= 1 is
+    infinite, and one bound outside refuses the batch before I_plus is
+    built.  The slice always holds 0 (m = 1, empty sum), so each maximum
+    exists; a caller that needs a floor compares the result with it.
     """
-    bound = as_fraction(bound)
-    b, c = bound.as_integer_ratio()
-    if not 0 < b < c:
-        raise DomainError(
-            f"bound {ratio_text(bound)} outside (0,1)"
-        )
-    scale, nums = _plus_closure_cached(coeffs.elements)
-    step = scale * (c - b)
-    # (m-1+f)/m = 1 - r/(m*scale) with r = scale - a grows with m, so per f
-    # only the largest m below r*c/step matters, and the best f has the
-    # least r/m; m = 0 never wins, and a = 0 always gives m >= 1
-    best_r, best_m = 1, 0
-    for a in nums[: bisect_right(nums, (b * scale - 1) // c)]:
-        r = scale - a
-        m = (r * c - 1) // step
-        if r * best_m < best_r * m:
-            best_r, best_m = r, m
-    den = best_m * scale
-    return Fraction(den - best_r, den)
+    pairs = []
+    for bound in bounds:
+        bound = as_fraction(bound)
+        b, c = bound.as_integer_ratio()
+        if not 0 < b < c:
+            raise DomainError(
+                f"bound {ratio_text(bound)} outside (0,1)"
+            )
+        pairs.append((b, c))
+    scale, nums = _plus_closure(coeffs.elements)
+    out = []
+    for b, c in pairs:
+        step = scale * (c - b)
+        # (m-1+f)/m = 1 - r/(m*scale) with r = scale - a grows with m, so per
+        # f only the largest m below r*c/step matters, and the best f has
+        # the least r/m; m = 0 never wins, and a = 0 always gives m >= 1
+        best_r, best_m = 1, 0
+        for a in nums[: bisect_right(nums, (b * scale - 1) // c)]:
+            r = scale - a
+            m = (r * c - 1) // step
+            if r * best_m < best_r * m:
+                best_r, best_m = r, m
+        den = best_m * scale
+        out.append(Fraction(den - best_r, den))
+    return out
+
+
+def largest_below(coeffs: CoeffSet, bound: Fraction) -> Fraction:
+    """max( D(coeffs) ∩ [0, bound) ): `largest_below_each` of one bound."""
+    return largest_below_each(coeffs, (bound,))[0]
 
 
 def min_positive(coeffs: CoeffSet) -> Fraction:

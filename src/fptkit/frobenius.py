@@ -22,19 +22,19 @@ A probe builds only the window [lo, hi] of g^N and asks whether it is
 zero (`kernels.power_window_nonzero`, on the window `truncated_power`
 would copy out), by a recursion down the base-p digits of N whose cost
 follows the window's width; near nu that width is a small share of q for
-few lines and large p.  A walk (`NuWalk`) keeps the windows it builds in a
-store (a dict that the kernels fill): a probe at level pq reads N = p nu + s,
-whose window needs g^nu only inside the window the level below built when
-it showed nu outside, and the prefix of g^s, which is the kept prefix of
-g^(s - 2^k), the digit shown so far, times that of g^(2^k).  So every probe
-is one multiply, at level 1 too.
+few lines and large p.  A walk (`NuWalk`) keeps g, which its first probe
+builds, and the windows it builds in a store (a dict that the kernels
+fill); the module keeps nothing between calls.  A probe at level pq reads
+N = p nu + s, whose window needs g^nu only inside the window the level
+below built when it showed nu outside, and the prefix of g^s, which is
+the kept prefix of g^(s - 2^k), the digit shown so far, times that of
+g^(2^k).  So every probe is one multiply, at level 1 too.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import DomainError, OracleBudgetError
 from .kernels import polymul_mod, power_window_nonzero, truncated_power
@@ -96,6 +96,7 @@ class LineArrangement(Value):
     @classmethod
     def all_rational_lines(cls, p: int) -> "LineArrangement":
         """All p + 1 lines rational over F_p, each of multiplicity 1."""
+        p = as_int(p)
         return cls(p, tuple(range(p)) + (INF,), (1,) * (p + 1))
 
     @property
@@ -180,7 +181,6 @@ def _budgeted_q(arr: LineArrangement, e: int, budget: OracleBudget) -> int:
     )
 
 
-@lru_cache(maxsize=128)
 def _dehomogenized(arr: LineArrangement) -> tuple[int, ...]:
     """Coefficients of g(t) = prod (t - lam)^mult over the finite slopes."""
     p = arr.p
@@ -195,37 +195,43 @@ def _dehomogenized(arr: LineArrangement) -> tuple[int, ...]:
 
 class NuWalk:
     """A caller's climb of one arrangement's ladder: the last record `nu`
-    reached on it and its store of g's powers; it changes, so no `Value`."""
+    reached on it, g once its first probe has built it, and its store of
+    g's powers; it changes, so no `Value`.  Making one builds nothing, so a
+    walk made before the budget refuses its level costs nothing."""
 
-    __slots__ = ("arr", "record", "store")
+    __slots__ = ("arr", "record", "g", "store")
 
     def __init__(self, arr: LineArrangement):
         self.arr = arr
         self.record: NuRecord | None = None
+        self.g: tuple[int, ...] | None = None
         self.store: dict = {}
 
 
-def _outside_ideal(arr: LineArrangement, n: int, q: int, store=None) -> bool:
+def _outside_ideal(walk: NuWalk, n: int, q: int) -> bool:
     """True when f^n is not in (x^q, y^q); exact for any n >= 0.
 
-    `store` is the running walk's, which only `nu` passes; the kernel clips
-    the window to g^n's degree, finds an empty one zero, and reads a bytes
-    window (p < 32) with no copy.
+    The probe reads the walk's g, which the first probe builds, and its
+    store; the kernel clips the window to g^n's degree, finds an empty one
+    zero, and reads a bytes window (p < 32) with no copy.
     """
+    arr = walk.arr
+    if walk.g is None:
+        walk.g = _dehomogenized(arr)
     lo = max(0, n * arr.degree - q + 1)
-    return power_window_nonzero(_dehomogenized(arr), n, arr.p, q, lo, store)
+    return power_window_nonzero(walk.g, n, arr.p, q, lo, walk.store)
 
 
 def power_in_frobenius_ideal(
     arr: LineArrangement, n: int, e: int, budget: OracleBudget = DEFAULT_BUDGET
 ) -> bool:
-    """Is f^n in (x^q, y^q) for q = p^e?  One probe with no walk, kept so
-    that tests check the probe itself against the naive expansion."""
+    """Is f^n in (x^q, y^q) for q = p^e?  One probe on a fresh walk, kept
+    so that tests check the probe itself against the naive expansion."""
     n = as_int(n)
     if n < 0:
         raise DomainError("the exponent must be non-negative")
     q = _budgeted_q(arr, as_int(e), budget)
-    return not _outside_ideal(arr, n, q)
+    return not _outside_ideal(NuWalk(arr), n, q)
 
 
 def nu(
@@ -256,7 +262,7 @@ def nu(
         walk = NuWalk(arr)
     elif walk.arr != arr:
         raise DomainError("the walk was built for another arrangement")
-    below, store = walk.record, walk.store
+    below = walk.record
     level, v = (below.q, below.nu) if below is not None and below.e < e else (1, 0)
     while level < q:
         level *= p
@@ -265,15 +271,15 @@ def nu(
         for k in reversed(range((hi - lo - 1).bit_length())):
             n = lo + (1 << k)
             if n < hi:
-                if _outside_ideal(arr, n, level, store):
+                if _outside_ideal(walk, n, level):
                     lo = n
                 else:
                     hi = n
         # N = 0 is outside and N d > 2(level - 1) inside with no probe
-        if (lo == first_lo and lo and not _outside_ideal(arr, lo, level, store)) or (
+        if (lo == first_lo and lo and not _outside_ideal(walk, lo, level)) or (
             hi == first_hi
             and hi * d <= 2 * (level - 1)
-            and _outside_ideal(arr, hi, level, store)
+            and _outside_ideal(walk, hi, level)
         ):
             raise AssertionError(
                 f"membership probes contradict nu={lo} at q={level} "

@@ -2,7 +2,10 @@
 
 All user-facing rationals travel as strings of the form "a/b" (or a bare
 integer on input).  Decimals are rejected on purpose: every quantity in
-this package is exact and floats would silently poison that.
+this package is exact and floats would silently poison that.  Library
+entry points take a rational as an int or a Fraction and nothing else
+(`as_fraction`), and an integer as anything `operator.index` accepts
+(`as_int`); any other type is refused with DomainError.
 """
 
 from __future__ import annotations
@@ -21,6 +24,14 @@ _INT_RE = re.compile(rf"^{_INT}$")
 _RATIO_RE = re.compile(rf"^{_INT}(?:/\d+)?$")
 
 
+def _stripped(text) -> str:
+    """A caller's token with its outer whitespace removed; only a str is
+    text, so bytes or anything else is refused."""
+    if not isinstance(text, str):
+        raise DomainError(f"{type(text).__name__} token {text!r}; use str")
+    return text.strip()
+
+
 def parse_int(text: str) -> int:
     """Parse an integer token: an optional sign and decimal digits.
 
@@ -28,7 +39,7 @@ def parse_int(text: str) -> int:
     is read here; underscores, decimals, whitespace inside the token and
     more digits than Python reads into an int raise DomainError.
     """
-    token = text.strip()
+    token = _stripped(text)
     if not _INT_RE.match(token):
         raise DomainError(f"not an integer: {text!r}")
     try:
@@ -44,7 +55,7 @@ def parse_ratio(text: str) -> Fraction:
     Anything else (decimals, whitespace inside the token, empty string,
     more digits than Python reads into an int) raises DomainError.
     """
-    token = text.strip()
+    token = _stripped(text)
     if not _RATIO_RE.match(token):
         raise DomainError(
             f"not a rational: {text!r} (expected 'a/b' or an integer; "
@@ -60,20 +71,22 @@ def parse_ratio(text: str) -> Fraction:
 
 def parse_ratio_list(text: str) -> tuple[Fraction, ...]:
     """Parse a comma-separated list of rationals; "" means the empty list."""
-    if text.strip() == "":
+    if _stripped(text) == "":
         return ()
     return tuple(parse_ratio(item) for item in text.split(","))
 
 
 def as_fraction(x) -> Fraction:
-    """A caller's rational as a Fraction; a float is refused, not rounded.
+    """A caller's rational as a Fraction: an int or a Fraction, and nothing
+    else.  A float is refused, not rounded, and a str or Decimal is refused,
+    not parsed (text is read by `parse_ratio`).
 
     Every library entry point converts its rational arguments here.
     """
     if type(x) is Fraction:
         return x
-    if isinstance(x, float):
-        raise DomainError(f"float coefficient {x!r}; use Fraction")
+    if not isinstance(x, (int, Fraction)):
+        raise DomainError(f"{type(x).__name__} coefficient {x!r}; use Fraction")
     return Fraction(x)
 
 

@@ -8,7 +8,7 @@ fixed) plus the INF sentinel.
 from __future__ import annotations
 
 from .errors import DomainError
-from .rationals import as_int, parse_int
+from .rationals import as_int, parse_int, whole_text
 
 
 class _Infinity:
@@ -27,17 +27,18 @@ INF = _Infinity()
 
 
 def parse_slope(text: str):
-    token = text.strip()
-    if token.lower() == "inf":
+    if isinstance(text, str) and text.strip().lower() == "inf":
         return INF
     try:
-        return parse_int(token)
+        return parse_int(text)
     except DomainError:
         raise DomainError(f"not a slope: {text!r} (expected an integer or 'inf')")
 
 
 def format_slope(token) -> str:
-    return "inf" if token is INF else str(token)
+    """"inf", or the integer token in decimal (by its length past Python's
+    digit limit); anything else is refused."""
+    return "inf" if token is INF else whole_text(as_int(token))
 
 
 def slope_key(token):

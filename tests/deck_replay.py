@@ -17,10 +17,9 @@ type if it raised.  Equal digests on two checkouts mean that every answer
 of every deck is byte-identical.
 
 multiplies counts the calls of `kernels.polymul_mod` over the deck, and
-probes the calls of `frobenius._outside_ideal`.  `frobenius._dehomogenized`'s
-cache is cleared before each request, so no count depends on what an
-earlier request left cached.  Equal counts on two checkouts mean that the
-oracle did the same work.
+probes the calls of `frobenius._outside_ideal`.  The package keeps nothing
+between calls, so no count depends on what an earlier request did.  Equal
+counts on two checkouts mean that the oracle did the same work.
 
 The package and the decks are read from the checkout that holds this
 file, so to compare two commits, run the script from a copy of each.  The
@@ -52,14 +51,13 @@ def count_calls(module, attr: str, tally: Counter, key: str) -> None:
     setattr(module, attr, counting)
 
 
-def replay(cli, frobenius, workloads, name: str, tally: Counter) -> tuple:
+def replay(cli, workloads, name: str, tally: Counter) -> tuple:
     """(requests, hex digest, multiplies, probes) of one workload's deck."""
     h = hashlib.sha256()
     count = 0
     tally.clear()
     for requests in workloads.make_deck(name, SEED):
         for req in requests:
-            frobenius._dehomogenized.cache_clear()
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stderr(err):
                 try:
@@ -88,7 +86,7 @@ def main(argv=None) -> int:
     count_calls(kernels, "polymul_mod", tally, "multiplies")
     count_calls(frobenius, "_outside_ideal", tally, "probes")
     for name in names:
-        row = replay(cli, frobenius, workloads, name, tally)
+        row = replay(cli, workloads, name, tally)
         print(name, *row, flush=True)
     return 0
 

@@ -8,10 +8,10 @@ a budget raised to exactly its work estimate p*d*q, and prints
     <p> <slopes> <e> <nu> <multiplies> <probes> <median ms>
 
 where multiplies counts the calls of the multiply kernel over one climb,
-g's own product in `frobenius._dehomogenized` included (its cache is
-cleared first), probes counts the calls of `frobenius._outside_ideal`, and
-median ms is the median over `repeats` (default 3) timed climbs, each with
-the cache cleared, with no counting installed.  Every line has
+g's own product included (each climb's walk builds g on its first probe),
+probes counts the calls of `frobenius._outside_ideal`, and median ms is
+the median over `repeats` (default 3) timed climbs with no counting
+installed.  Every line has
 multiplicity 1.  The rows are:
 
 - four lines 0, 1, 3, inf at p = 10007, e = 2 (nu = (q - 1)/2);
@@ -74,12 +74,10 @@ def main(argv=None) -> int:
         counted(kernels, "polymul_mod", multiplies)
         counted(frobenius, "polymul_mod", multiplies)
         counted(frobenius, "_outside_ideal", probes)
-        frobenius._dehomogenized.cache_clear()
         value = nu(arr, e, budget).nu
         kernels.polymul_mod, frobenius.polymul_mod, frobenius._outside_ideal = saved
         times = []
         for _ in range(repeats):
-            frobenius._dehomogenized.cache_clear()
             start = time.perf_counter()
             nu(arr, e, budget)
             times.append(time.perf_counter() - start)

@@ -20,6 +20,7 @@ from fptkit import (
     dset_contains,
     hyperstandard_simple_bound,
     largest_below,
+    largest_below_each,
     p0,
     q_max,
     safe_perturbation,
@@ -191,17 +192,19 @@ class TestQMax:
 
 class TestCompletionMemo:
     def test_one_completion_per_distinct_prefix_sum(self, monkeypatch):
-        # 576 candidates over {1/10} share 63 distinct prefix sums
+        # 576 candidates over {1/10} share 63 distinct prefix sums, whose
+        # completions come from one call
         calls = []
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return largest_below(*args, **kwargs)
+        def counting(coeffs, ends):
+            ends = list(ends)
+            calls.append(len(ends))
+            return largest_below_each(coeffs, ends)
 
-        monkeypatch.setattr(bounds, "largest_below", counting)
+        monkeypatch.setattr(bounds, "largest_below_each", counting)
         res = q_max(CoeffSet((F(1, 10),)))
         assert len(res.candidates) == 576
-        assert len(calls) == 63
+        assert calls == [63]
 
     @pytest.mark.parametrize(
         "src",
@@ -247,7 +250,7 @@ class TestPrefixCap:
         def built(*args, **kwargs):
             raise AssertionError("built before the refusal")
 
-        for name in ("largest_below", "Fraction", "SumCandidate", "QMaxResult"):
+        for name in ("largest_below_each", "Fraction", "SumCandidate", "QMaxResult"):
             monkeypatch.setattr(bounds, name, built)
         with pytest.raises(DomainError, match="at most 16384 prefixes"):
             q_max(CoeffSet((F(1, 19),)))

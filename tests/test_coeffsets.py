@@ -1,6 +1,7 @@
 """Derived coefficient sets: examples, oracle equivalence, invariants."""
 
 import math
+import random
 import sys
 import time
 from fractions import Fraction
@@ -18,8 +19,11 @@ from fptkit import (
     dset_below,
     dset_contains,
     format_ratio,
+    hyperstandard_simple_bound,
     largest_below,
+    largest_below_each,
     plus_closure,
+    q_max,
 )
 
 F = Fraction
@@ -342,6 +346,63 @@ class TestLargestBelow:
         # max of D(I) in [0, bound), zero included
         got = largest_below(ONE_THIRD, bound)
         assert got == max(dset_below(ONE_THIRD, bound).elements)
+
+
+class TestLargestBelowEach:
+    """Many bounds on one set: one I_plus, and each answer what
+    `largest_below` and the definition give for that bound alone."""
+
+    def test_each_bound_agrees_with_one_call_and_the_definition(self):
+        rng = random.Random(33)
+        primes = oracles.primes_between(2, 38)
+        for _ in range(30):
+            coeffs = CoeffSet(
+                F(rng.randint(1, min(3, p - 1)), p)
+                for p in rng.sample(primes, rng.randint(0, 2))
+            )
+            dens = [rng.randint(2, 40) for _ in range(rng.randint(1, 6))]
+            bounds = [F(rng.randint(1, den - 1), den) for den in dens]
+            got = largest_below_each(coeffs, bounds)
+            assert exact(got)
+            assert got == [largest_below(coeffs, b) for b in bounds]
+            want = [max(oracles.dset_by_definition(coeffs.elements, b)) for b in bounds]
+            assert got == want, (coeffs, bounds)
+
+    def test_no_bounds_give_no_answers(self):
+        assert largest_below_each(ONE_THIRD, ()) == []
+        assert largest_below_each(HALF_THIRD, iter([])) == []
+
+    @pytest.mark.parametrize("bad", [F(0), F(1), F(-1, 2), F(3, 2)])
+    @pytest.mark.parametrize("at", [0, 1, 2])
+    def test_one_bound_outside_refuses_the_batch(self, bad, at):
+        bounds = [F(1, 2), F(2, 3)]
+        bounds.insert(at, bad)
+        with pytest.raises(DomainError) as each:
+            largest_below_each(ONE_THIRD, bounds)
+        with pytest.raises(DomainError) as one:
+            largest_below(ONE_THIRD, bad)
+        message = f"bound {bad.numerator}/{bad.denominator} outside (0,1)"
+        assert str(each.value) == str(one.value) == message
+        # before I_plus is built: this set's I_plus is past its cap
+        with pytest.raises(DomainError, match="^bound .* outside"):
+            largest_below_each(CoeffSet((F(1, 10**8),)), bounds)
+
+    def test_one_closure_per_batch(self, monkeypatch):
+        built = []
+        closure = coeffsets._plus_closure
+
+        def counting(elements):
+            built.append(elements)
+            return closure(elements)
+
+        monkeypatch.setattr(coeffsets, "_plus_closure", counting)
+        # 1997 walls 2/d on D({1/1000})
+        hyperstandard_simple_bound(1000)
+        assert built == [(F(1, 1000),)]
+        built.clear()
+        # once for the pool's slice, once for the 63 completions
+        q_max(CoeffSet((F(1, 10),)))
+        assert built == [(F(1, 10),)] * 2
 
 
 PRIMES_TO_97 = oracles.primes_between(1, 98)

@@ -177,9 +177,18 @@ class TestNaiveOracleAgreement:
                         if n < 1 or lo > hi:
                             continue
                         want = any(oracles.direct_power(g, n, p, hi + 1)[lo : hi + 1])
-                        assert frobenius._outside_ideal(arr, n, q) == want, (arr, n, q)
+                        got = frobenius._outside_ideal(NuWalk(arr), n, q)
+                        assert got == want, (arr, n, q)
                         checked += 1
         assert checked > 400
+
+
+def primed_walk(arr) -> NuWalk:
+    """A fresh walk whose first probe, at N = 0 (which reads no power), has
+    built g, so that counts taken from here on leave g's own product out."""
+    walk = NuWalk(arr)
+    assert frobenius._outside_ideal(walk, 0, arr.p) and walk.g is not None
+    return walk
 
 
 class TestProbeWork:
@@ -206,6 +215,7 @@ class TestProbeWork:
         q, p = arr.p**e, arr.p
         deg_g = len(frobenius._dehomogenized(arr)) - 1
         width = min(q - 1, v * deg_g) - max(0, v * arr.degree - q + 1) + 1
+        walk = primed_walk(arr)
         route = kernels.polymul_mod
         outputs = []
 
@@ -215,7 +225,7 @@ class TestProbeWork:
             return out
 
         monkeypatch.setattr(kernels, "polymul_mod", counting)
-        assert frobenius._outside_ideal(arr, v, q)
+        assert frobenius._outside_ideal(walk, v, q)
         assert outputs
         assert sum(outputs) <= (e + 1) * (width + 2 * p * deg_g)
 
@@ -234,14 +244,15 @@ class TestProbeWork:
     )
     def test_closed_forms_make_no_multiply(self, arr, n, q, outside, monkeypatch):
         # the kernel settles these from the window's bounds alone
-        frobenius._dehomogenized(arr)
+        walk = primed_walk(arr)
         mults = count_multiplies(monkeypatch)
-        assert frobenius._outside_ideal(arr, n, q) is outside
+        assert frobenius._outside_ideal(walk, n, q) is outside
         assert mults == []
 
     def test_a_walks_store_answers_like_none(self):
         # a walk's store serves kept windows by slicing and records new
-        # ones; every probe through it, at each level, matches a fresh one
+        # ones; every probe through it, at each level, matches one on a
+        # fresh walk, whose store holds nothing
         rng = random.Random(24)
         for _ in range(20):
             arr = rand_arrangement(rng, primes=(2, 3, 5, 7), max_mult=4)
@@ -251,8 +262,8 @@ class TestProbeWork:
                 top = 2 * (rec.q - 1) // arr.degree + 1
                 near = range(max(0, rec.nu - 2), rec.nu + 3)
                 for n in {0, top, top + 1, rng.randint(1, top), *near}:
-                    want = frobenius._outside_ideal(arr, n, rec.q)
-                    got = frobenius._outside_ideal(arr, n, rec.q, walk.store)
+                    want = frobenius._outside_ideal(NuWalk(arr), n, rec.q)
+                    got = frobenius._outside_ideal(walk, n, rec.q)
                     assert got == want, (arr, n, rec.q)
                     assert want == (n <= rec.nu), (arr, n, rec.q)
 
@@ -262,9 +273,9 @@ def count_probes(monkeypatch) -> list:
     probe = frobenius._outside_ideal
     levels = []
 
-    def counting(arr, n, q, store=None):
+    def counting(walk, n, q):
         levels.append(q)
-        return probe(arr, n, q, store)
+        return probe(walk, n, q)
 
     monkeypatch.setattr(frobenius, "_outside_ideal", counting)
     return levels
@@ -324,7 +335,7 @@ class TestLadderWalk:
         monkeypatch.setattr(
             frobenius,
             "_outside_ideal",
-            lambda a, n, q, store=None: q > a.p or probe(a, n, q, store),
+            lambda w, n, q: q > w.arr.p or probe(w, n, q),
         )
         with pytest.raises(AssertionError, match="contradict nu=.* at q=25 "):
             nu(arr, 2)
@@ -382,9 +393,9 @@ class TestWalkStore:
     SEVEN_LINES = TestLadderWalk.SEVEN_LINES
 
     def test_multiply_ceiling(self, monkeypatch):
-        frobenius._dehomogenized(self.SEVEN_LINES)
+        walk = primed_walk(self.SEVEN_LINES)
         mults = count_multiplies(monkeypatch)
-        assert nu(self.SEVEN_LINES, 5).nu == 4801
+        assert nu(self.SEVEN_LINES, 5, walk=walk).nu == 4801
         # 116 when every probe rebuilt g^N down all of N's digits
         assert len(mults) <= 18
 
@@ -392,7 +403,7 @@ class TestWalkStore:
         "arr", [SEVEN_LINES, LineArrangement(5, (0, 1, 2, INF), (2, 2, 2, 3))]
     )
     def test_fpure_scan_multiplies_no_more_than_the_top_level(self, arr, monkeypatch):
-        frobenius._dehomogenized(arr)
+        # each side builds g once, on its own walk
         mults = count_multiplies(monkeypatch)
         nu(arr, 5)
         alone = len(mults)
@@ -406,17 +417,16 @@ class TestWalkStore:
         # 25 in all, where a binary search's midpoints rebuilt g^N, N < p, by
         # square-and-multiply (138, 125 of them at level 1)
         arr = LineArrangement(10007, (0, 1, 3, INF), (1, 1, 1, 1))
-        frobenius._dehomogenized(arr)
+        walk = primed_walk(arr)
         mults = count_multiplies(monkeypatch)
-        rec = nu(arr, 2, OracleBudget(max_e=2, max_ops=10**13))
+        rec = nu(arr, 2, OracleBudget(max_e=2, max_ops=10**13), walk)
         assert rec.nu == (rec.q - 1) // 2
         assert len(mults) <= 30
 
     def test_a_walk_resumes_its_own_store(self, monkeypatch):
         arr = self.SEVEN_LINES
-        frobenius._dehomogenized(arr)
+        walk, bare = primed_walk(arr), primed_walk(arr)
         mults = count_multiplies(monkeypatch)
-        walk, bare = NuWalk(arr), NuWalk(arr)
         bare.record = nu(arr, 4, walk=walk)
         # a call on another walk in between leaves this one alone
         other = LineArrangement(7, (0, 1, INF), (1, 1, 1))
@@ -437,15 +447,13 @@ class TestWalkStore:
         # windows, the interleaved order made 70 multiplies against 31, and
         # the binary search made 31 in both orders where the descent makes 16
         arrs = TestLadderWalk.SEVEN_LINES, LineArrangement(5, (0, 1, 2, INF), (2, 2, 2, 3))
-        for arr in arrs:
-            frobenius._dehomogenized(arr)
         mults = count_multiplies(monkeypatch)
         counts, answers = [], []
         for order in (
             [(arr, e) for arr in arrs for e in range(1, 6)],
             [(arr, e) for e in range(1, 6) for arr in arrs],
         ):
-            walks = {arr: NuWalk(arr) for arr in arrs}
+            walks = {arr: primed_walk(arr) for arr in arrs}
             mults.clear()
             answers.append({(a, e): nu(a, e, walk=walks[a]) for a, e in order})
             counts.append(len(mults))
@@ -453,13 +461,13 @@ class TestWalkStore:
         assert answers[0] == answers[1]
 
     def test_back_to_back_requests_make_equal_counts(self, monkeypatch):
-        # no store outlives its request: the second request rebuilds all
+        # no g and no store outlives its request: the second request
+        # rebuilds both
         argv = ["nu", "--p", "7", "--slopes", "0,1,2,3,4,5,inf",
                 "--mults", "1,1,1,1,1,1,1", "--e", "5"]
         mults = count_multiplies(monkeypatch)
         counts, outputs = [], []
         for _ in range(2):
-            frobenius._dehomogenized.cache_clear()
             mults.clear()
             buf = io.StringIO()
             assert cli.run(argv, buf) == 0
@@ -732,6 +740,39 @@ class TestBudget:
                         continue
                     with pytest.raises(OracleBudgetError if refused else Probed):
                         nu(arr, e)
+
+    def test_refusals_come_before_g_is_built(self, monkeypatch):
+        # a walk is made before `nu` checks the budget, so a g built with
+        # it would be a 10^9-coefficient power here, for a refused request
+        built = []
+        dehomogenized = frobenius._dehomogenized
+
+        def counting(arr):
+            built.append(arr)
+            return dehomogenized(arr)
+
+        monkeypatch.setattr(frobenius, "_dehomogenized", counting)
+        huge = LineArrangement(2, (0,), (10**9,))
+        walk = NuWalk(huge)
+        assert (walk.record, walk.g, walk.store) == (None, None, {})
+        with pytest.raises(OracleBudgetError, match="limiting q=2"):
+            sharply_fpure_at(huge, F(1, 2), 1)
+        # these weights pass every closed-form rule, so certify escalates
+        # to e = 1, where d = 1,799,999,999 at p = 5 is refused
+        tiny = F(1, 10**9)
+        weights = (F(2, 5) + tiny, F(2, 5), F(2, 5), F(3, 5) - tiny)
+        cert = certify_sfr(WeightedArrangement(weights, (0, 1, 2, INF)), 5, e_max=1)
+        assert cert.details["note"].startswith("oracle budget exhausted at e=1:")
+        out = io.StringIO()
+        argv = ["fpure-at", "--p", "2", "--slopes", "0", "--mults", "1000000000",
+                "--lambda", "1/2", "--emax", "1"]
+        assert cli.run(argv, out) == 1
+        assert '"type": "OracleBudgetError"' in out.getvalue()
+        assert built == []
+        # a probe builds it once per walk
+        small = LineArrangement(3, (0, 1), (1, 2))
+        nu(small, 2)
+        assert built == [small]
 
     def test_refusal_settled_by_bit_lengths_skips_q(self):
         # p*d*q >= 2^(e + bits(d)) > max_ops, so q = 11^10000 is neither

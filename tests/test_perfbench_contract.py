@@ -74,6 +74,5 @@ def test_tracer_installs_on_every_target(monkeypatch):
         assert nu_seen[n] == levels, json.loads(out)["outputs"]
     assert s.prefixed("kernels.polymul.kronecker.")
 
-    stats = tracing.cache_stats()
-    assert layers.DEHOMOGENIZED_CACHE in stats
-    assert layers.PLUS_CLOSURE_CACHE in stats
+    # the package keeps no cache, so the hit-ratio rows have nothing to read
+    assert tracing.cache_stats() == {}

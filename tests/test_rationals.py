@@ -2,6 +2,7 @@
 points, and primality against the trial-division oracle."""
 
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -24,17 +25,20 @@ from fptkit import (
     dset_below,
     dset_contains,
     format_ratio,
+    format_slope,
     fpt_degenerate,
     hara_monsky_lower,
     hyperstandard_simple_bound,
     klt_scaled,
     klt_weighted,
     largest_below,
+    largest_below_each,
     lct_line_arrangement,
     min_positive,
     nu,
     p0,
     parse_ratio_list,
+    parse_slope,
     plus_closure,
     power_in_frobenius_ideal,
     q_max,
@@ -43,6 +47,7 @@ from fptkit import (
     sharply_fpure_at,
     t0_from_dset,
     t0_from_lambdas,
+    verify_hm_bound,
 )
 from fptkit.errors import DomainError, OracleBudgetError
 from fptkit.frobenius import OracleBudget
@@ -145,7 +150,9 @@ class TestFormatRatio:
         assert format_ratio(3) == "3/1"
         assert format_ratio(-4) == "-4/1"
         assert format_ratio(Sub(-2, 4)) == "-1/2"
-        assert format_ratio("6/8") == "3/4"
+        # text is parsed by parse_ratio, not converted
+        with pytest.raises(DomainError, match="^str coefficient '6/8'; use Fraction$"):
+            format_ratio("6/8")
 
 
 class TestRatios:
@@ -168,11 +175,19 @@ class TestAsFraction:
         x = F(2, 3)
         assert as_fraction(x) is x
 
-    @pytest.mark.parametrize("value,want", [(3, F(3)), ("5/10", F(1, 2))])
+    @pytest.mark.parametrize("value,want", [(3, F(3)), (True, F(1))])
     def test_exact_values_convert(self, value, want):
         got = as_fraction(value)
         assert type(got) is Fraction
         assert got == want
+
+    @pytest.mark.parametrize(
+        "value", ["5/10", b"1", None, Decimal("0.5")], ids=["5/10", "bytes", "None", "Decimal"]
+    )
+    def test_refuses_other_types(self, value):
+        # a rational is an int or a Fraction; text is parse_ratio's to read
+        with pytest.raises(DomainError, match="coefficient .*; use Fraction$"):
+            as_fraction(value)
 
     def test_refuses_floats(self):
         with pytest.raises(DomainError, match="float coefficient 0.5; use Fraction"):
@@ -234,6 +249,68 @@ INT_ENTRY_POINTS = {
 def test_entry_points_refuse_non_integers(call):
     with pytest.raises(DomainError, match="not an integer"):
         call()
+
+
+# a value of each type that no scalar argument takes: text, bytes, None,
+# floats and Decimals, integral or not
+WRONG_TYPES = ["1/2", "3", "", b"1", b"", None, 0.5, 3.0, Decimal("0.5"), Decimal(3)]
+HALF = F(1, 2)
+PROFILE = MultiplicityProfile((1, 1, 1))
+
+# every scalar argument of every export, as a call that passes `bad` there
+# and a well-typed value everywhere else; an element of a sequence
+# argument counts as a scalar
+SCALAR_ARGUMENTS = {
+    "CoeffSet.element": lambda bad: CoeffSet((HALF, bad)),
+    "dset_below.cutoff": lambda bad: dset_below(EMPTY, bad),
+    "dset_contains.value": lambda bad: dset_contains(EMPTY, bad),
+    "largest_below.bound": lambda bad: largest_below(EMPTY, bad),
+    "largest_below_each.bound": lambda bad: largest_below_each(EMPTY, (HALF, bad)),
+    "ddi_check.cutoff": lambda bad: ddi_check(EMPTY, bad),
+    "admissible_sum.part": lambda bad: admissible_sum((F(2, 3), bad, F(4, 5))),
+    "hyperstandard_simple_bound.n": lambda bad: hyperstandard_simple_bound(bad),
+    "safe_perturbation.n": lambda bad: safe_perturbation(EMPTY, bad),
+    "OracleBudget.max_e": lambda bad: OracleBudget(max_e=bad),
+    "OracleBudget.max_ops": lambda bad: OracleBudget(max_ops=bad),
+    "LineArrangement.p": lambda bad: LineArrangement(bad, (0, INF), (1, 1)),
+    "LineArrangement.slope": lambda bad: LineArrangement(7, (bad, INF), (1, 1)),
+    "LineArrangement.mult": lambda bad: LineArrangement(7, (0, INF), (1, bad)),
+    "LineArrangement.all_rational_lines.p": lambda bad: LineArrangement.all_rational_lines(bad),
+    "nu.e": lambda bad: nu(X3Y, bad),
+    "power_in_frobenius_ideal.n": lambda bad: power_in_frobenius_ideal(X3Y, bad, 1),
+    "power_in_frobenius_ideal.e": lambda bad: power_in_frobenius_ideal(X3Y, 1, bad),
+    "sharply_fpure_at.lam": lambda bad: sharply_fpure_at(X3Y, bad, 1),
+    "sharply_fpure_at.e_max": lambda bad: sharply_fpure_at(X3Y, HALF, bad),
+    "verify_hm_bound.e": lambda bad: verify_hm_bound(X3Y, bad),
+    "certify_sfr.p": lambda bad: certify_sfr(THIRDS, bad),
+    "certify_sfr.e_max": lambda bad: certify_sfr(THIRDS, 7, bad),
+    "P1Pair.coefficient": lambda bad: P1Pair((HALF, HALF, bad)),
+    "sharply_fpure_A1.coefficient": lambda bad: sharply_fpure_A1((HALF, bad)),
+    "MultiplicityProfile.mult": lambda bad: MultiplicityProfile((1, bad, 1)),
+    "hara_monsky_lower.p": lambda bad: hara_monsky_lower(PROFILE, bad),
+    "klt_scaled.lam": lambda bad: klt_scaled(PROFILE, bad),
+    "t0_from_lambdas.lambda": lambda bad: t0_from_lambdas((HALF, bad)),
+    "WeightedArrangement.weight": lambda bad: WeightedArrangement((HALF, bad)),
+    "WeightedArrangement.slope": lambda bad: WeightedArrangement((HALF,), slopes=(bad,)),
+    "format_ratio.x": lambda bad: format_ratio(bad),
+    "format_slope.token": lambda bad: format_slope(bad),
+    "is_prime.n": lambda bad: is_prime(bad),
+    "parse_ratio.text": lambda bad: parse_ratio(bad),
+    "parse_ratio_list.text": lambda bad: parse_ratio_list(bad),
+    "parse_slope.text": lambda bad: parse_slope(bad),
+}
+
+
+@pytest.mark.parametrize("name", SCALAR_ARGUMENTS)
+def test_wrong_types_are_refused_with_domain_error(name):
+    # the rule: a rational argument is an int or a Fraction, an integer one
+    # anything `operator.index` takes, and text a str; every other value of
+    # WRONG_TYPES, in every such place, raises DomainError and nothing else
+    for bad in WRONG_TYPES:
+        if isinstance(bad, str) and name.endswith(".text"):
+            continue
+        with pytest.raises(DomainError):
+            SCALAR_ARGUMENTS[name](bad)
 
 
 # library refusals that no other test reaches, with the message each gives

@@ -4,9 +4,11 @@ one's private names, only `values.py` stores a value's fields past its
 refused assignment, the library does not import `dataclasses`, whose
 class generation (and its `inspect` import) each CLI process would pay,
 importing the CLI loads neither the `json` package nor the `paper-check`
-table and builds no byte-lane table, no state outlives a call but `nu`'s
-last walk and two named caches, a cold request builds arguments for its
-own subcommand only, and the CLI reads no single-underscore attribute."""
+table and builds no byte-lane table, no module holds state that outlives
+a call (a ladder's g and windows live on the caller's `NuWalk`, and each
+coefficient-set call builds its own I_plus), a cold request builds
+arguments for its own subcommand only, and the CLI reads no
+single-underscore attribute."""
 
 import ast
 import shutil
@@ -168,18 +170,15 @@ def _module_state(tree):
 
 
 def test_module_state_has_an_owner():
-    # perfbench reads both caches' hit ratios (g per arrangement, I_plus per
-    # set); a walk's state lives on the caller's `NuWalk`
+    # g and the windows of its powers live on the caller's `NuWalk`, and
+    # each coefficient-set call builds its own I_plus
     found = {
         path.relative_to(ROOT).as_posix(): sorted(
             what for _, what in _module_state(ast.parse(path.read_text(), str(path)))
         )
         for path in sorted((ROOT / "src" / "fptkit").rglob("*.py"))
     }
-    assert {path: whats for path, whats in found.items() if whats} == {
-        "src/fptkit/coeffsets.py": ["cached _plus_closure_cached"],
-        "src/fptkit/frobenius.py": ["cached _dehomogenized"],
-    }
+    assert {path: whats for path, whats in found.items() if whats} == {}
 
 
 def test_module_state_scan_catches_each_kind():
