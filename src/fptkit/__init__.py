@@ -4,130 +4,89 @@ sets, log canonical and F-pure thresholds, Frobenius nu brackets over F_p,
 effective prime bounds, and strong F-regularity certificates.
 
 Everything is exact (Fraction and int); nothing here ever touches floats.
+
+Importing the package loads none of its modules.  Each export below is
+read from its defining module on every access (PEP 562), and the first
+access imports that module, so a process pays only for the modules it
+uses.  Nothing is kept in this namespace: a name rebound in its module,
+as a tracer does, is what the package hands out.
 """
 
-from .bounds import (
-    BoundReport,
-    GapBound,
-    PerturbationReport,
-    QMaxResult,
-    SumCandidate,
-    admissible_sum,
-    hyperstandard_simple_bound,
-    p0,
-    q_max,
-    safe_perturbation,
-)
-from .coeffsets import (
-    CoeffSet,
-    DsetSlice,
-    ddi_check,
-    dset_below,
-    dset_contains,
-    largest_below,
-    largest_below_each,
-    min_positive,
-    plus_closure,
-)
-from .errors import DomainError, OracleBudgetError
-from .frobenius import (
-    DEFAULT_BUDGET,
-    FPurityCheck,
-    LineArrangement,
-    NuRecord,
-    NuWalk,
-    OracleBudget,
-    nu,
-    power_in_frobenius_ideal,
-    sharply_fpure_at,
-    verify_hm_bound,
-)
-from .pairs import (
-    Certificate,
-    INCONCLUSIVE,
-    NOT_KLT,
-    P1Classification,
-    P1Pair,
-    STRONGLY_F_REGULAR,
-    certify_sfr,
-    classify_p1,
-    cone_transfer,
-    sharply_fpure_A1,
-)
-from .rationals import format_ratio, is_prime, parse_ratio, parse_ratio_list
-from .slopes import INF, format_slope, parse_slope
-from .thresholds import (
-    MultiplicityProfile,
-    T0Report,
-    WeightedArrangement,
-    fpt_degenerate,
-    hara_monsky_lower,
-    klt_scaled,
-    klt_weighted,
-    lct_line_arrangement,
-    t0_from_dset,
-    t0_from_lambdas,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BoundReport",
-    "Certificate",
-    "CoeffSet",
-    "DEFAULT_BUDGET",
-    "DomainError",
-    "DsetSlice",
-    "FPurityCheck",
-    "GapBound",
-    "INCONCLUSIVE",
-    "INF",
-    "LineArrangement",
-    "MultiplicityProfile",
-    "NOT_KLT",
-    "NuRecord",
-    "NuWalk",
-    "OracleBudget",
-    "OracleBudgetError",
-    "P1Classification",
-    "P1Pair",
-    "PerturbationReport",
-    "QMaxResult",
-    "STRONGLY_F_REGULAR",
-    "SumCandidate",
-    "T0Report",
-    "WeightedArrangement",
-    "admissible_sum",
-    "certify_sfr",
-    "classify_p1",
-    "cone_transfer",
-    "ddi_check",
-    "dset_below",
-    "dset_contains",
-    "format_ratio",
-    "format_slope",
-    "fpt_degenerate",
-    "hara_monsky_lower",
-    "hyperstandard_simple_bound",
-    "is_prime",
-    "klt_scaled",
-    "klt_weighted",
-    "largest_below",
-    "largest_below_each",
-    "lct_line_arrangement",
-    "min_positive",
-    "nu",
-    "p0",
-    "parse_ratio",
-    "parse_ratio_list",
-    "parse_slope",
-    "plus_closure",
-    "power_in_frobenius_ideal",
-    "q_max",
-    "safe_perturbation",
-    "sharply_fpure_at",
-    "sharply_fpure_A1",
-    "t0_from_dset",
-    "t0_from_lambdas",
-    "verify_hm_bound",
-]
+# each export -> the module that defines it, in `__all__`'s order
+_EXPORTS = {
+    "BoundReport": "bounds",
+    "Certificate": "pairs",
+    "CoeffSet": "coeffsets",
+    "DEFAULT_BUDGET": "frobenius",
+    "DomainError": "errors",
+    "DsetSlice": "coeffsets",
+    "FPurityCheck": "frobenius",
+    "GapBound": "bounds",
+    "INCONCLUSIVE": "pairs",
+    "INF": "slopes",
+    "LineArrangement": "frobenius",
+    "MultiplicityProfile": "thresholds",
+    "NOT_KLT": "pairs",
+    "NuRecord": "frobenius",
+    "NuWalk": "frobenius",
+    "OracleBudget": "frobenius",
+    "OracleBudgetError": "errors",
+    "P1Classification": "pairs",
+    "P1Pair": "pairs",
+    "PerturbationReport": "bounds",
+    "QMaxResult": "bounds",
+    "STRONGLY_F_REGULAR": "pairs",
+    "SumCandidate": "bounds",
+    "T0Report": "thresholds",
+    "WeightedArrangement": "thresholds",
+    "admissible_sum": "bounds",
+    "certify_sfr": "pairs",
+    "classify_p1": "pairs",
+    "cone_transfer": "pairs",
+    "ddi_check": "coeffsets",
+    "dset_below": "coeffsets",
+    "dset_contains": "coeffsets",
+    "format_ratio": "rationals",
+    "format_slope": "slopes",
+    "fpt_degenerate": "thresholds",
+    "hara_monsky_lower": "thresholds",
+    "hyperstandard_simple_bound": "bounds",
+    "is_prime": "rationals",
+    "klt_scaled": "thresholds",
+    "klt_weighted": "thresholds",
+    "largest_below": "coeffsets",
+    "largest_below_each": "coeffsets",
+    "lct_line_arrangement": "thresholds",
+    "min_positive": "coeffsets",
+    "nu": "frobenius",
+    "p0": "bounds",
+    "parse_ratio": "rationals",
+    "parse_ratio_list": "rationals",
+    "parse_slope": "slopes",
+    "plus_closure": "coeffsets",
+    "power_in_frobenius_ideal": "frobenius",
+    "q_max": "bounds",
+    "safe_perturbation": "bounds",
+    "sharply_fpure_at": "frobenius",
+    "sharply_fpure_A1": "pairs",
+    "t0_from_dset": "thresholds",
+    "t0_from_lambdas": "thresholds",
+    "verify_hm_bound": "frobenius",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_EXPORTS))

@@ -46,7 +46,7 @@ from operator import itemgetter
 
 from .coeffsets import CoeffSet, dset_below, largest_below_each, min_positive
 from .errors import DomainError
-from .rationals import as_fraction, as_int, int_text, order_width, ratios
+from .rationals import as_fraction, as_int, as_tuple, int_text, order_width, ratios
 from .values import Value
 
 
@@ -100,7 +100,7 @@ def admissible_sum(parts) -> bool:
     D(I) is the caller's business; this is the re-verification used on
     every structured-search candidate, independent of the walk's totals.
     """
-    parts = [as_fraction(x).as_integer_ratio() for x in parts]
+    parts = [x.as_integer_ratio() for x in as_tuple(parts, as_fraction)]
     w = math.lcm(*[d for _, d in parts])
     return _admissible(tuple(n * (w // d) for n, d in parts), w)
 

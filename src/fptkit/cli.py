@@ -20,7 +20,6 @@ from fractions import Fraction
 # `json` package (its decoder and scanner) into every CLI process
 from _json import encode_basestring_ascii
 
-from . import bounds, coeffsets, frobenius, pairs, thresholds
 from .errors import DomainError
 from .rationals import format_ratio, parse_int, parse_ratio, parse_ratio_list
 from .slopes import format_slope, parse_slope
@@ -59,18 +58,20 @@ def _ints_arg(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"not an integer list: {text!r}")
 
 
-def _budget() -> frobenius.OracleBudget:
+def _budget(unset):
+    """The oracle budget that FPTKIT_ORACLE_BUDGET names, or `unset` when
+    the variable is not set: `frobenius` loads only to build a budget."""
     raw = os.environ.get(BUDGET_ENV)
     if raw is None:
-        return frobenius.DEFAULT_BUDGET
+        return unset
+    from .frobenius import OracleBudget
+
     parts = raw.split(",")
     try:
         if len(parts) == 1:
-            return frobenius.OracleBudget(max_ops=parse_int(parts[0]))
+            return OracleBudget(max_ops=parse_int(parts[0]))
         if len(parts) == 2:
-            return frobenius.OracleBudget(
-                max_ops=parse_int(parts[0]), max_e=parse_int(parts[1])
-            )
+            return OracleBudget(max_ops=parse_int(parts[0]), max_e=parse_int(parts[1]))
     except DomainError:
         pass
     raise DomainError(
@@ -78,18 +79,24 @@ def _budget() -> frobenius.OracleBudget:
     )
 
 
-def _arrangement(args) -> frobenius.LineArrangement:
-    return frobenius.LineArrangement(args.p, args.slopes, args.mults)
+def _arrangement(args):
+    from .frobenius import LineArrangement
+
+    return LineArrangement(args.p, args.slopes, args.mults)
 
 
 # ---------------------------------------------------------------- handlers
 # Each handler returns (inputs, outputs) holding library values; `run`
 # writes them as JSON with `_print_json`, or as a table with `_print_table`.
 # Reports carry no copy of their inputs, so `inputs` comes from the parsed
-# arguments.
+# arguments.  Each handler imports the library modules it calls, so a
+# process loads only its own subcommand's; a module is read at each call,
+# never kept here.
 
 
 def _cmd_dset(args):
+    from . import coeffsets
+
     coeffs = coeffsets.CoeffSet(args.set)
     sl = coeffsets.dset_below(coeffs, args.below)
     inputs = {"set": coeffs.elements, "below": args.below}
@@ -97,7 +104,11 @@ def _cmd_dset(args):
 
 
 def _cmd_t0(args):
+    from . import thresholds
+
     if args.set is not None:
+        from . import coeffsets
+
         coeffs = coeffsets.CoeffSet(args.set)
         report = thresholds.t0_from_dset(coeffs)
         inputs = {"set": coeffs.elements}
@@ -119,6 +130,8 @@ def _cmd_t0(args):
 
 
 def _cmd_p0(args):
+    from . import bounds, coeffsets
+
     coeffs = coeffsets.CoeffSet(args.set)
     report = bounds.p0(coeffs)
     outputs = {
@@ -133,6 +146,8 @@ def _cmd_p0(args):
 
 
 def _cmd_hsb(args):
+    from . import bounds
+
     report = bounds.hyperstandard_simple_bound(args.n)
     outputs = {
         "gap": report.gap,
@@ -153,7 +168,9 @@ def _arrangement_inputs(args) -> dict:
 
 
 def _cmd_bracket(args):
-    rec = frobenius.nu(_arrangement(args), args.e, _budget())
+    from . import frobenius
+
+    rec = frobenius.nu(_arrangement(args), args.e, _budget(frobenius.DEFAULT_BUDGET))
     outputs = {
         "e": rec.e, "q": rec.q, "nu": rec.nu, "lower": rec.lower, "upper": rec.upper,
     }
@@ -167,8 +184,11 @@ def _cmd_nu(args):
 
 
 def _cmd_fpure_at(args):
+    from . import frobenius
+
     arr = _arrangement(args)
-    chk = frobenius.sharply_fpure_at(arr, args.lam, args.emax, _budget())
+    budget = _budget(frobenius.DEFAULT_BUDGET)
+    chk = frobenius.sharply_fpure_at(arr, args.lam, args.emax, budget)
     outputs = {
         "holds": chk.holds,
         "witness_e": chk.witness_e,
@@ -183,8 +203,11 @@ def _cmd_fpure_at(args):
 
 
 def _cmd_certify(args):
+    from . import pairs, thresholds
+
     arr = thresholds.WeightedArrangement(args.weights, args.slopes)
-    cert = pairs.certify_sfr(arr, args.p, args.emax, _budget())
+    # unset, the budget is None: the default, which loads no `frobenius`
+    cert = pairs.certify_sfr(arr, args.p, args.emax, _budget(None))
     inputs = {"weights": args.weights, "p": args.p, "emax": args.emax}
     if args.slopes is not None:
         inputs["slopes"] = [format_slope(s) for s in args.slopes]
@@ -193,6 +216,8 @@ def _cmd_certify(args):
 
 
 def _cmd_perturb(args):
+    from . import bounds, coeffsets
+
     coeffs = coeffsets.CoeffSet(args.set)
     report = bounds.safe_perturbation(coeffs, args.N)
     outputs = {
@@ -202,6 +227,8 @@ def _cmd_perturb(args):
 
 
 def _cmd_classify_p1(args):
+    from . import pairs
+
     pair = pairs.P1Pair(args.coeffs)
     cls = pairs.classify_p1(pair)
     outputs = {"klt": cls.klt, "log_fano": cls.log_fano, "total": pair.total}
@@ -400,7 +427,7 @@ def _print_check_table(rows, summary, out) -> None:
 
 
 def _cmd_paper_check(args, out) -> int:
-    from . import regressions  # the table loads only for this subcommand
+    from . import regressions
 
     rows = regressions.run_paper_checks()
     summary = regressions.summarize(rows)

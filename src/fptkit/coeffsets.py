@@ -31,7 +31,7 @@ from fractions import Fraction
 from math import lcm, prod
 
 from .errors import DomainError
-from .rationals import as_fraction, int_text, order_width, ratio_text, ratios, whole_text
+from .rationals import as_fraction, as_tuple, int_text, order_width, ratio_text, ratios, whole_text
 from .values import Value
 
 HALF = Fraction(1, 2)
@@ -51,7 +51,7 @@ class CoeffSet(Value):
 
     def __init__(self, elements=()):
         elems = []
-        for x in elements:
+        for x in as_tuple(elements):
             x = as_fraction(x)
             if not 0 < x < 1:
                 raise DomainError(
@@ -190,7 +190,7 @@ def largest_below_each(coeffs: CoeffSet, bounds) -> list[Fraction]:
     exists; a caller that needs a floor compares the result with it.
     """
     pairs = []
-    for bound in bounds:
+    for bound in as_tuple(bounds):
         bound = as_fraction(bound)
         b, c = bound.as_integer_ratio()
         if not 0 < b < c:

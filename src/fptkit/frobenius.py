@@ -38,7 +38,7 @@ from fractions import Fraction
 
 from .errors import DomainError, OracleBudgetError
 from .kernels import polymul_mod, power_window_nonzero, truncated_power
-from .rationals import as_fraction, as_int, as_prime, int_text, whole_text
+from .rationals import as_fraction, as_int, as_prime, as_tuple, int_text, whole_text
 from .thresholds import MultiplicityProfile, hara_monsky_lower
 from .slopes import INF, format_slope, normalize_slopes, slope_key
 from .values import Value
@@ -83,8 +83,8 @@ class LineArrangement(Value):
 
     def __init__(self, p, slopes, mults):
         p = as_prime(p)
-        slopes = normalize_slopes(tuple(slopes), p)
-        mults = tuple(mults)
+        slopes = normalize_slopes(as_tuple(slopes), p)
+        mults = as_tuple(mults)
         if len(slopes) != len(mults):
             raise DomainError(f"{len(slopes)} slopes for {len(mults)} mults")
         mults = MultiplicityProfile(mults).mults

@@ -17,8 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DomainError, OracleBudgetError
-from .frobenius import DEFAULT_BUDGET, LineArrangement, NuWalk, OracleBudget, nu
-from .rationals import as_fraction, as_int, as_prime
+from .rationals import as_fraction, as_int, as_prime, as_tuple
 from .slopes import normalize_slopes
 from .thresholds import (
     MultiplicityProfile,
@@ -27,6 +26,9 @@ from .thresholds import (
     klt_weighted,
 )
 from .values import Value
+
+# `frobenius` loads only for the oracle escalation; the `OracleBudget` in an
+# annotation below is never evaluated, so naming it imports nothing
 
 STRONGLY_F_REGULAR = "strongly_F_regular"
 NOT_KLT = "not_klt"
@@ -40,7 +42,7 @@ class P1Pair(Value):
     coeffs: tuple[Fraction, ...]
 
     def __init__(self, coeffs):
-        coeffs = tuple(as_fraction(c) for c in coeffs)
+        coeffs = as_tuple(coeffs, as_fraction)
         if len(coeffs) == 0:
             raise DomainError("a pair needs at least one marked point")
         if any(c <= 0 for c in coeffs):
@@ -70,7 +72,7 @@ def sharply_fpure_A1(coeffs) -> bool:
     Characteristic-free: t^ceil(total*(q-1)) divides outside (t^q) exactly
     when total <= 1 in the limit, for every prime.
     """
-    coeffs = tuple(as_fraction(c) for c in coeffs)
+    coeffs = as_tuple(coeffs, as_fraction)
     if len(coeffs) == 0:
         raise DomainError("empty coefficient list")
     if any(c <= 0 for c in coeffs):
@@ -103,7 +105,7 @@ def certify_sfr(
     arr: WeightedArrangement,
     p: int,
     e_max: int = 0,
-    budget: OracleBudget = DEFAULT_BUDGET,
+    budget: OracleBudget | None = None,
 ) -> Certificate:
     """Certificate cascade for strong F-regularity of (A^2, sum q_i L_i).
 
@@ -120,7 +122,10 @@ def certify_sfr(
 
     Each rule certifies the coefficient vector sits strictly below the
     F-pure threshold, which is what strong F-regularity needs here.
-    Given slopes must name distinct lines mod p, as in `nu`.
+    Given slopes must name distinct lines mod p, as in `nu`.  `budget`
+    bounds rule (d)'s oracle calls; None, the default, means
+    `frobenius.DEFAULT_BUDGET`.  Only rule (d) loads `frobenius`, so a
+    cascade that stops before it never imports the oracle.
     """
     p = as_prime(p)
     e_max = as_int(e_max)
@@ -168,6 +173,10 @@ def certify_sfr(
         return Certificate("hara_monsky_rule", details)
 
     if e_max > 0:
+        from .frobenius import DEFAULT_BUDGET, LineArrangement, NuWalk, nu
+
+        if budget is None:
+            budget = DEFAULT_BUDGET
         line_arr = LineArrangement(p, arr.slopes, mults)
         walk = NuWalk(line_arr)
         for e in range(1, e_max + 1):

@@ -5,7 +5,9 @@ integer on input).  Decimals are rejected on purpose: every quantity in
 this package is exact and floats would silently poison that.  Library
 entry points take a rational as an int or a Fraction and nothing else
 (`as_fraction`), and an integer as anything `operator.index` accepts
-(`as_int`); any other type is refused with DomainError.
+(`as_int`); any other type is refused with DomainError.  A sequence
+argument is any iterable (`as_tuple`); a value that is not one, such as
+None or an int, is refused the same way.
 """
 
 from __future__ import annotations
@@ -100,6 +102,20 @@ def as_int(x) -> int:
     except TypeError:
         shown = ratio_text(x) if isinstance(x, Fraction) else repr(x)
         raise DomainError(f"not an integer: {shown}") from None
+
+
+def as_tuple(xs, convert=None) -> tuple:
+    """A caller's sequence argument as a tuple, each item passed through
+    `convert` when one is given.  Any iterable is taken; anything else
+    (None, an int) is refused, not left to raise TypeError.
+
+    Library entry points read every sequence argument here.
+    """
+    try:
+        items = iter(xs)
+    except TypeError:
+        raise DomainError(f"not a sequence: {type(xs).__name__}") from None
+    return tuple(items if convert is None else map(convert, items))
 
 
 def int_text(n: int, bits: int = 64) -> str:

@@ -23,11 +23,13 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .coeffsets import CoeffSet, dset_below
 from .errors import DomainError
-from .rationals import as_fraction, as_int, as_prime, int_text
+from .rationals import as_fraction, as_int, as_prime, as_tuple, int_text
 from .slopes import INF
 from .values import Value
+
+# `coeffsets` loads only in `t0_from_dset`; the `CoeffSet` in its annotation
+# is never evaluated, so naming it imports nothing
 
 
 class MultiplicityProfile(Value):
@@ -37,7 +39,7 @@ class MultiplicityProfile(Value):
     mults: tuple[int, ...]
 
     def __init__(self, mults):
-        mults = tuple(as_int(a) for a in mults)
+        mults = as_tuple(mults, as_int)
         if len(mults) == 0:
             raise DomainError("a profile needs at least one line")
         for a in mults:
@@ -71,13 +73,13 @@ class WeightedArrangement(Value):
     slopes: tuple | None
 
     def __init__(self, weights, slopes=None):
-        weights = tuple(as_fraction(w) for w in weights)
+        weights = as_tuple(weights, as_fraction)
         if len(weights) == 0:
             raise DomainError("an arrangement needs at least one line")
         if any(w <= 0 for w in weights):
             raise DomainError("weights must be positive")
         if slopes is not None:
-            slopes = tuple(slopes)
+            slopes = as_tuple(slopes)
             if len(slopes) != len(weights):
                 raise DomainError(
                     f"{len(slopes)} slopes for {len(weights)} weights"
@@ -169,7 +171,7 @@ def _t0_search(descending) -> T0Report:
 
 def t0_from_lambdas(lams) -> T0Report:
     """t0 for an explicit finite list of coefficients in (0,1]."""
-    lams = tuple(as_fraction(x) for x in lams)
+    lams = as_tuple(lams, as_fraction)
     if len(lams) == 0:
         raise DomainError("empty coefficient list")
     if any(not 0 < x <= 1 for x in lams):
@@ -183,4 +185,6 @@ def t0_from_dset(coeffs: CoeffSet) -> T0Report:
     Every 2/d with d >= 3 is at most 2/3, so the candidates are the
     positive elements of D(coeffs) below 2/3.
     """
+    from .coeffsets import dset_below
+
     return _t0_search(reversed(dset_below(coeffs, Fraction(2, 3)).positives))

@@ -1091,6 +1091,20 @@ class TestPaperCheck:
         assert sorted(map(str, q_sets)) == ["{1/3}", "{}"]
         assert levels == [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (5, 1), (5, 2)]
 
+    def test_largest_below_rows_read_one_batch(self, monkeypatch):
+        # the three largest-below rows share one I_plus of {1/3}
+        batches = []
+        each = coeffsets.largest_below_each
+
+        def counted(coeffs, cuts):
+            batches.append((coeffs, tuple(cuts)))
+            return each(coeffs, cuts)
+
+        monkeypatch.setattr(coeffsets, "largest_below_each", counted)
+        assert regressions.summarize(regressions.run_paper_checks())["mismatch"] == 0
+        cuts = (Fraction(13, 15), Fraction(8, 9), Fraction(11, 12))
+        assert batches == [(regressions.ONE_THIRD, cuts)]
+
     def test_provenance_tokens_only(self):
         _, doc = invoke_json(["paper-check", "--json"])
         for row in doc["outputs"]["rows"]:

@@ -313,6 +313,35 @@ def test_wrong_types_are_refused_with_domain_error(name):
             SCALAR_ARGUMENTS[name](bad)
 
 
+# every sequence argument of every export, as a call that passes `bad` there
+# and a well-typed value everywhere else
+SEQUENCE_ARGUMENTS = {
+    "CoeffSet.elements": lambda bad: CoeffSet(bad),
+    "largest_below_each.bounds": lambda bad: largest_below_each(EMPTY, bad),
+    "admissible_sum.parts": lambda bad: admissible_sum(bad),
+    "LineArrangement.slopes": lambda bad: LineArrangement(5, bad, (1, 1)),
+    "LineArrangement.mults": lambda bad: LineArrangement(5, (0, 1, 2), bad),
+    "P1Pair.coeffs": lambda bad: P1Pair(bad),
+    "sharply_fpure_A1.coeffs": lambda bad: sharply_fpure_A1(bad),
+    "MultiplicityProfile.mults": lambda bad: MultiplicityProfile(bad),
+    "t0_from_lambdas.lams": lambda bad: t0_from_lambdas(bad),
+    "WeightedArrangement.weights": lambda bad: WeightedArrangement(bad),
+    "WeightedArrangement.slopes": lambda bad: WeightedArrangement((HALF,), slopes=bad),
+}
+
+
+@pytest.mark.parametrize("name", SEQUENCE_ARGUMENTS)
+def test_non_iterables_are_refused_with_domain_error(name):
+    # the rule for a sequence argument: any iterable, and nothing else;
+    # None, where it means "absent" (an arrangement's slopes), is allowed
+    for bad in (None, 5):
+        if bad is None and name == "WeightedArrangement.slopes":
+            assert WeightedArrangement((HALF,), slopes=None).slopes is None
+            continue
+        with pytest.raises(DomainError, match="not a sequence"):
+            SEQUENCE_ARGUMENTS[name](bad)
+
+
 # library refusals that no other test reaches, with the message each gives
 REFUSALS = {
     "WeightedArrangement.slope_count": (

@@ -3,14 +3,19 @@ library holds no float arithmetic, no library module imports another
 one's private names, only `values.py` stores a value's fields past its
 refused assignment, the library does not import `dataclasses`, whose
 class generation (and its `inspect` import) each CLI process would pay,
-importing the CLI loads neither the `json` package nor the `paper-check`
-table and builds no byte-lane table, no module holds state that outlives
+importing the package loads none of its modules, and importing the CLI
+only the three it parses with, neither the `json` package nor the
+`paper-check` table, and builds no byte-lane table; a cold call loads
+its own subcommand's modules alone, and every export resolves, on access,
+to its defining module's object; no module holds state that outlives
 a call (a ladder's g and windows live on the caller's `NuWalk`, and each
 coefficient-set call builds its own I_plus), a cold request builds
 arguments for its own subcommand only, and the CLI reads no
 single-underscore attribute."""
 
 import ast
+import importlib
+import os
 import shutil
 import subprocess
 import sys
@@ -223,12 +228,19 @@ def test_dataclass_import_scan_catches_each_kind():
     assert sorted(line for line, _ in _dataclass_imports(ast.parse(src))) == [1, 2, 6]
 
 
+# the library modules that `fptkit.cli` imports itself, for its argument
+# types and its error envelope
+CLI_LIBRARY = ("fptkit", "fptkit.cli", "fptkit.errors", "fptkit.rationals", "fptkit.slopes")
+
 # modules a fresh `import fptkit.cli` must not load: `dataclasses` and its
-# `inspect` (class generation), the `json` package beyond the C escaper, and
-# the `paper-check` table, which that subcommand imports on demand
+# `inspect` (class generation), the `json` package beyond the C escaper, the
+# `paper-check` table, and every other library module, which the handler
+# that calls it imports
 UNLOADED_AT_CLI_IMPORT = (
     "dataclasses", "inspect", "json", "json.decoder", "json.scanner",
-    "fptkit.regressions",
+    "fptkit.regressions", "fptkit.bounds", "fptkit.coeffsets", "fptkit.frobenius",
+    "fptkit.kernels", "fptkit.kernels.pure", "fptkit.pairs", "fptkit.thresholds",
+    "fptkit.values",
 )
 
 
@@ -242,6 +254,80 @@ def test_cli_import_loads_no_dataclasses_json_or_regressions():
         capture_output=True, text=True, check=True,
     )
     assert proc.stdout.strip() == "[]"
+
+
+def _fresh_modules(code: str, *argv: str) -> list[str]:
+    """The sorted `fptkit` modules loaded once `code` has run in a fresh
+    `python -I`, with `src` first on the path and FPTKIT_ORACLE_BUDGET
+    unset; `code` sees `argv` as `sys.argv[2:]`."""
+    code = (
+        "import io, sys; sys.path.insert(0, sys.argv[1])\n" + code + "\n"
+        "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'fptkit')))"
+    )
+    env = {k: v for k, v in os.environ.items() if k != "FPTKIT_ORACLE_BUDGET"}
+    proc = subprocess.run(
+        [sys.executable, "-I", "-c", code, str(ROOT / "src"), *argv],
+        capture_output=True, text=True, check=True, env=env,
+    )
+    return proc.stdout.split()
+
+
+def test_package_import_loads_no_library_module():
+    # every export resolves on first access, so `import fptkit` runs no module
+    assert _fresh_modules("import fptkit") == ["fptkit"]
+    assert _fresh_modules("import fptkit.cli") == sorted(CLI_LIBRARY)
+
+
+# each cold call, by the argv it runs, and the exact `fptkit` modules it
+# loads past the CLI's own
+COLD_CALLS = {
+    "classify-p1": (
+        ["classify-p1", "--coeffs", "1/2,2/3,4/5"],
+        ("fptkit.pairs", "fptkit.thresholds", "fptkit.values"),
+    ),
+    "dset": (["dset", "--set", "1/3", "--below", "9/10"], ("fptkit.coeffsets", "fptkit.values")),
+    "nu": (
+        ["nu", "--p", "7", "--slopes", "0,1,2,inf", "--mults", "1,1,1,1", "--e", "2"],
+        ("fptkit.frobenius", "fptkit.kernels", "fptkit.kernels.pure", "fptkit.thresholds",
+         "fptkit.values"),
+    ),
+    "certify-without-emax": (
+        ["certify", "--weights", "1/2,1/2,1/2", "--p", "7"],
+        ("fptkit.pairs", "fptkit.thresholds", "fptkit.values"),
+    ),
+    "paper-check": (
+        ["paper-check"],
+        ("fptkit.bounds", "fptkit.coeffsets", "fptkit.frobenius", "fptkit.kernels",
+         "fptkit.kernels.pure", "fptkit.pairs", "fptkit.regressions", "fptkit.thresholds",
+         "fptkit.values"),
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, loads", COLD_CALLS.values(), ids=COLD_CALLS)
+def test_a_cold_call_loads_its_own_modules_only(argv, loads):
+    code = "import fptkit.cli\nassert fptkit.cli.run(sys.argv[2:], out=io.StringIO()) == 0"
+    assert _fresh_modules(code, *argv) == sorted(CLI_LIBRARY + loads)
+
+
+def test_every_export_is_its_defining_modules_object():
+    import fptkit
+
+    names = set(fptkit.__all__)
+    assert len(names) == len(fptkit.__all__)
+    star: dict = {}
+    exec("from fptkit import *", star)
+    assert set(star) - {"__builtins__"} == names
+    for name in fptkit.__all__:
+        module = importlib.import_module(f"fptkit.{fptkit._EXPORTS[name]}")
+        value = vars(module)[name]
+        assert getattr(fptkit, name) is value is star[name]
+        # a class or function is defined there, not imported from elsewhere
+        assert getattr(value, "__module__", module.__name__) == module.__name__
+        assert name in dir(fptkit)
+    # nothing is kept in the package's namespace, and no other name resolves
+    assert not names & set(vars(fptkit))
+    assert not hasattr(fptkit, "no_such_export")
 
 
 def test_cli_import_builds_no_lane_tables():
